@@ -20,7 +20,6 @@ from .signals import (
 from .wavelet import (
     CoefficientSignal,
     WaveletScale,
-    haar_analyzing_function,
     haar_coefficients,
     haar_filter,
     scalogram,
@@ -48,10 +47,10 @@ from .contrapuntal import (
 from .classifier import (
     LabeledCorpus,
     Metric,
-    Prediction,
     cityblock,
     euclidean,
-    knn_predict,
+    pairwise_distances,
+    predict_from_distances,
     vote,
 )
 from .experiments import (
@@ -62,7 +61,7 @@ from .experiments import (
     FolkCellReport,
     Representation,
     SegMethod,
-    build_bach_classifier,
+    Segmentation,
     grid_search,
     run_bach_experiment,
     run_folk_segmented,

@@ -76,93 +76,72 @@ class LabeledCorpus:
     def from_matrix(cls, matrix: SegmentMatrix) -> "LabeledCorpus":
         return cls(matrix.rows, matrix.labels)
 
-    @property
-    def classes(self) -> tuple:
-        seen: dict = {}
-        for label in self.labels:
-            seen.setdefault(label, None)
-        return tuple(seen)
-
     def __len__(self) -> int:
         return self.rows.shape[0]
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """A predicted class with the full neighbor ordering behind it."""
-
-    label: Hashable
-    neighbor_rows: np.ndarray
-    neighbor_distances: np.ndarray
-
-    @property
-    def neighbors(self) -> list[tuple[int, float]]:
-        return list(zip(self.neighbor_rows.tolist(), self.neighbor_distances.tolist()))
-
-    @property
-    def nearest_distance(self) -> float:
-        return float(self.neighbor_distances[0])
-
-
-def _decide(sorted_labels: Sequence, k: int) -> Hashable:
-    k = min(k, len(sorted_labels))
-    votes = Counter(sorted_labels[:k])
+def _decide(nearest: Sequence, k: int) -> Hashable:
+    """Modal label of the first k; a modal tie goes to the tied class that
+    comes first. Every tied class has a vote among the first k, so labels
+    beyond the first k never decide."""
+    votes = Counter(nearest[:k])
     top = max(votes.values())
     tied = {label for label, count in votes.items() if count == top}
     if len(tied) == 1:
         return next(iter(tied))
-    for label in sorted_labels:
-        if label in tied:
-            return label
-    raise AssertionError("unreachable: tied classes vanished")
+    return next(label for label in nearest if label in tied)
 
 
 def predict_from_distances(
-    distances: np.ndarray, labels: Sequence, k: int
-) -> Prediction:
-    """kNN decision over a precomputed distance row (supports fold masking
-    with infinities: masked rows never become neighbors)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    distances = np.asarray(distances, dtype=float)
-    order = np.argsort(distances, kind="stable")
-    finite = order[np.isfinite(distances[order])]
-    if finite.size == 0:
-        raise ValueError("no finite distances to classify against")
-    sorted_labels = [labels[i] for i in finite]
-    return Prediction(_decide(sorted_labels, k), finite, distances[finite])
+    block: np.ndarray, labels: Sequence, ks: Sequence[int]
+) -> dict[int, list]:
+    """kNN decision of every row of a distance block, for each k in ks.
 
-
-def knn_predict(
-    query: np.ndarray, corpus: LabeledCorpus, k: int, metric: Metric
-) -> Prediction:
-    """Classify one query vector against a labeled corpus."""
-    distances = pairwise_distances(np.asarray(query, float)[None, :], corpus.rows, metric)[0]
-    return predict_from_distances(distances, corpus.labels, k)
-
-
-def vote(predictions: Sequence[Prediction]) -> Hashable:
-    """Modal class of the per-segment predictions.
-
-    A tie is broken by the globally smallest neighbor distance pooled over
-    each tied class's predictions, extending outward through the pooled
-    distances while equal; prediction order is the final fallback.
+    Returns one label per row for each k. Infinite entries (fold masking)
+    never become neighbors; the neighbor order of a row is found once for
+    the largest k and shared by the others.
     """
-    if not predictions:
+    if min(ks) < 1:
+        raise ValueError("k must be at least 1")
+    block = np.atleast_2d(np.asarray(block, dtype=float))
+    k_max = max(ks)
+    decisions: dict[int, list] = {k: [] for k in ks}
+    for row in block:
+        # the first k_max labels in (distance, insertion index) order
+        kk = min(k_max, int(np.isfinite(row).sum()))
+        if kk == 0:
+            raise ValueError("no finite distances to classify against")
+        if kk == row.size:
+            candidates = np.arange(row.size)
+        else:
+            kth = np.partition(row, kk - 1)[kk - 1]
+            candidates = np.nonzero(row <= kth)[0]
+        order = candidates[np.lexsort((candidates, row[candidates]))]
+        nearest = [labels[i] for i in order[:kk]]
+        for k in ks:
+            decisions[k].append(_decide(nearest, k))
+    return decisions
+
+
+def vote(row_labels: Sequence, block: np.ndarray) -> Hashable:
+    """Modal class of the per-row predictions of one item.
+
+    A tie is broken by the globally smallest finite distance pooled over
+    each tied class's rows of the block, extending outward through the
+    pooled distances while equal; first-prediction order is the final
+    fallback.
+    """
+    if not row_labels:
         raise ValueError("cannot vote over zero predictions")
-    votes = Counter(p.label for p in predictions)
+    votes = Counter(row_labels)
     top = max(votes.values())
     tied = [label for label in votes if votes[label] == top]
     if len(tied) == 1:
         return tied[0]
-    pooled = {
-        label: np.sort(
-            np.concatenate(
-                [p.neighbor_distances for p in predictions if p.label == label]
-            )
-        )
-        for label in tied
-    }
+    pooled = {}
+    for label in tied:
+        rows = block[[i for i, row_label in enumerate(row_labels) if row_label == label]]
+        pooled[label] = np.sort(rows[np.isfinite(rows)])
     best = tied[0]
     for label in tied[1:]:
         if _lex_less(pooled[label], pooled[best]):

@@ -18,17 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import corpora, experiments
-from .classifier import LabeledCorpus, Metric, knn_predict
+from .classifier import LabeledCorpus, Metric, pairwise_distances, predict_from_distances
 from .contrapuntal import VariationKind, apply_variation
-from .ingest import NoteSequence, extract_voice, parse_standard_midi
-from .segmentation import (
-    Equalization,
-    constant_boundaries,
-    cut_segments,
-    lbdm_boundaries,
-    local_maxima_boundaries,
-    zero_crossing_boundaries,
-)
+from .ingest import NoteSequence, extract_voice, first_track_selector, parse_standard_midi
+from .segmentation import Equalization, cut_segments
 from .signals import RestPolicy, resample_to_length, sample_pitch_signal
 from .wavelet import WaveletScale, haar_coefficients, scalogram
 
@@ -40,6 +33,14 @@ _EQUALIZE = {"pad": Equalization.ZERO_PAD, "interp": Equalization.INTERPOLATE}
 _REP = {"wr": experiments.Representation.WAVELET, "vr": experiments.Representation.PITCH}
 _SEG = {method.value: method for method in experiments.SegMethod}
 _CP = {"nc": experiments.ContrapuntalMode.NC, "cp": experiments.ContrapuntalMode.CP}
+# segmentation method -> the destination of its parameter flag, and the flag;
+# only `segment` leaves these flags unset by default
+_SEG_PARAM = {
+    "ws-zc": ("seg_scale_qn", "--scale-qn"),
+    "ws-max": ("seg_scale_qn", "--scale-qn"),
+    "const": ("step_qn", "--step-qn"),
+    "lbdm": ("threshold", "--threshold"),
+}
 
 
 def _fmt(value) -> str:
@@ -82,8 +83,17 @@ def _load_sequence(args) -> NoteSequence:
     score = parse_standard_midi(data)
     for message in score.dropped:
         print(f"melowave: warning: {message}", file=sys.stderr)
-    selector = args.voice or f"track:{score.track_numbers()[0]}"
+    selector = args.voice or first_track_selector(score, args.input)
     return extract_voice(score, selector)
+
+
+def _segmentation(method: str, args) -> experiments.Segmentation:
+    if method == "none":
+        return experiments.Segmentation(experiments.SegMethod.NONE)
+    dest, flag = _SEG_PARAM[method]
+    if getattr(args, dest) is None:
+        raise ValueError(f"--method {method} requires {flag}")
+    return experiments.Segmentation(_SEG[method], getattr(args, dest))
 
 
 def _signal(args):
@@ -135,26 +145,9 @@ def cmd_cwt(args) -> int:
 
 def cmd_segment(args) -> int:
     seq = _load_sequence(args)
-    policy = _REST[args.rests]
-    signal = sample_pitch_signal(seq, Fraction(args.rate), policy)
-    method = args.method
-    if method in ("ws-zc", "ws-max"):
-        if args.scale_qn is None:
-            raise ValueError(f"--method {method} requires --scale-qn")
-        scale = WaveletScale.from_qn(Fraction(args.scale_qn), signal.rate)
-        coeffs = haar_coefficients(signal, scale)
-        finder = zero_crossing_boundaries if method == "ws-zc" else local_maxima_boundaries
-        boundaries = finder(coeffs)
-    elif method == "const":
-        if args.step_qn is None:
-            raise ValueError("--method const requires --step-qn")
-        boundaries = constant_boundaries(len(signal), signal.rate, Fraction(args.step_qn))
-    elif method == "lbdm":
-        if args.threshold is None:
-            raise ValueError("--method lbdm requires --threshold")
-        boundaries = lbdm_boundaries(seq, args.threshold, signal.rate)
-    else:
-        raise ValueError(f"unknown segmentation method {method!r}")
+    signal = sample_pitch_signal(seq, Fraction(args.rate), _REST[args.rests])
+    segmentation = _segmentation(args.method, args)
+    boundaries = experiments.find_boundaries(signal.samples, seq, segmentation, signal.rate)
     rows = [("boundary_sample_index",)] + [(b,) for b in boundaries]
     _write_rows(args.output, rows)
     if args.segments_dir:
@@ -209,11 +202,13 @@ def _read_vectors_csv(path: str) -> np.ndarray:
 def cmd_classify(args) -> int:
     corpus = _read_corpus_csv(args.corpus)
     queries = _read_vectors_csv(args.queries)
-    metric = _METRIC[args.metric]
+    if not queries.size:  # a header without vectors
+        queries = queries.reshape(0, corpus.rows.shape[1])
+    block = pairwise_distances(queries, corpus.rows, _METRIC[args.metric])
+    labels = predict_from_distances(block, corpus.labels, (args.k,))[args.k]
+    nearest = np.where(np.isfinite(block), block, np.inf).min(axis=1)
     rows = [("query_index", "predicted_label", "nearest_distance")]
-    for i, query in enumerate(queries):
-        prediction = knn_predict(query, corpus, args.k, metric)
-        rows.append((i, prediction.label, prediction.nearest_distance))
+    rows += [(i, label, d) for i, (label, d) in enumerate(zip(labels, nearest))]
     _write_rows(args.output, rows)
     return 0
 
@@ -226,16 +221,10 @@ def _write_traces(path: str, traces) -> None:
 
 def cmd_exp_bach(args) -> int:
     works = corpora.load_bach_corpus(args.corpus, args.upper, args.lower)
-    seg = _SEG[args.seg]
     config = experiments.ExperimentConfig(
         representation=_REP[args.rep],
         wavelet_rep_scale_qn=Fraction(args.rep_scale_qn),
-        segmentation=seg,
-        seg_scale_qn=Fraction(args.seg_scale_qn) if seg in (
-            experiments.SegMethod.WS_ZERO_CROSS, experiments.SegMethod.WS_LOCAL_MAX
-        ) else None,
-        step_qn=Fraction(args.step_qn) if seg is experiments.SegMethod.CONSTANT else None,
-        lbdm_threshold=args.threshold if seg is experiments.SegMethod.LBDM else None,
+        segmentation=_segmentation(args.seg, args),
         rest_policy=_REST[args.rests],
         rate=Fraction(args.rate),
         equalization=_EQUALIZE[args.equalize],
@@ -313,8 +302,7 @@ def cmd_exp_folk(args) -> int:
         for support in supports:
             config = experiments.ExperimentConfig(
                 representation=_REP[args.rep],
-                segmentation=experiments.SegMethod.NONE,
-                seg_scale_qn=None,
+                segmentation=experiments.Segmentation(experiments.SegMethod.NONE),
                 rest_policy=rest_policy,
                 fixed_length=args.length,
                 wavelet_rep_support=support,
@@ -329,15 +317,10 @@ def cmd_exp_folk(args) -> int:
                     None, config.metric, 1, None, str(exc),
                 ))
     else:
-        seg = _SEG[args.seg]
-        if seg not in (experiments.SegMethod.WS_LOCAL_MAX, experiments.SegMethod.LBDM):
-            raise ValueError("segmented folk runs use --seg ws-max or --seg lbdm")
         config = experiments.ExperimentConfig(
             representation=_REP[args.rep],
             wavelet_rep_scale_qn=Fraction(args.rep_scale_qn),
-            segmentation=seg,
-            seg_scale_qn=Fraction(args.seg_scale_qn) if seg is experiments.SegMethod.WS_LOCAL_MAX else None,
-            lbdm_threshold=args.threshold if seg is experiments.SegMethod.LBDM else None,
+            segmentation=_segmentation(args.seg, args),
             rest_policy=rest_policy,
             rate=Fraction(args.rate),
             equalization=_EQUALIZE[args.equalize],
@@ -413,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="boundary detection on a voice")
     _add_signal_flags(p)
     p.add_argument("--method", choices=("ws-zc", "ws-max", "const", "lbdm"), required=True)
-    p.add_argument("--scale-qn", default=None, help="wavelet scale for ws-zc/ws-max")
+    p.add_argument("--scale-qn", dest="seg_scale_qn", default=None,
+                   help="wavelet scale for ws-zc/ws-max")
     p.add_argument("--step-qn", default=None, help="grid step for const")
     p.add_argument("--threshold", type=float, default=None, help="LBDM threshold in [0,1]")
     p.add_argument("--segments-dir", default=None,

@@ -56,21 +56,8 @@ def apply_variation(signal: np.ndarray, kind: VariationKind) -> np.ndarray:
     return retrograde_inversion(signal)
 
 
-def compose(a: VariationKind, b: VariationKind) -> VariationKind:
-    """The kind equivalent to applying b first and a second."""
-    flip_pitch = (a in _PITCH_FLIP) ^ (b in _PITCH_FLIP)
-    flip_time = (a in _TIME_FLIP) ^ (b in _TIME_FLIP)
-    return _FROM_FLIPS[(flip_pitch, flip_time)]
-
-
 _PITCH_FLIP = {VariationKind.INVERSION, VariationKind.RETROGRADE_INVERSION}
 _TIME_FLIP = {VariationKind.RETROGRADE, VariationKind.RETROGRADE_INVERSION}
-_FROM_FLIPS = {
-    (False, False): VariationKind.PRIME,
-    (True, False): VariationKind.INVERSION,
-    (False, True): VariationKind.RETROGRADE,
-    (True, True): VariationKind.RETROGRADE_INVERSION,
-}
 
 
 def transform_sequence(

@@ -21,6 +21,7 @@ from .ingest import (
     NoteSequence,
     ScoreModel,
     extract_voice,
+    first_track_selector,
     parse_standard_midi,
 )
 
@@ -118,7 +119,7 @@ def load_folk_corpus(directory: str | Path, manifest: str | Path) -> FolkCorpus:
             if not path.is_file():
                 raise FileNotFoundError(f"manifest references a missing file: {path}")
             score = parse_standard_midi(path.read_bytes())
-            selector = f"track:{score.track_numbers()[0]}"
+            selector = first_track_selector(score, str(path))
             songs.append(FolkSong(path.stem, family, extract_voice(score, selector)))
     if not songs:
         raise ValueError(f"manifest {manifest} lists no songs")

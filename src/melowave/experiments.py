@@ -10,7 +10,6 @@ and neighbor counts.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -22,8 +21,6 @@ import numpy as np
 from .classifier import (
     LabeledCorpus,
     Metric,
-    _decide,
-    _lex_less,
     pairwise_distances,
     predict_from_distances,
     vote,
@@ -85,16 +82,39 @@ _WS_METHODS = (SegMethod.WS_ZERO_CROSS, SegMethod.WS_LOCAL_MAX)
 
 
 @dataclass(frozen=True)
+class Segmentation:
+    """A segmentation method with its one parameter: the wavelet scale
+    (ws-zc, ws-max) or grid step (const) in quarter notes as a Fraction, the
+    LBDM threshold in [0, 1] as a float, and None for no segmentation."""
+
+    method: SegMethod
+    param: Fraction | float | None = None
+
+    def __post_init__(self) -> None:
+        method, param = self.method, self.param
+        if method is SegMethod.NONE:
+            if param is not None:
+                raise ConfigError("segmentation none takes no parameter")
+            return
+        if param is None:
+            raise ConfigError(f"segmentation {method.value} requires a parameter")
+        if method is SegMethod.LBDM:
+            param = float(param)
+            if not 0 <= param <= 1:
+                raise ConfigError(f"LBDM threshold must be in [0, 1], got {param}")
+        else:
+            param = Fraction(param)
+        object.__setattr__(self, "param", param)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Full parameterization of one experiment cell."""
 
     representation: Representation = Representation.WAVELET
     wavelet_rep_scale_qn: Fraction = Fraction(1)
     wavelet_rep_support: int | None = None  # scale in samples, for fixed-length signals
-    segmentation: SegMethod = SegMethod.WS_ZERO_CROSS
-    seg_scale_qn: Fraction | None = Fraction(1)
-    step_qn: Fraction | None = None
-    lbdm_threshold: float | None = None
+    segmentation: Segmentation = Segmentation(SegMethod.WS_ZERO_CROSS, Fraction(1))
     rest_policy: RestPolicy = RestPolicy.REPRESENT_ZERO
     rate: Fraction = Fraction(8)
     fixed_length: int | None = None
@@ -106,10 +126,8 @@ class ExperimentConfig:
     zero_rest_renormalize: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("wavelet_rep_scale_qn", "seg_scale_qn", "step_qn", "rate"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, Fraction(value))
+        for name in ("wavelet_rep_scale_qn", "rate"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.rate <= 0:
             raise ConfigError("rate must be positive")
         if not 1 <= self.k <= 5:
@@ -118,23 +136,6 @@ class ExperimentConfig:
             raise ConfigError(f"classifier prefix must be 4, 8 or 16 qn, got {self.classifier_prefix_qn}")
         if self.fixed_length is not None and self.fixed_length < 1:
             raise ConfigError("fixed length must be positive")
-        self._check_segmentation_params()
-
-    def _check_segmentation_params(self) -> None:
-        seg = self.segmentation
-        wants = {
-            "seg_scale_qn": seg in _WS_METHODS,
-            "step_qn": seg is SegMethod.CONSTANT,
-            "lbdm_threshold": seg is SegMethod.LBDM,
-        }
-        for name, wanted in wants.items():
-            value = getattr(self, name)
-            if wanted and value is None:
-                raise ConfigError(f"segmentation {seg.value} requires {name}")
-            if not wanted and value is not None:
-                raise ConfigError(f"{name} is not valid with segmentation {seg.value}")
-        if seg is SegMethod.LBDM and not 0 <= self.lbdm_threshold <= 1:
-            raise ConfigError(f"LBDM threshold must be in [0, 1], got {self.lbdm_threshold}")
 
 
 @dataclass(frozen=True)
@@ -178,26 +179,28 @@ def _normalizer(config: ExperimentConfig):
     return mean_normalize
 
 
-def _boundaries(
+def find_boundaries(
     pitch_span: np.ndarray,
     span_seq: NoteSequence | None,
-    config: ExperimentConfig,
+    segmentation: Segmentation,
+    rate: Fraction,
 ) -> BoundarySet:
+    """Boundaries of a pitch-signal span sampled at ``rate``; LBDM reads the
+    span's note stream instead of its samples."""
     length = pitch_span.size
-    seg = config.segmentation
-    if seg is SegMethod.NONE:
+    method, param = segmentation.method, segmentation.param
+    if method is SegMethod.NONE:
         return BoundarySet((0, length), length)
-    if seg in _WS_METHODS:
-        support = WaveletScale.from_qn(config.seg_scale_qn, config.rate).support_samples
-        coeffs = haar_filter(pitch_span, support)
-        if seg is SegMethod.WS_ZERO_CROSS:
+    if method in _WS_METHODS:
+        coeffs = haar_filter(pitch_span, WaveletScale.from_qn(param, rate).support_samples)
+        if method is SegMethod.WS_ZERO_CROSS:
             return zero_crossing_boundaries(coeffs)
         return local_maxima_boundaries(coeffs)
-    if seg is SegMethod.CONSTANT:
-        return constant_boundaries(length, config.rate, config.step_qn)
+    if method is SegMethod.CONSTANT:
+        return constant_boundaries(length, rate, param)
     if span_seq is None:
         raise ValueError("LBDM segmentation needs the note stream of the span")
-    return lbdm_boundaries(span_seq, config.lbdm_threshold, config.rate)
+    return lbdm_boundaries(span_seq, param, rate)
 
 
 def _span_segments(
@@ -217,7 +220,8 @@ def _span_segments(
         rep = haar_filter(pitch_span, support)
     else:
         rep = np.asarray(pitch_span, dtype=float)
-    segments = cut_segments(rep, _boundaries(pitch_span, span_seq, config), source_id, label)
+    boundaries = find_boundaries(pitch_span, span_seq, config.segmentation, config.rate)
+    segments = cut_segments(rep, boundaries, source_id, label)
     if config.representation is Representation.PITCH:
         norm = _normalizer(config)
         segments = [
@@ -296,7 +300,7 @@ def classifier_segments(works: Sequence[BachWork], config: ExperimentConfig) -> 
         if config.contrapuntal is ContrapuntalMode.NC
         else tuple(VariationKind)
     )
-    needs_notes = config.segmentation is SegMethod.LBDM
+    needs_notes = config.segmentation.method is SegMethod.LBDM
     segments: list[Segment] = []
     for work in works:
         for part, signal, seq in _work_signals(work, config):
@@ -317,7 +321,7 @@ def classifier_segments(works: Sequence[BachWork], config: ExperimentConfig) -> 
 def _test_segment_items(
     works: Sequence[BachWork], config: ExperimentConfig
 ) -> list[tuple[str, int, list[Segment]]]:
-    needs_notes = config.segmentation is SegMethod.LBDM
+    needs_notes = config.segmentation.method is SegMethod.LBDM
     items = []
     for work in works:
         parts = _work_signals(work, config)
@@ -335,13 +339,6 @@ def _test_segment_items(
                 segments.extend(_span_segments(span, span_seq, config, source, work.work_id))
             items.append((work.work_id, j, segments))
     return items
-
-
-def build_bach_classifier(
-    works: Sequence[BachWork], config: ExperimentConfig, target_len: int | None = None
-) -> LabeledCorpus:
-    matrix = _equalize(classifier_segments(works, config), config.equalization, target_len)
-    return LabeledCorpus.from_matrix(matrix)
 
 
 def _base_work(label: Hashable) -> str:
@@ -366,20 +363,12 @@ def run_bach_experiment(works: Sequence[BachWork], config: ExperimentConfig) -> 
     for work_id, section, segments in test_items:
         matrix = _equalize(segments, config.equalization, target)
         distances = pairwise_distances(matrix.rows, corpus.rows, config.metric)
-        predictions = [
-            predict_from_distances(distances[i], corpus.labels, config.k)
-            for i in range(distances.shape[0])
-        ]
-        predicted = _base_work(vote(predictions))
+        row_labels = predict_from_distances(distances, corpus.labels, (config.k,))[config.k]
+        predicted = _base_work(vote(row_labels, distances))
         if predicted == work_id:
             correct[section] += 1
         traces.append(
-            TraceRow(
-                f"{work_id}/s{section}",
-                work_id,
-                predicted,
-                min(p.nearest_distance for p in predictions),
-            )
+            TraceRow(f"{work_id}/s{section}", work_id, predicted, float(distances.min()))
         )
     accuracies = tuple(c / len(works) for c in correct)
     return BachReport(
@@ -414,7 +403,7 @@ def _folk_vectors(corpus: FolkCorpus, config: ExperimentConfig) -> np.ndarray:
 
 def run_folk_unsegmented(corpus: FolkCorpus, config: ExperimentConfig) -> FolkCellReport:
     """1-NN leave-one-out over whole melodies resampled to a fixed length."""
-    if config.segmentation is not SegMethod.NONE:
+    if config.segmentation.method is not SegMethod.NONE:
         raise ConfigError("the unsegmented run takes segmentation 'none'")
     if len(corpus) < 2:
         raise ValueError("leave-one-out needs at least two songs")
@@ -441,47 +430,8 @@ def run_folk_unsegmented(corpus: FolkCorpus, config: ExperimentConfig) -> FolkCe
 
 def _song_segments(song, config: ExperimentConfig) -> list[Segment]:
     signal = sample_pitch_signal(song.seq, config.rate, config.rest_policy)
-    span_seq = song.seq if config.segmentation is SegMethod.LBDM else None
+    span_seq = song.seq if config.segmentation.method is SegMethod.LBDM else None
     return _span_segments(signal.samples, span_seq, config, song.song_id, song.family)
-
-
-def _nearest_labels(row: np.ndarray, labels: Sequence, k: int):
-    """The first k labels in (distance, insertion index) order.
-
-    The modal-tie walk never leaves the top k (every tied class has a vote
-    there), so this prefix fully determines the kNN decision.
-    """
-    finite_count = int(np.isfinite(row).sum())
-    kk = min(k, finite_count)
-    if kk == 0:
-        raise ValueError("no finite distances to classify against")
-    if kk == row.size:
-        candidates = np.arange(row.size)
-    else:
-        kth = np.partition(row, kk - 1)[kk - 1]
-        candidates = np.nonzero(row <= kth)[0]
-    order = candidates[np.lexsort((candidates, row[candidates]))]
-    return [labels[i] for i in order[:kk]]
-
-
-def _vote_pooled(seg_labels: list, block: np.ndarray) -> Hashable:
-    """Song-level vote matching ``classifier.vote``: a modal tie compares
-    the tied classes' pooled ascending neighbor distances."""
-    votes = Counter(seg_labels)
-    top = max(votes.values())
-    tied = [label for label in votes if votes[label] == top]
-    if len(tied) == 1:
-        return tied[0]
-    pooled = {}
-    for label in tied:
-        rows = [block[i] for i, seg_label in enumerate(seg_labels) if seg_label == label]
-        stacked = np.concatenate(rows)
-        pooled[label] = np.sort(stacked[np.isfinite(stacked)])
-    best = tied[0]
-    for label in tied[1:]:
-        if _lex_less(pooled[label], pooled[best]):
-            best = label
-    return best
 
 
 def _folk_segmented_multi(
@@ -492,7 +442,7 @@ def _folk_segmented_multi(
 ) -> dict[int, tuple[float, tuple[TraceRow, ...]]]:
     """Song-level leave-one-out for several k values at once; the distance
     matrix and neighbor orderings are shared across k."""
-    if config.segmentation not in (SegMethod.WS_LOCAL_MAX, SegMethod.LBDM):
+    if config.segmentation.method not in (SegMethod.WS_LOCAL_MAX, SegMethod.LBDM):
         raise ConfigError(
             "segmented folk classification uses ws-max or lbdm segmentation"
         )
@@ -509,7 +459,6 @@ def _folk_segmented_multi(
     sources = np.array([str(s) for s in matrix.sources])
     labels = matrix.labels
     distances = pairwise_distances(matrix.rows, matrix.rows, config.metric)
-    k_max = max(ks)
     correct = {k: 0 for k in ks}
     traces: dict[int, list[TraceRow]] = {k: [] for k in ks}
     for song, (a, b) in zip(corpus.songs, spans):
@@ -517,11 +466,10 @@ def _folk_segmented_multi(
         assert np.array_equal(own, np.arange(a, b)), "held-out song leaked into the corpus"
         block = distances[a:b].copy()
         block[:, a:b] = np.inf
-        top_labels = [_nearest_labels(row, labels, k_max) for row in block]
+        by_k = predict_from_distances(block, labels, ks)
         nearest = float(block.min())
         for k in ks:
-            seg_labels = [_decide(top[: min(k, len(top))], k) for top in top_labels]
-            predicted = _vote_pooled(seg_labels, block)
+            predicted = vote(by_k[k], block)
             if predicted == song.family:
                 correct[k] += 1
             if record_traces:
@@ -529,23 +477,20 @@ def _folk_segmented_multi(
     return {k: (correct[k] / len(corpus), tuple(traces[k])) for k in ks}
 
 
-def _cell_param(config: ExperimentConfig):
-    if config.segmentation in _WS_METHODS:
-        return config.seg_scale_qn
-    if config.segmentation is SegMethod.LBDM:
-        return config.lbdm_threshold
-    if config.segmentation is SegMethod.CONSTANT:
-        return config.step_qn
-    return None
+def _cell_report(
+    config: ExperimentConfig, k: int, accuracy: float | None,
+    traces: tuple[TraceRow, ...] = (), error: str | None = None,
+) -> FolkCellReport:
+    return FolkCellReport(
+        config.representation, config.segmentation.method, config.segmentation.param,
+        config.equalization, config.metric, k, accuracy, error, traces,
+    )
 
 
 def run_folk_segmented(corpus: FolkCorpus, config: ExperimentConfig) -> FolkCellReport:
     """Leave-one-out tune-family classification over melody segments."""
     accuracy, traces = _folk_segmented_multi(corpus, config, (config.k,))[config.k]
-    return FolkCellReport(
-        config.representation, config.segmentation, _cell_param(config),
-        config.equalization, config.metric, config.k, accuracy, None, traces,
-    )
+    return _cell_report(config, config.k, accuracy, traces)
 
 
 def _grid_configs(
@@ -567,19 +512,13 @@ def _grid_configs(
                     for metric in (Metric.CITYBLOCK, Metric.EUCLIDEAN):
                         changes = dict(
                             representation=rep,
-                            segmentation=seg,
+                            segmentation=Segmentation(seg, param),
                             equalization=equalization,
                             metric=metric,
                             k=1,
                         )
-                        if seg is SegMethod.WS_LOCAL_MAX:
-                            changes["seg_scale_qn"] = Fraction(param)
-                            changes["lbdm_threshold"] = None
-                            if rep is Representation.WAVELET:
-                                changes["wavelet_rep_scale_qn"] = Fraction(param)
-                        else:
-                            changes["seg_scale_qn"] = None
-                            changes["lbdm_threshold"] = float(param)
+                        if seg is SegMethod.WS_LOCAL_MAX and rep is Representation.WAVELET:
+                            changes["wavelet_rep_scale_qn"] = Fraction(param)
                         configs.append(replace(base, **changes))
     return configs
 
@@ -588,21 +527,9 @@ def _grid_cell(args) -> list[FolkCellReport]:
     corpus, config, ks, record_traces = args
     try:
         by_k = _folk_segmented_multi(corpus, config, ks, record_traces)
-        return [
-            FolkCellReport(
-                config.representation, config.segmentation, _cell_param(config),
-                config.equalization, config.metric, k, by_k[k][0], None, by_k[k][1],
-            )
-            for k in ks
-        ]
+        return [_cell_report(config, k, *by_k[k]) for k in ks]
     except (ValueError, ArithmeticError) as exc:
-        return [
-            FolkCellReport(
-                config.representation, config.segmentation, _cell_param(config),
-                config.equalization, config.metric, k, None, str(exc),
-            )
-            for k in ks
-        ]
+        return [_cell_report(config, k, None, error=str(exc)) for k in ks]
 
 
 def grid_search(

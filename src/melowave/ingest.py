@@ -285,6 +285,15 @@ def parse_voice_selector(selector: int | str) -> tuple[str, int]:
         raise ValueError(f"voice selector index is not an integer: {selector!r}") from None
 
 
+def first_track_selector(score: ScoreModel, source: str) -> str:
+    """Selector of the first note-bearing track; ``source`` names the file
+    in the error raised when no track has a note."""
+    tracks = score.track_numbers()
+    if not tracks:
+        raise MidiError(f"{source}: the file contains no notes")
+    return f"track:{tracks[0]}"
+
+
 def extract_voice(score: ScoreModel, selector: int | str) -> NoteSequence:
     """Select one voice by track or channel and reduce it to monophony.
 

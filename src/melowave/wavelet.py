@@ -54,10 +54,6 @@ class WaveletScale:
             )
         return cls(int(support), rate)
 
-    @classmethod
-    def from_support(cls, support_samples: int, rate: int | Fraction) -> "WaveletScale":
-        return cls(int(support_samples), Fraction(rate))
-
 
 @dataclass(frozen=True)
 class CoefficientSignal:
@@ -77,11 +73,6 @@ class CoefficientSignal:
 
     def __len__(self) -> int:
         return self.values.size
-
-
-def haar_analyzing_function(scale: WaveletScale) -> np.ndarray:
-    """Discrete Haar analyzing vector at unit energy for the given scale."""
-    return _haar_vector(scale.support_samples)
 
 
 def _haar_vector(support: int) -> np.ndarray:

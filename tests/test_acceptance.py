@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from melowave.classifier import LabeledCorpus, Metric, knn_predict
+from melowave.classifier import Metric, pairwise_distances, predict_from_distances
 from melowave.cli import main
 from melowave.corpora import load_bach_corpus, load_folk_corpus, synthetic_inventions, synthetic_tune_families
 from melowave.experiments import (
@@ -27,6 +27,7 @@ from melowave.experiments import (
     ExperimentConfig,
     Representation,
     SegMethod,
+    Segmentation,
     _folk_segmented_multi,
     run_bach_experiment,
     run_folk_unsegmented,
@@ -162,14 +163,15 @@ def test_criterion_4_knn_oracle_equivalence():
         n_classes = int(rng.integers(1, 27))
         rows = rng.integers(0, 6, size=(n, dim)).astype(float)
         labels = tuple(f"c{int(i)}" for i in rng.integers(0, n_classes, size=n))
-        corpus = LabeledCorpus(rows, labels)
         for _ in range(3):
             query = rng.integers(0, 6, size=dim).astype(float)
             for metric in Metric:
                 expected = oracle_knn_all_k(query, rows, labels, metric)
+                block = pairwise_distances(query[None, :], rows, metric)
+                got = predict_from_distances(block, labels, range(1, 6))
                 for k in range(1, 6):
                     queries_run += 1
-                    if knn_predict(query, corpus, k, metric).label != expected[k]:
+                    if got[k][0] != expected[k]:
                         mismatches += 1
     ok = mismatches == 0
     assert report("4 knn-oracle", ok, f"{queries_run} decisions, {mismatches} mismatches")
@@ -193,7 +195,7 @@ def test_criterion_5_bach_end_to_end():
     started = time.perf_counter()
     best = run_bach_experiment(works, ExperimentConfig())
     none = run_bach_experiment(
-        works, ExperimentConfig(segmentation=SegMethod.NONE, seg_scale_qn=None)
+        works, ExperimentConfig(segmentation=Segmentation(SegMethod.NONE))
     )
     elapsed = time.perf_counter() - started
     ok = (
@@ -213,7 +215,7 @@ def test_criterion_6_bach_qualitative_orderings():
     works = _bach_corpus_or_skip("6 bach-orderings")
     best = run_bach_experiment(works, ExperimentConfig())
     none = run_bach_experiment(
-        works, ExperimentConfig(segmentation=SegMethod.NONE, seg_scale_qn=None)
+        works, ExperimentConfig(segmentation=Segmentation(SegMethod.NONE))
     )
     cp = run_bach_experiment(works, ExperimentConfig(contrapuntal=ContrapuntalMode.CP))
     ok = best.mean_accuracy > none.mean_accuracy and cp.mean_accuracy <= best.mean_accuracy
@@ -228,8 +230,7 @@ def _folk_cell_config(scale_qn: int, k: int = 1) -> ExperimentConfig:
     return ExperimentConfig(
         representation=Representation.WAVELET,
         wavelet_rep_scale_qn=Fraction(scale_qn),
-        segmentation=SegMethod.WS_LOCAL_MAX,
-        seg_scale_qn=Fraction(scale_qn),
+        segmentation=Segmentation(SegMethod.WS_LOCAL_MAX, Fraction(scale_qn)),
         rest_policy=RestPolicy.REMOVE,
         k=k,
     )
@@ -279,8 +280,7 @@ def test_criterion_7_meertens_if_available():
     corpus = load_folk_corpus(directory, labels)
     config = ExperimentConfig(
         representation=Representation.PITCH,
-        segmentation=SegMethod.NONE,
-        seg_scale_qn=None,
+        segmentation=Segmentation(SegMethod.NONE),
         rest_policy=RestPolicy.REMOVE,
         fixed_length=1024,
     )

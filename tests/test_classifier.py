@@ -1,19 +1,21 @@
-"""Distances, kNN prediction against an exhaustive-sort oracle, and voting."""
+"""Distances, the kNN decision and the pooled vote against pure-Python
+oracles."""
 
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melowave.classifier import (
     LabeledCorpus,
     Metric,
-    Prediction,
     cityblock,
     euclidean,
-    knn_predict,
     pairwise_distances,
+    predict_from_distances,
     vote,
 )
 
@@ -24,14 +26,11 @@ def oracle_metric(metric):
     return lambda a, b: sum(abs(x - y) for x, y in zip(a, b))
 
 
-def oracle_knn(query, rows, labels, k, metric):
+def oracle_decide(distances, labels, k):
     """Exhaustive sort with the same tie rules: neighbors ordered by
-    (distance, insertion index); a modal tie goes to the tied class whose
-    nearest point comes first in that order."""
-    dist = oracle_metric(metric)
-    scored = sorted(
-        ((dist(query, row), i) for i, row in enumerate(rows)), key=lambda t: (t[0], t[1])
-    )
+    (distance, insertion index), infinite distances excluded; a modal tie
+    goes to the tied class whose nearest point comes first in that order."""
+    scored = sorted((d, i) for i, d in enumerate(distances) if math.isfinite(d))
     top_k = [labels[i] for _, i in scored[: min(k, len(scored))]]
     votes = Counter(top_k)
     best = max(votes.values())
@@ -42,6 +41,38 @@ def oracle_knn(query, rows, labels, k, metric):
         if labels[i] in tied:
             return labels[i]
     raise AssertionError
+
+
+def oracle_knn(query, rows, labels, k, metric):
+    dist = oracle_metric(metric)
+    return oracle_decide([dist(query, row) for row in rows], labels, k)
+
+
+def oracle_vote(row_labels, distance_rows):
+    """Modal label of the rows; a tie goes to the tied class whose pooled
+    finite distances, sorted ascending, come first (a shorter list reads
+    +inf where it runs out); the first-voted tied class breaks the rest."""
+    votes = Counter(row_labels)
+    best = max(votes.values())
+    tied = [label for label in votes if votes[label] == best]
+    pooled = {
+        label: sorted(
+            d
+            for row_label, row in zip(row_labels, distance_rows)
+            if row_label == label
+            for d in row
+            if math.isfinite(d)
+        )
+        for label in tied
+    }
+    width = max(len(p) for p in pooled.values())
+    return min(tied, key=lambda label: pooled[label] + [math.inf] * (width - len(pooled[label])))
+
+
+def knn(query, rows, labels, k, metric):
+    """One query's label through the public path."""
+    block = pairwise_distances(np.asarray(query, float)[None, :], rows, metric)
+    return predict_from_distances(block, labels, (k,))[k][0]
 
 
 class TestDistances:
@@ -94,46 +125,43 @@ class TestCorpus:
         with pytest.raises(ValueError, match="at least one row"):
             LabeledCorpus(np.zeros((0, 3)), ())
 
-    def test_classes_in_insertion_order(self):
-        corpus = LabeledCorpus(np.zeros((3, 1)), ("b", "a", "b"))
-        assert corpus.classes == ("b", "a")
-
 
 class TestKnnPredict:
     def test_nearest(self):
-        corpus = LabeledCorpus(np.array([[0.0], [10.0]]), ("A", "B"))
-        assert knn_predict(np.array([1.0]), corpus, 1, Metric.EUCLIDEAN).label == "A"
+        rows = np.array([[0.0], [10.0]])
+        assert knn([1.0], rows, ("A", "B"), 1, Metric.EUCLIDEAN) == "A"
 
     def test_equal_distance_tie_extends_to_next_nearest(self):
-        corpus = LabeledCorpus(np.array([[-1.0], [1.0], [1.5]]), ("A", "B", "A"))
-        prediction = knn_predict(np.array([0.0]), corpus, 1, Metric.EUCLIDEAN)
-        assert prediction.label == "A"
-        assert prediction.neighbors[0] == (0, 1.0)
+        rows = np.array([[-1.0], [1.0], [1.5]])
+        block = pairwise_distances(np.array([[0.0]]), rows, Metric.EUCLIDEAN)
+        assert predict_from_distances(block, ("A", "B", "A"), (1,))[1] == ["A"]
+        assert block.min() == 1.0
 
     def test_majority(self):
-        corpus = LabeledCorpus(np.array([[0.0], [0.5], [4.0]]), ("A", "A", "B"))
-        assert knn_predict(np.array([0.1]), corpus, 3, Metric.CITYBLOCK).label == "A"
+        rows = np.array([[0.0], [0.5], [4.0]])
+        assert knn([0.1], rows, ("A", "A", "B"), 3, Metric.CITYBLOCK) == "A"
 
     def test_modal_tie_goes_to_nearest(self):
         # k=2 votes tie A/B; A owns the nearest point
-        corpus = LabeledCorpus(np.array([[0.0], [1.0], [5.0]]), ("A", "B", "B"))
-        assert knn_predict(np.array([0.0]), corpus, 2, Metric.CITYBLOCK).label == "A"
+        rows = np.array([[0.0], [1.0], [5.0]])
+        assert knn([0.0], rows, ("A", "B", "B"), 2, Metric.CITYBLOCK) == "A"
 
-    def test_neighbor_distances_sorted(self, rng):
-        corpus = LabeledCorpus(rng.normal(size=(20, 3)), tuple("ab" * 10))
-        prediction = knn_predict(rng.normal(size=3), corpus, 5, Metric.EUCLIDEAN)
-        d = prediction.neighbor_distances
-        assert (np.diff(d) >= 0).all()
+    def test_masked_entries_never_neighbors(self):
+        block = np.array([[0.0, np.inf, 2.0], [np.inf, 5.0, 1.0]])
+        assert predict_from_distances(block, ("A", "B", "C"), (1, 3)) == {
+            1: ["A", "C"],
+            3: ["A", "C"],
+        }
+        with pytest.raises(ValueError, match="no finite"):
+            predict_from_distances(np.full((1, 2), np.inf), ("A", "B"), (1,))
 
     def test_k_validation(self):
-        corpus = LabeledCorpus(np.array([[0.0]]), ("A",))
         with pytest.raises(ValueError, match="k must be"):
-            knn_predict(np.array([0.0]), corpus, 0, Metric.EUCLIDEAN)
+            predict_from_distances(np.zeros((1, 1)), ("A",), (0,))
 
     def test_length_mismatch(self):
-        corpus = LabeledCorpus(np.array([[0.0, 1.0]]), ("A",))
         with pytest.raises(ValueError, match="length"):
-            knn_predict(np.array([0.0]), corpus, 1, Metric.EUCLIDEAN)
+            knn([0.0], np.array([[0.0, 1.0]]), ("A",), 1, Metric.EUCLIDEAN)
 
     def test_matches_oracle_random(self, rng):
         for _ in range(40):
@@ -142,11 +170,10 @@ class TestKnnPredict:
             n_classes = int(rng.integers(1, 9))
             rows = rng.integers(0, 5, size=(n, dim)).astype(float)  # integer grid forces ties
             labels = tuple(f"c{int(i)}" for i in rng.integers(0, n_classes, size=n))
-            corpus = LabeledCorpus(rows, labels)
             query = rng.integers(0, 5, size=dim).astype(float)
             for metric in Metric:
                 for k in range(1, 6):
-                    got = knn_predict(query, corpus, k, metric).label
+                    got = knn(query, rows, labels, k, metric)
                     assert got == oracle_knn(query, rows, labels, k, metric)
 
     def test_k1_equals_k2(self, rng):
@@ -154,67 +181,76 @@ class TestKnnPredict:
             n = int(rng.integers(2, 40))
             rows = rng.integers(0, 4, size=(n, 3)).astype(float)
             labels = tuple(f"c{int(i)}" for i in rng.integers(0, 6, size=n))
-            corpus = LabeledCorpus(rows, labels)
-            query = rng.integers(0, 4, size=3).astype(float)
+            queries = rng.integers(0, 4, size=(5, 3)).astype(float)
             for metric in Metric:
-                assert (
-                    knn_predict(query, corpus, 1, metric).label
-                    == knn_predict(query, corpus, 2, metric).label
-                )
+                block = pairwise_distances(queries, rows, metric)
+                by_k = predict_from_distances(block, labels, (1, 2))
+                assert by_k[1] == by_k[2]
 
     def test_scaling_invariance(self, rng):
         rows = rng.normal(size=(30, 4))
         labels = tuple(f"c{int(i)}" for i in rng.integers(0, 5, size=30))
         query = rng.normal(size=4)
         for metric in Metric:
-            base = knn_predict(query, LabeledCorpus(rows, labels), 3, metric).label
-            scaled = knn_predict(
-                query * 7.5, LabeledCorpus(rows * 7.5, labels), 3, metric
-            ).label
-            assert base == scaled
+            base = knn(query, rows, labels, 3, metric)
+            assert knn(query * 7.5, rows * 7.5, labels, 3, metric) == base
 
     def test_deterministic(self, rng):
         rows = rng.normal(size=(25, 3))
         labels = tuple(f"c{int(i)}" for i in rng.integers(0, 4, size=25))
-        corpus = LabeledCorpus(rows, labels)
-        query = rng.normal(size=3)
-        first = knn_predict(query, corpus, 3, Metric.CITYBLOCK)
-        second = knn_predict(query, corpus, 3, Metric.CITYBLOCK)
-        assert first.label == second.label
-        assert np.array_equal(first.neighbor_rows, second.neighbor_rows)
-
-
-def _prediction(label, distances):
-    d = np.asarray(distances, dtype=float)
-    return Prediction(label, np.arange(d.size), d)
+        block = pairwise_distances(rng.normal(size=(6, 3)), rows, Metric.CITYBLOCK)
+        first = predict_from_distances(block, labels, (1, 3))
+        assert predict_from_distances(block, labels, (3, 1)) == first
 
 
 class TestVote:
     def test_majority(self):
-        preds = [_prediction("A", [1.0]), _prediction("A", [2.0]), _prediction("B", [0.1])]
-        assert vote(preds) == "A"
+        assert vote(["A", "A", "B"], np.array([[1.0], [2.0], [0.1]])) == "A"
 
     def test_tie_broken_by_smallest_distance(self):
-        preds = [_prediction("A", [0.5, 3.0]), _prediction("B", [0.9, 1.0])]
-        assert vote(preds) == "A"
+        assert vote(["A", "B"], np.array([[0.5, 3.0], [0.9, 1.0]])) == "A"
 
     def test_tie_extends_outward(self):
-        preds = [_prediction("A", [0.5, 3.0]), _prediction("B", [0.5, 1.0])]
-        assert vote(preds) == "B"
+        assert vote(["A", "B"], np.array([[0.5, 3.0], [0.5, 1.0]])) == "B"
 
     def test_single_prediction(self):
-        assert vote([_prediction("Z", [4.0])]) == "Z"
+        assert vote(["Z"], np.array([[4.0]])) == "Z"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="zero predictions"):
-            vote([])
+            vote([], np.zeros((0, 1)))
 
     def test_tie_pools_across_predictions(self):
-        preds = [
-            _prediction("A", [1.0, 2.0]),
-            _prediction("A", [0.6, 9.0]),
-            _prediction("B", [0.5, 8.0]),
-            _prediction("B", [3.0, 4.0]),
-        ]
+        block = np.array([[1.0, 2.0], [0.6, 9.0], [0.5, 8.0], [3.0, 4.0]])
         # pooled: A -> [0.6, 1, 2, 9], B -> [0.5, 3, 4, 8]
-        assert vote(preds) == "B"
+        assert vote(["A", "A", "B", "B"], block) == "B"
+
+
+@st.composite
+def tie_heavy_blocks(draw):
+    """Small-integer distance blocks (many exact ties) with whole columns
+    masked to infinity, as leave-one-out folds mask the held-out item."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 6))
+    labels = tuple(draw(st.lists(st.sampled_from("abcd"), min_size=n, max_size=n)))
+    values = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=m, max_size=m
+    ))
+    masked = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    block = np.array(values, dtype=float)
+    block[:, sorted(masked)] = np.inf
+    return block, labels
+
+
+class TestKernelProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_blocks())
+    def test_matches_oracles(self, case):
+        block, labels = case
+        ks = (1, 2, 3, 4, 5)
+        by_k = predict_from_distances(block, labels, ks)
+        rows = block.tolist()
+        for k in ks:
+            expected = [oracle_decide(row, labels, k) for row in rows]
+            assert by_k[k] == expected
+            assert vote(by_k[k], block) == oracle_vote(expected, rows)

@@ -9,7 +9,7 @@ from melowave.cli import main
 from melowave.corpora import synthetic_inventions
 from melowave.ingest import write_standard_midi
 
-from conftest import make_sequence
+from conftest import make_sequence, smf, track_chunk
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,13 @@ def ramp_mid(tmp_path_factory):
     path = tmp_path_factory.mktemp("midi") / "ramp.mid"
     seq = make_sequence([(i, 1, 60 + 2 * i) for i in range(8)])
     path.write_bytes(write_standard_midi(seq, division=480))
+    return path
+
+
+@pytest.fixture(scope="module")
+def noteless_mid(tmp_path_factory):
+    path = tmp_path_factory.mktemp("midi") / "silent.mid"
+    path.write_bytes(smf(480, [track_chunk(b"")]))
     return path
 
 
@@ -234,6 +241,15 @@ class TestErrors:
         bad = tmp_path / "bad.mid"
         bad.write_bytes(b"not midi at all")
         assert main(["ingest", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["ingest"], ["signal"], ["cwt", "--scale-qn", "1"], ["variations"],
+        ["segment", "--method", "const", "--step-qn", "1"],
+    ])
+    def test_noteless_midi_one_line_error(self, noteless_mid, command, capsys):
+        assert main([command[0], str(noteless_mid), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err == f"melowave: error: {noteless_mid}: the file contains no notes\n"
 
     def test_unknown_flag_exits_2(self, melody_mid):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from melowave.classifier import LabeledCorpus, Metric, knn_predict, vote
+from melowave.classifier import Metric, pairwise_distances
 from melowave.corpora import (
     BachWork,
     FolkCorpus,
@@ -25,11 +25,12 @@ from melowave.experiments import (
     Equalization,
     Representation,
     SegMethod,
+    Segmentation,
     _equalize,
     _folk_segmented_multi,
     _grid_configs,
     _song_segments,
-    build_bach_classifier,
+    classifier_segments,
     grid_search,
     run_bach_experiment,
     run_folk_segmented,
@@ -37,18 +38,21 @@ from melowave.experiments import (
     split_bach_sections,
     split_section_spans,
 )
-from melowave.ingest import write_standard_midi
+from melowave.ingest import MidiError, write_standard_midi
+from melowave.segmentation import equalize_zero_pad
 from melowave.signals import RestPolicy
 
-from conftest import make_sequence
+from conftest import make_sequence, smf, track_chunk
+from test_classifier import oracle_decide, oracle_vote
+
+NO_SEGMENTATION = Segmentation(SegMethod.NONE)
 
 
 def ws_config(scale, k=1, **kwargs):
     return ExperimentConfig(
         representation=Representation.WAVELET,
         wavelet_rep_scale_qn=Fraction(scale),
-        segmentation=SegMethod.WS_LOCAL_MAX,
-        seg_scale_qn=Fraction(scale),
+        segmentation=Segmentation(SegMethod.WS_LOCAL_MAX, Fraction(scale)),
         rest_policy=RestPolicy.REMOVE,
         k=k,
         **kwargs,
@@ -60,18 +64,18 @@ class TestConfigValidation:
         ExperimentConfig()
 
     def test_seg_params_with_none_rejected(self):
-        with pytest.raises(ConfigError, match="not valid"):
-            ExperimentConfig(segmentation=SegMethod.NONE)  # default seg_scale_qn=1 present
+        with pytest.raises(ConfigError, match="takes no parameter"):
+            Segmentation(SegMethod.NONE, Fraction(1))
 
     def test_missing_required_param(self):
-        with pytest.raises(ConfigError, match="requires"):
-            ExperimentConfig(segmentation=SegMethod.LBDM, seg_scale_qn=None)
+        for method in (SegMethod.LBDM, SegMethod.WS_ZERO_CROSS, SegMethod.CONSTANT):
+            with pytest.raises(ConfigError, match="requires"):
+                Segmentation(method)
 
-    def test_conflicting_params(self):
-        with pytest.raises(ConfigError, match="not valid"):
-            ExperimentConfig(
-                segmentation=SegMethod.WS_ZERO_CROSS, seg_scale_qn=1, lbdm_threshold=0.2
-            )
+    def test_param_types_keep_csv_bytes(self):
+        assert Segmentation(SegMethod.WS_LOCAL_MAX, "1/2").param == Fraction(1, 2)
+        assert type(Segmentation(SegMethod.CONSTANT, 2).param) is Fraction
+        assert type(Segmentation(SegMethod.LBDM, Fraction(2, 5)).param) is float
 
     def test_k_range(self):
         with pytest.raises(ConfigError, match="k must"):
@@ -83,9 +87,7 @@ class TestConfigValidation:
 
     def test_threshold_range(self):
         with pytest.raises(ConfigError, match="threshold"):
-            ExperimentConfig(
-                segmentation=SegMethod.LBDM, seg_scale_qn=None, lbdm_threshold=1.2
-            )
+            Segmentation(SegMethod.LBDM, 1.2)
 
 
 class TestSectionSplit:
@@ -119,25 +121,27 @@ def works():
     return synthetic_inventions(0)
 
 
+def classifier_matrix(works, config):
+    return equalize_zero_pad(classifier_segments(works, config))
+
+
 class TestBachClassifier:
     def test_nc_has_one_class_per_work(self, works):
-        corpus = build_bach_classifier(works, ExperimentConfig())
-        assert len(set(corpus.labels)) == 15
+        matrix = classifier_matrix(works, ExperimentConfig())
+        assert len(set(matrix.labels)) == 15
 
     def test_cp_has_four_times_the_classes(self, works):
-        corpus = build_bach_classifier(works, ExperimentConfig(contrapuntal=ContrapuntalMode.CP))
-        assert len(set(corpus.labels)) == 60
+        matrix = classifier_matrix(works, ExperimentConfig(contrapuntal=ContrapuntalMode.CP))
+        assert len(set(matrix.labels)) == 60
 
     def test_no_segmentation_one_row_per_part(self, works):
-        corpus = build_bach_classifier(
-            works, ExperimentConfig(segmentation=SegMethod.NONE, seg_scale_qn=None)
-        )
-        assert len(corpus) == 30
+        matrix = classifier_matrix(works, ExperimentConfig(segmentation=NO_SEGMENTATION))
+        assert matrix.rows.shape[0] == 30
 
     def test_short_work_rejected(self):
         works = [BachWork("w", make_sequence([(0, 10, 60)]), make_sequence([(0, 10, 55)]))]
         with pytest.raises(ValueError, match="shorter"):
-            build_bach_classifier(works, ExperimentConfig())
+            classifier_segments(works, ExperimentConfig())
 
 
 class TestBachExperiment:
@@ -175,7 +179,7 @@ class TestBachExperiment:
     def test_segmentation_beats_none_on_synthetic(self, works):
         seg = run_bach_experiment(works, ExperimentConfig())
         none = run_bach_experiment(
-            works, ExperimentConfig(segmentation=SegMethod.NONE, seg_scale_qn=None)
+            works, ExperimentConfig(segmentation=NO_SEGMENTATION)
         )
         assert seg.mean_accuracy > none.mean_accuracy
 
@@ -187,12 +191,12 @@ class TestBachExperiment:
     def test_lbdm_and_constant_and_interpolate_routes(self, works):
         few = works[:5]
         for config in (
-            ExperimentConfig(segmentation=SegMethod.LBDM, seg_scale_qn=None, lbdm_threshold=0.2),
-            ExperimentConfig(segmentation=SegMethod.CONSTANT, seg_scale_qn=None, step_qn=1),
+            ExperimentConfig(segmentation=Segmentation(SegMethod.LBDM, 0.2)),
+            ExperimentConfig(segmentation=Segmentation(SegMethod.CONSTANT, 1)),
             ExperimentConfig(equalization=Equalization.INTERPOLATE),
             ExperimentConfig(representation=Representation.PITCH),
             ExperimentConfig(
-                segmentation=SegMethod.LBDM, seg_scale_qn=None, lbdm_threshold=0.2,
+                segmentation=Segmentation(SegMethod.LBDM, 0.2),
                 contrapuntal=ContrapuntalMode.CP,
             ),
         ):
@@ -220,8 +224,7 @@ class TestFolkUnsegmented:
         corpus = uniform_family_corpus()
         config = ExperimentConfig(
             representation=Representation.PITCH,
-            segmentation=SegMethod.NONE,
-            seg_scale_qn=None,
+            segmentation=NO_SEGMENTATION,
             rest_policy=RestPolicy.REMOVE,
             fixed_length=256,
         )
@@ -233,8 +236,7 @@ class TestFolkUnsegmented:
         corpus = uniform_family_corpus()
         config = ExperimentConfig(
             representation=Representation.WAVELET,
-            segmentation=SegMethod.NONE,
-            seg_scale_qn=None,
+            segmentation=NO_SEGMENTATION,
             fixed_length=256,
         )
         with pytest.raises(ConfigError, match="support"):
@@ -244,8 +246,7 @@ class TestFolkUnsegmented:
         corpus = uniform_family_corpus()
         config = ExperimentConfig(
             representation=Representation.WAVELET,
-            segmentation=SegMethod.NONE,
-            seg_scale_qn=None,
+            segmentation=NO_SEGMENTATION,
             fixed_length=256,
             wavelet_rep_support=16,
             rest_policy=RestPolicy.REMOVE,
@@ -262,8 +263,7 @@ class TestFolkUnsegmented:
         corpus = uniform_family_corpus()
         config = ExperimentConfig(
             representation=Representation.PITCH,
-            segmentation=SegMethod.NONE,
-            seg_scale_qn=None,
+            segmentation=NO_SEGMENTATION,
             rest_policy=RestPolicy.REMOVE,
         )
         report = run_folk_unsegmented(corpus, config)
@@ -293,14 +293,12 @@ class TestFolkSegmented:
             for song in corpus.songs:
                 keep = [i for i, s in enumerate(matrix.sources) if s != song.song_id]
                 mine = [i for i, s in enumerate(matrix.sources) if s == song.song_id]
-                corpus_rows = LabeledCorpus(
-                    matrix.rows[keep], tuple(matrix.labels[i] for i in keep)
-                )
-                predictions = [
-                    knn_predict(matrix.rows[i], corpus_rows, config.k, config.metric)
-                    for i in mine
-                ]
-                if vote(predictions) == song.family:
+                labels = tuple(matrix.labels[i] for i in keep)
+                rows = pairwise_distances(
+                    matrix.rows[mine], matrix.rows[keep], config.metric
+                ).tolist()
+                predictions = [oracle_decide(row, labels, config.k) for row in rows]
+                if oracle_vote(predictions, rows) == song.family:
                     correct += 1
             assert fast.accuracy == pytest.approx(correct / len(corpus))
 
@@ -308,9 +306,7 @@ class TestFolkSegmented:
         corpus = synthetic_tune_families(5, n_families=3, min_variants=3, max_variants=4)
         config = ExperimentConfig(
             representation=Representation.WAVELET,
-            segmentation=SegMethod.LBDM,
-            seg_scale_qn=None,
-            lbdm_threshold=0.3,
+            segmentation=Segmentation(SegMethod.LBDM, 0.3),
             rest_policy=RestPolicy.REMOVE,
         )
         report = run_folk_segmented(corpus, config)
@@ -321,7 +317,7 @@ class TestFolkSegmented:
         with pytest.raises(ConfigError, match="ws-max or lbdm"):
             run_folk_segmented(
                 uniform_family_corpus(),
-                ExperimentConfig(segmentation=SegMethod.WS_ZERO_CROSS),
+                ExperimentConfig(segmentation=Segmentation(SegMethod.WS_ZERO_CROSS, 1)),
             )
 
     def test_traces_rescore(self):
@@ -361,13 +357,15 @@ class TestGridSearch:
         wr_ws = [
             c for c in configs
             if c.representation is Representation.WAVELET
-            and c.segmentation is SegMethod.WS_LOCAL_MAX
+            and c.segmentation.method is SegMethod.WS_LOCAL_MAX
         ]
-        assert all(c.wavelet_rep_scale_qn == 4 and c.seg_scale_qn == 4 for c in wr_ws)
+        assert all(
+            c.wavelet_rep_scale_qn == 4 and c.segmentation.param == 4 for c in wr_ws
+        )
         wr_lbdm = [
             c for c in configs
             if c.representation is Representation.WAVELET
-            and c.segmentation is SegMethod.LBDM
+            and c.segmentation.method is SegMethod.LBDM
         ]
         assert all(c.wavelet_rep_scale_qn == 1 for c in wr_lbdm)
 
@@ -422,6 +420,13 @@ class TestLoaders:
         manifest = tmp_path / "labels.csv"
         manifest.write_text("filename,family\nmissing.mid,fam0\n")
         with pytest.raises(FileNotFoundError, match="missing"):
+            load_folk_corpus(tmp_path, manifest)
+
+    def test_noteless_song_names_the_file(self, tmp_path):
+        (tmp_path / "silent.mid").write_bytes(smf(480, [track_chunk(b"")]))
+        manifest = tmp_path / "labels.csv"
+        manifest.write_text("filename,family\nsilent.mid,fam0\n")
+        with pytest.raises(MidiError, match="silent.mid: the file contains no notes"):
             load_folk_corpus(tmp_path, manifest)
 
     def test_empty_corpus_dir(self, tmp_path):
