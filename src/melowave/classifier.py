@@ -80,47 +80,60 @@ class LabeledCorpus:
         return self.rows.shape[0]
 
 
-def _decide(nearest: Sequence, k: int) -> Hashable:
-    """Modal label of the first k; a modal tie goes to the tied class that
-    comes first. Every tied class has a vote among the first k, so labels
-    beyond the first k never decide."""
-    votes = Counter(nearest[:k])
-    top = max(votes.values())
-    tied = {label for label, count in votes.items() if count == top}
-    if len(tied) == 1:
-        return next(iter(tied))
-    return next(label for label in nearest if label in tied)
-
-
 def predict_from_distances(
     block: np.ndarray, labels: Sequence, ks: Sequence[int]
 ) -> dict[int, list]:
     """kNN decision of every row of a distance block, for each k in ks.
 
-    Returns one label per row for each k. Infinite entries (fold masking)
-    never become neighbors; the neighbor order of a row is found once for
-    the largest k and shared by the others.
+    Returns one label per row for each k. Each row's first max(ks)
+    neighbors are found once, in (distance, insertion index) order, and
+    shared by every k; non-finite entries (fold masking) never become
+    neighbors. The decision is the modal label of the first k neighbors; a
+    modal tie goes to the tied label that comes first. Every tied label has
+    a vote among the first k, so neighbors beyond the first k never decide.
     """
     if min(ks) < 1:
         raise ValueError("k must be at least 1")
     block = np.atleast_2d(np.asarray(block, dtype=float))
-    k_max = max(ks)
-    decisions: dict[int, list] = {k: [] for k in ks}
-    for row in block:
-        # the first k_max labels in (distance, insertion index) order
-        kk = min(k_max, int(np.isfinite(row).sum()))
-        if kk == 0:
-            raise ValueError("no finite distances to classify against")
-        if kk == row.size:
-            candidates = np.arange(row.size)
-        else:
-            kth = np.partition(row, kk - 1)[kk - 1]
-            candidates = np.nonzero(row <= kth)[0]
-        order = candidates[np.lexsort((candidates, row[candidates]))]
-        nearest = [labels[i] for i in order[:kk]]
-        for k in ks:
-            decisions[k].append(_decide(nearest, k))
-    return decisions
+    n_rows, n_cols = block.shape
+    width = min(max(ks), n_cols)
+    # each row's first `width` entries in (distance, column) order: those
+    # below its width-th smallest distance, then its ties at that distance
+    # in column order, so a row of thousands of equal distances costs no
+    # sort (a row with fewer non-NaN entries takes them all)
+    kth = np.partition(block, width - 1, axis=1)[:, width - 1 : width]
+    kth[np.isnan(kth)] = np.inf
+    less = np.flatnonzero(block < kth)
+    tied = np.flatnonzero(block == kth)
+    tied_start = np.searchsorted(tied, np.arange(n_rows + 1) * n_cols)  # per row, in order
+    n_less = np.bincount(less // n_cols, minlength=n_rows)
+    n_tied = np.minimum(width - n_less, np.diff(tied_start))
+    slot = np.arange(width)
+    flat = np.concatenate((less, tied[(tied_start[:-1, None] + slot)[slot < n_tied[:, None]]]))
+    rows, cols = np.divmod(flat, n_cols)
+    dist = block.ravel()[flat]
+    order = np.lexsort((cols, dist, rows))
+    rows, cols, dist = rows[order], cols[order], dist[order]
+    count = n_less + n_tied
+    rank = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
+    nearest = np.zeros((n_rows, width), dtype=int)
+    nearest_dist = np.full((n_rows, width), np.inf)
+    nearest[rows, rank] = cols
+    nearest_dist[rows, rank] = dist
+    valid = np.isfinite(nearest_dist)  # a row may have fewer finite entries than k
+    if not valid.any(axis=1).all():
+        raise ValueError("no finite distances to classify against")
+    codes: dict = {}  # the neighbors' labels as integers, compared as arrays below
+    code = np.array([codes.setdefault(labels[c], len(codes)) for c in nearest.ravel().tolist()])
+    code = code.reshape(n_rows, width)
+    # votes[r, k - 1, i]: votes of neighbor i's label among row r's first k
+    # finite neighbors. Finite neighbors come first, so the first neighbor
+    # whose label has the most votes is one of them, within the first k.
+    same = (code[:, :, None] == code[:, None, :]) & valid[:, None, :]
+    votes = np.cumsum(same, axis=2).transpose(0, 2, 1)
+    winner = np.argmax(votes == votes.max(axis=2, keepdims=True), axis=2)
+    chosen = nearest[np.arange(n_rows)[:, None], winner].T.tolist()
+    return {k: [labels[c] for c in chosen[min(k, width) - 1]] for k in ks}
 
 
 def vote(row_labels: Sequence, block: np.ndarray) -> Hashable:

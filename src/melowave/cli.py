@@ -84,7 +84,7 @@ def _load_sequence(args) -> NoteSequence:
     for message in score.dropped:
         print(f"melowave: warning: {message}", file=sys.stderr)
     selector = args.voice or first_track_selector(score, args.input)
-    return extract_voice(score, selector)
+    return extract_voice(score, selector, args.input)
 
 
 def _segmentation(method: str, args) -> experiments.Segmentation:

@@ -94,7 +94,11 @@ def load_bach_corpus(
             upper = upper or auto_upper
             lower = lower or auto_lower
         works.append(
-            BachWork(path.stem, extract_voice(score, upper), extract_voice(score, lower))
+            BachWork(
+                path.stem,
+                extract_voice(score, upper, str(path)),
+                extract_voice(score, lower, str(path)),
+            )
         )
     return works
 
@@ -120,7 +124,7 @@ def load_folk_corpus(directory: str | Path, manifest: str | Path) -> FolkCorpus:
                 raise FileNotFoundError(f"manifest references a missing file: {path}")
             score = parse_standard_midi(path.read_bytes())
             selector = first_track_selector(score, str(path))
-            songs.append(FolkSong(path.stem, family, extract_voice(score, selector)))
+            songs.append(FolkSong(path.stem, family, extract_voice(score, selector, str(path))))
     if not songs:
         raise ValueError(f"manifest {manifest} lists no songs")
     return FolkCorpus(tuple(songs))

@@ -203,24 +203,23 @@ def find_boundaries(
     return lbdm_boundaries(span_seq, param, rate)
 
 
-def _span_segments(
-    pitch_span: np.ndarray,
-    span_seq: NoteSequence | None,
+def _representation(pitch_span: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+    """The span in the config's representation, before segmentation."""
+    if config.representation is Representation.WAVELET:
+        support = WaveletScale.from_qn(config.wavelet_rep_scale_qn, config.rate).support_samples
+        return haar_filter(pitch_span, support)
+    return np.asarray(pitch_span, dtype=float)
+
+
+def _cut(
+    rep: np.ndarray,
+    boundaries: BoundarySet,
     config: ExperimentConfig,
     source_id: Hashable,
     label: Hashable,
 ) -> list[Segment]:
-    """Represent one span per the config, segment it and cut the segments.
-
-    Pitch-signal segments are mean-normalized after the cut; wavelet
-    segments are transposition-invariant already.
-    """
-    if config.representation is Representation.WAVELET:
-        support = WaveletScale.from_qn(config.wavelet_rep_scale_qn, config.rate).support_samples
-        rep = haar_filter(pitch_span, support)
-    else:
-        rep = np.asarray(pitch_span, dtype=float)
-    boundaries = find_boundaries(pitch_span, span_seq, config.segmentation, config.rate)
+    """Cut a represented span; pitch-signal segments are mean-normalized
+    after the cut, wavelet segments are transposition-invariant already."""
     segments = cut_segments(rep, boundaries, source_id, label)
     if config.representation is Representation.PITCH:
         norm = _normalizer(config)
@@ -228,6 +227,19 @@ def _span_segments(
             Segment(norm(s.values), s.start_index, s.source_id, s.label) for s in segments
         ]
     return segments
+
+
+def _span_segments(
+    pitch_span: np.ndarray,
+    span_seq: NoteSequence | None,
+    config: ExperimentConfig,
+    source_id: Hashable,
+    label: Hashable,
+) -> list[Segment]:
+    """Represent one span per the config, segment it and cut the segments."""
+    rep = _representation(pitch_span, config)
+    boundaries = find_boundaries(pitch_span, span_seq, config.segmentation, config.rate)
+    return _cut(rep, boundaries, config, source_id, label)
 
 
 def _equalize(
@@ -428,43 +440,81 @@ def run_folk_unsegmented(corpus: FolkCorpus, config: ExperimentConfig) -> FolkCe
     )
 
 
-def _song_segments(song, config: ExperimentConfig) -> list[Segment]:
-    signal = sample_pitch_signal(song.seq, config.rate, config.rest_policy)
-    span_seq = song.seq if config.segmentation.method is SegMethod.LBDM else None
-    return _span_segments(signal.samples, span_seq, config, song.song_id, song.family)
+# A grid cell reports these errors in place of its accuracy.
+_CELL_ERRORS = (ValueError, ArithmeticError)
 
 
-def _folk_segmented_multi(
-    corpus: FolkCorpus,
-    config: ExperimentConfig,
-    ks: Sequence[int],
-    record_traces: bool = True,
-) -> dict[int, tuple[float, tuple[TraceRow, ...]]]:
-    """Song-level leave-one-out for several k values at once; the distance
-    matrix and neighbor orderings are shared across k."""
-    if config.segmentation.method not in (SegMethod.WS_LOCAL_MAX, SegMethod.LBDM):
-        raise ConfigError(
-            "segmented folk classification uses ws-max or lbdm segmentation"
-        )
-    if len(corpus) < 2:
-        raise ValueError("leave-one-out needs at least two songs")
-    spans = []
+def _attempt(func, *args):
+    """``func(*args)``, or the error that a grid cell would report for it."""
+    try:
+        return func(*args)
+    except _CELL_ERRORS as exc:
+        return exc
+
+
+def _ok(result):
+    """A stage's result; an error stored in its place is raised again,
+    without the traceback that would keep its failed frames alive."""
+    if isinstance(result, Exception):
+        raise result.with_traceback(None)
+    return result
+
+
+def _once(memo: dict, key: Hashable, func, *args):
+    """``func(*args)`` computed at the first call with ``key``; later calls
+    return its result, or raise its error, again."""
+    if key not in memo:
+        memo[key] = _attempt(func, *args)
+    return _ok(memo[key])
+
+
+def _song_signals(corpus: FolkCorpus, config: ExperimentConfig) -> list:
+    """Every song sampled at the config's rate and rest policy, an error in
+    place of a song that cannot be sampled."""
+    return [
+        _attempt(sample_pitch_signal, song.seq, config.rate, config.rest_policy)
+        for song in corpus.songs
+    ]
+
+
+def _cut_corpus(
+    corpus: FolkCorpus, signals: list, boundaries: list, config: ExperimentConfig
+) -> tuple[list[Segment], np.ndarray]:
+    """Segments of every song in corpus order and the row offsets of each
+    song's segments. A failure raises the first failing song's first error,
+    in the order sample, representation, boundaries, cut."""
     segments: list[Segment] = []
-    for song in corpus.songs:
-        song_segments = _song_segments(song, config)
-        assert song_segments, "default boundaries guarantee at least one segment"
-        spans.append((len(segments), len(segments) + len(song_segments)))
-        segments.extend(song_segments)
-    matrix = _equalize(segments, config.equalization)
+    offsets = [0]
+    for song, signal, song_boundaries in zip(corpus.songs, signals, boundaries):
+        rep = _representation(_ok(signal).samples, config)
+        segments += _cut(rep, _ok(song_boundaries), config, song.song_id, song.family)
+        assert len(segments) > offsets[-1], "default boundaries guarantee at least one segment"
+        offsets.append(len(segments))
+    return segments, np.array(offsets)
+
+
+def _leave_one_out(
+    corpus: FolkCorpus,
+    matrix: SegmentMatrix,
+    offsets: np.ndarray,
+    metric: Metric,
+    ks: Sequence[int],
+    record_traces: bool,
+) -> dict[int, tuple[float, tuple[TraceRow, ...]]]:
+    """Song-level leave-one-out for several k at once. Distances are
+    computed one held-out song at a time, as that song's rows against every
+    row with its own columns masked; neighbor orderings are shared across k."""
+    song_ids = np.array([str(song.song_id) for song in corpus.songs])
+    owners = np.repeat(song_ids, np.diff(offsets))
     sources = np.array([str(s) for s in matrix.sources])
+    assert len(set(song_ids)) == len(song_ids) and np.array_equal(sources, owners), (
+        "held-out song leaked into the corpus"
+    )
     labels = matrix.labels
-    distances = pairwise_distances(matrix.rows, matrix.rows, config.metric)
     correct = {k: 0 for k in ks}
     traces: dict[int, list[TraceRow]] = {k: [] for k in ks}
-    for song, (a, b) in zip(corpus.songs, spans):
-        own = np.nonzero(sources == song.song_id)[0]
-        assert np.array_equal(own, np.arange(a, b)), "held-out song leaked into the corpus"
-        block = distances[a:b].copy()
+    for song, a, b in zip(corpus.songs, offsets, offsets[1:]):
+        block = pairwise_distances(matrix.rows[a:b], matrix.rows, metric)
         block[:, a:b] = np.inf
         by_k = predict_from_distances(block, labels, ks)
         nearest = float(block.min())
@@ -475,6 +525,64 @@ def _folk_segmented_multi(
             if record_traces:
                 traces[k].append(TraceRow(song.song_id, song.family, predicted, nearest))
     return {k: (correct[k] / len(corpus), tuple(traces[k])) for k in ks}
+
+
+def _segmentation_group(args) -> list:
+    """Segmented folk cells that share one segmentation, rate and rest
+    policy, given the songs' signals: per cell, in order, the k ->
+    (accuracy, traces) results or the cell's error.
+
+    Each stage runs once for every cell that shares its inputs: boundaries
+    per song, representation and cut per representation, equalization per
+    representation and equalization (shared by the metrics).
+    """
+    corpus, signals, configs, ks, record_traces = args
+    first = configs[0]
+    segmentation = first.segmentation
+    boundaries = [
+        signal if isinstance(signal, Exception) else _attempt(
+            find_boundaries,
+            signal.samples,
+            song.seq if segmentation.method is SegMethod.LBDM else None,
+            segmentation,
+            first.rate,
+        )
+        for song, signal in zip(corpus.songs, signals)
+    ]
+    memo: dict = {}
+    results = []
+    for config in configs:
+        rep = (config.representation, config.wavelet_rep_scale_qn, _normalizer(config))
+        try:
+            if config.segmentation.method not in (SegMethod.WS_LOCAL_MAX, SegMethod.LBDM):
+                raise ConfigError(
+                    "segmented folk classification uses ws-max or lbdm segmentation"
+                )
+            if len(corpus) < 2:
+                raise ValueError("leave-one-out needs at least two songs")
+            segments, offsets = _once(memo, rep, _cut_corpus, corpus, signals, boundaries, config)
+            matrix = _once(
+                memo, (rep, config.equalization), _equalize, segments, config.equalization
+            )
+            results.append(
+                _leave_one_out(corpus, matrix, offsets, config.metric, ks, record_traces)
+            )
+        except _CELL_ERRORS as exc:
+            results.append(exc)
+    return results
+
+
+def _folk_segmented_multi(
+    corpus: FolkCorpus,
+    config: ExperimentConfig,
+    ks: Sequence[int],
+    record_traces: bool = True,
+) -> dict[int, tuple[float, tuple[TraceRow, ...]]]:
+    """Song-level leave-one-out of one cell for several k values at once."""
+    (result,) = _segmentation_group(
+        (corpus, _song_signals(corpus, config), [config], tuple(ks), record_traces)
+    )
+    return _ok(result)
 
 
 def _cell_report(
@@ -523,13 +631,10 @@ def _grid_configs(
     return configs
 
 
-def _grid_cell(args) -> list[FolkCellReport]:
-    corpus, config, ks, record_traces = args
-    try:
-        by_k = _folk_segmented_multi(corpus, config, ks, record_traces)
-        return [_cell_report(config, k, *by_k[k]) for k in ks]
-    except (ValueError, ArithmeticError) as exc:
-        return [_cell_report(config, k, None, error=str(exc)) for k in ks]
+def _cell_reports(config: ExperimentConfig, ks: Sequence[int], result) -> list[FolkCellReport]:
+    if isinstance(result, Exception):
+        return [_cell_report(config, k, None, error=str(result)) for k in ks]
+    return [_cell_report(config, k, *result[k]) for k in ks]
 
 
 def grid_search(
@@ -542,15 +647,31 @@ def grid_search(
     record_traces: bool = False,
 ) -> list[FolkCellReport]:
     """Accuracy for every cell of the parameter sweep; cells that error are
-    reported with the error instead of being skipped. Cell evaluation is
-    pure, so any job count assembles identical results."""
+    reported with the error instead of being skipped. Songs are sampled
+    once, then cells run in segmentation groups, the units of work that
+    ``jobs`` worker processes share; evaluation is pure, so any job count assembles identical results."""
     if base_config is None:
         base_config = ExperimentConfig(rest_policy=RestPolicy.REMOVE)
     configs = _grid_configs(base_config, scales, thresholds)
-    tasks = [(corpus, config, tuple(ks), record_traces) for config in configs]
+    signals = _song_signals(corpus, base_config)
+    groups: dict[Segmentation, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(config.segmentation, []).append(i)
+    tasks = [
+        (corpus, signals, [configs[i] for i in cells], tuple(ks), record_traces)
+        for cells in groups.values()
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_cell = list(pool.map(_grid_cell, tasks))
+            per_group = list(pool.map(_segmentation_group, tasks))
     else:
-        per_cell = [_grid_cell(task) for task in tasks]
-    return [report for cell in per_cell for report in cell]
+        per_group = [_segmentation_group(task) for task in tasks]
+    results: list = [None] * len(configs)
+    for cells, group_results in zip(groups.values(), per_group):
+        for i, result in zip(cells, group_results):
+            results[i] = result
+    return [
+        report
+        for config, result in zip(configs, results)
+        for report in _cell_reports(config, ks, result)
+    ]

@@ -294,8 +294,10 @@ def first_track_selector(score: ScoreModel, source: str) -> str:
     return f"track:{tracks[0]}"
 
 
-def extract_voice(score: ScoreModel, selector: int | str) -> NoteSequence:
-    """Select one voice by track or channel and reduce it to monophony.
+def extract_voice(score: ScoreModel, selector: int | str, source: str) -> NoteSequence:
+    """Select one voice by track or channel and reduce it to monophony;
+    ``source`` names the file in the error raised when the voice has no
+    note.
 
     A note still sounding at the next onset is truncated at that onset;
     notes sharing an onset keep only the last one (the truncation rule
@@ -307,7 +309,7 @@ def extract_voice(score: ScoreModel, selector: int | str) -> NoteSequence:
     else:
         raw = [n for n in score.notes if n.channel == index]
     if not raw:
-        raise ValueError(f"{kind} {index} contains no notes")
+        raise MidiError(f"{source}: {kind} {index} contains no notes")
     events = [
         NoteEvent(
             Fraction(n.onset_ticks, score.division),

@@ -229,7 +229,10 @@ class TestVote:
 @st.composite
 def tie_heavy_blocks(draw):
     """Small-integer distance blocks (many exact ties) with whole columns
-    masked to infinity, as leave-one-out folds mask the held-out item."""
+    masked to infinity (or NaN), as leave-one-out folds mask the held-out
+    item, and single entries masked too, so rows differ in their number of
+    finite entries; every row keeps at least one. Blocks may have fewer
+    columns than the largest k."""
     n = draw(st.integers(1, 24))
     m = draw(st.integers(1, 6))
     labels = tuple(draw(st.lists(st.sampled_from("abcd"), min_size=n, max_size=n)))
@@ -237,8 +240,15 @@ def tie_heavy_blocks(draw):
         st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=m, max_size=m
     ))
     masked = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    entries = draw(st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n), min_size=m, max_size=m
+    ))
     block = np.array(values, dtype=float)
-    block[:, sorted(masked)] = np.inf
+    mask = np.array(entries, dtype=bool)
+    mask[:, sorted(masked)] = True
+    kept = [draw(st.sampled_from(sorted(set(range(n)) - masked))) for _ in range(m)]
+    mask[np.arange(m), kept] = False
+    block[mask] = draw(st.sampled_from([np.inf, np.nan]))
     return block, labels
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: formats, determinism, error handling."""
 
 import csv
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from melowave.corpora import synthetic_inventions
 from melowave.ingest import write_standard_midi
 
 from conftest import make_sequence, smf, track_chunk
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +236,20 @@ class TestDeterminism:
         assert main(args + ["--jobs", "8", "-o", str(out8)]) == 0
         assert out1.read_bytes() == out8.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_grid_matches_golden(self, jobs, tmp_path):
+        # recorded before the grid became stage-cached; a change to either
+        # file changes the grid's output and needs a note in CHANGES.md
+        out, trace = tmp_path / "grid.csv", tmp_path / "trace.csv"
+        assert main([
+            "grid", "--synthetic-seed", "0", "--synthetic-families", "4", "--scales", "1,128",
+            "--thresholds", "0.4", "--ks", "1,2,3", "--jobs", jobs,
+            "-o", str(out), "--trace", str(trace),
+        ]) == 0
+        assert out.read_bytes() == (DATA / "grid_seed0_f4.csv").read_bytes()
+        digest = (DATA / "grid_seed0_f4_trace.sha256").read_text().strip()
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
 
 class TestErrors:
     def test_missing_input_file(self, tmp_path):
@@ -250,6 +268,11 @@ class TestErrors:
         assert main([command[0], str(noteless_mid), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert err == f"melowave: error: {noteless_mid}: the file contains no notes\n"
+
+    def test_noteless_voice_names_the_file(self, melody_mid, capsys):
+        assert main(["ingest", str(melody_mid), "--voice", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"melowave: error: {melody_mid}: track 5 contains no notes\n"
 
     def test_unknown_flag_exits_2(self, melody_mid):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,12 @@
 """Experiment harnesses: invention sections, tune families, grid search."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from melowave import experiments
 from melowave.classifier import Metric, pairwise_distances
 from melowave.corpora import (
     BachWork,
@@ -29,7 +31,7 @@ from melowave.experiments import (
     _equalize,
     _folk_segmented_multi,
     _grid_configs,
-    _song_segments,
+    _span_segments,
     classifier_segments,
     grid_search,
     run_bach_experiment,
@@ -40,7 +42,7 @@ from melowave.experiments import (
 )
 from melowave.ingest import MidiError, write_standard_midi
 from melowave.segmentation import equalize_zero_pad
-from melowave.signals import RestPolicy
+from melowave.signals import RestPolicy, sample_pitch_signal
 
 from conftest import make_sequence, smf, track_chunk
 from test_classifier import oracle_decide, oracle_vote
@@ -286,7 +288,14 @@ class TestFolkSegmented:
     def test_matches_naive_per_fold_route(self):
         corpus = synthetic_tune_families(7, n_families=3, min_variants=3, max_variants=4)
         for config in (ws_config(2, k=3), ws_config(2, k=1, metric=Metric.EUCLIDEAN)):
-            segments = [s for song in corpus.songs for s in _song_segments(song, config)]
+            segments = [
+                s
+                for song in corpus.songs
+                for s in _span_segments(
+                    sample_pitch_signal(song.seq, config.rate, config.rest_policy).samples,
+                    None, config, song.song_id, song.family,
+                )
+            ]
             matrix = _equalize(segments, config.equalization)
             fast = run_folk_segmented(corpus, config)
             correct = 0
@@ -379,6 +388,41 @@ class TestGridSearch:
         assert reports, "expected error cells"
         assert all(r.accuracy is None and "too short" in r.error for r in reports)
 
+    def test_stages_run_once_and_cells_match_single_runs(self, monkeypatch):
+        corpus = synthetic_tune_families(2, n_families=3, min_variants=3, max_variants=3)
+        calls: dict[str, list] = {}
+
+        def counting(name):
+            func = getattr(experiments, name)
+
+            def wrapper(*args):
+                calls.setdefault(name, []).append(args)
+                return func(*args)
+
+            monkeypatch.setattr(experiments, name, wrapper)
+
+        for name in ("sample_pitch_signal", "zero_crossing_boundaries",
+                     "local_maxima_boundaries", "constant_boundaries", "lbdm_boundaries"):
+            counting(name)
+        base = ExperimentConfig(rest_policy=RestPolicy.REMOVE)
+        reports = grid_search(corpus, base, scales=(1, 2), thresholds=(0.4,), ks=(1, 2),
+                              record_traces=True)
+        seqs = [song.seq for song in corpus.songs]
+        assert [args[0] for args in calls["sample_pitch_signal"]] == seqs
+        assert len(calls["local_maxima_boundaries"]) == 2 * len(seqs)  # scales 1 and 2
+        assert [args[:2] for args in calls["lbdm_boundaries"]] == [(seq, 0.4) for seq in seqs]
+        assert "zero_crossing_boundaries" not in calls and "constant_boundaries" not in calls
+
+        configs = _grid_configs(base, (1, 2), (0.4,))
+        for config, k in (
+            (next(c for c in configs if c.representation is Representation.PITCH
+                  and c.segmentation.param == 2 and c.equalization is Equalization.INTERPOLATE
+                  and c.metric is Metric.EUCLIDEAN), 2),
+            (next(c for c in configs if c.segmentation.method is SegMethod.LBDM), 1),
+        ):
+            single = run_folk_segmented(corpus, replace(config, k=k))
+            assert single == reports[2 * configs.index(config) + k - 1]
+
     def test_jobs_produce_identical_reports(self):
         corpus = synthetic_tune_families(4, n_families=3, min_variants=3, max_variants=4)
         serial = grid_search(corpus, scales=(1, 2), thresholds=(0.3,), ks=(1,))
@@ -428,6 +472,13 @@ class TestLoaders:
         manifest.write_text("filename,family\nsilent.mid,fam0\n")
         with pytest.raises(MidiError, match="silent.mid: the file contains no notes"):
             load_folk_corpus(tmp_path, manifest)
+
+    def test_noteless_voice_names_the_file(self, tmp_path, works):
+        work = works[0]
+        path = tmp_path / f"{work.work_id}.mid"
+        path.write_bytes(write_standard_midi([work.upper, work.lower], division=480))
+        with pytest.raises(MidiError, match=f"{work.work_id}.mid: track 7 contains no notes"):
+            load_bach_corpus(tmp_path, "track:0", "track:7")
 
     def test_empty_corpus_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no MIDI files"):

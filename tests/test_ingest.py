@@ -102,7 +102,7 @@ class TestParse:
 class TestExtractVoice:
     def test_unit_conversion(self):
         score = parse_standard_midi(smf(480, [simple_track([(0, 480, 60)])]))
-        seq = extract_voice(score, 0)
+        seq = extract_voice(score, 0, "test.mid")
         assert seq.events == (NoteEvent(Fraction(0), Fraction(1), 60),)
 
     def test_overlap_truncated_at_next_onset(self):
@@ -112,7 +112,7 @@ class TestExtractVoice:
             + vlq(96) + note_off(0, 60) + vlq(96) + note_off(0, 62)
         )
         score = parse_standard_midi(smf(96, [track_chunk(body)]))
-        seq = extract_voice(score, "track:0")
+        seq = extract_voice(score, "track:0", "test.mid")
         assert seq.events == (
             NoteEvent(Fraction(0), Fraction(1), 60),
             NoteEvent(Fraction(1), Fraction(2), 62),
@@ -121,20 +121,20 @@ class TestExtractVoice:
     def test_empty_voice_errors(self):
         score = parse_standard_midi(smf(96, [simple_track([(0, 96, 60)])]))
         with pytest.raises(ValueError, match="no notes"):
-            extract_voice(score, "track:5")
+            extract_voice(score, "track:5", "test.mid")
         with pytest.raises(ValueError, match="no notes"):
-            extract_voice(score, "channel:9")
+            extract_voice(score, "channel:9", "test.mid")
 
     def test_channel_selector(self):
         data = smf(96, [simple_track([(0, 96, 60)], channel=0),
                         simple_track([(0, 96, 48)], channel=2)])
-        seq = extract_voice(parse_standard_midi(data), "channel:2")
+        seq = extract_voice(parse_standard_midi(data), "channel:2", "test.mid")
         assert seq.events[0].pitch_midi == 48
 
     def test_bad_selector(self):
         score = parse_standard_midi(smf(96, [simple_track([(0, 96, 60)])]))
         with pytest.raises(ValueError, match="selector"):
-            extract_voice(score, "part:1")
+            extract_voice(score, "part:1", "test.mid")
 
 
 class TestMonophonicReduction:
@@ -192,13 +192,13 @@ class TestNoteSequence:
 class TestRoundTrip:
     def test_simple(self):
         seq = make_sequence([(0, 1, 60), (1, Fraction(1, 2), 62), (2, 1, 64)], total=4)
-        parsed = extract_voice(parse_standard_midi(write_standard_midi(seq)), 0)
+        parsed = extract_voice(parse_standard_midi(write_standard_midi(seq)), 0, "test.mid")
         assert parsed.events == seq.events
 
     def test_random_sequences(self, rng):
         for _ in range(50):
             seq = random_sequence(rng)
-            parsed = extract_voice(parse_standard_midi(write_standard_midi(seq)), 0)
+            parsed = extract_voice(parse_standard_midi(write_standard_midi(seq)), 0, "test.mid")
             assert parsed.events == seq.events
             assert parsed.total_duration_qn >= max(e.end_qn for e in parsed.events)
 
@@ -207,11 +207,11 @@ class TestRoundTrip:
         lower = random_sequence(rng, with_rests=False)
         data = write_standard_midi([upper, lower], division=480)
         score = parse_standard_midi(data)
-        assert extract_voice(score, "track:0").events == upper.events
-        assert extract_voice(score, "track:1").events == lower.events
+        assert extract_voice(score, "track:0", "test.mid").events == upper.events
+        assert extract_voice(score, "track:1", "test.mid").events == lower.events
 
     def test_minimal_division(self):
         seq = make_sequence([(0, Fraction(1, 3), 60), (Fraction(1, 3), Fraction(1, 4), 61)])
         assert minimal_division([seq]) == 12
-        parsed = extract_voice(parse_standard_midi(write_standard_midi(seq)), 0)
+        parsed = extract_voice(parse_standard_midi(write_standard_midi(seq)), 0, "test.mid")
         assert parsed.events == seq.events
