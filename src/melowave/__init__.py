@@ -18,7 +18,6 @@ from .signals import (
     sample_pitch_signal,
 )
 from .wavelet import (
-    CoefficientSignal,
     WaveletScale,
     haar_coefficients,
     haar_filter,
@@ -27,8 +26,6 @@ from .wavelet import (
 from .segmentation import (
     BoundarySet,
     Equalization,
-    Segment,
-    SegmentMatrix,
     constant_boundaries,
     cut_segments,
     equalize_interpolate,
@@ -47,8 +44,6 @@ from .contrapuntal import (
 from .classifier import (
     LabeledCorpus,
     Metric,
-    cityblock,
-    euclidean,
     pairwise_distances,
     predict_from_distances,
     vote,

@@ -16,32 +16,10 @@ from typing import Hashable, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .segmentation import SegmentMatrix
-
 
 class Metric(Enum):
     EUCLIDEAN = "euclidean"
     CITYBLOCK = "cityblock"
-
-
-def euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    """Root-sum-square difference of two equal-length vectors."""
-    a, b = _paired(a, b)
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
-def cityblock(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of absolute differences of two equal-length vectors."""
-    a, b = _paired(a, b)
-    return float(np.sum(np.abs(a - b)))
-
-
-def _paired(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"vectors must share one length, got {a.shape} and {b.shape}")
-    return a, b
 
 
 def pairwise_distances(queries: np.ndarray, rows: np.ndarray, metric: Metric) -> np.ndarray:
@@ -71,10 +49,6 @@ class LabeledCorpus:
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", tuple(self.labels))
-
-    @classmethod
-    def from_matrix(cls, matrix: SegmentMatrix) -> "LabeledCorpus":
-        return cls(matrix.rows, matrix.labels)
 
     def __len__(self) -> int:
         return self.rows.shape[0]

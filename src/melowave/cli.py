@@ -138,7 +138,7 @@ def cmd_cwt(args) -> int:
             raise ValueError("either --scale-qn or --scalogram is required")
         scale = WaveletScale.from_qn(Fraction(args.scale_qn), signal.rate)
         coeffs = haar_coefficients(signal, scale)
-        rows = [("shift", "coefficient")] + [(u, w) for u, w in enumerate(coeffs.values)]
+        rows = [("shift", "coefficient")] + [(u, w) for u, w in enumerate(coeffs)]
     _write_rows(args.output, rows)
     return 0
 
@@ -154,9 +154,7 @@ def cmd_segment(args) -> int:
         directory = Path(args.segments_dir)
         directory.mkdir(parents=True, exist_ok=True)
         for n, segment in enumerate(cut_segments(signal.samples, boundaries)):
-            seg_rows = [("index", "value")] + [
-                (i, v) for i, v in enumerate(segment.values)
-            ]
+            seg_rows = [("index", "value")] + [(i, v) for i, v in enumerate(segment)]
             _write_rows(str(directory / f"segment_{n:03d}.csv"), seg_rows)
     return 0
 

@@ -122,6 +122,10 @@ def load_folk_corpus(directory: str | Path, manifest: str | Path) -> FolkCorpus:
             path = directory / filename
             if not path.is_file():
                 raise FileNotFoundError(f"manifest references a missing file: {path}")
+            if any(song.song_id == path.stem for song in songs):
+                raise ValueError(
+                    f"manifest {manifest} lists song {path.stem} more than once: {filename}"
+                )
             score = parse_standard_midi(path.read_bytes())
             selector = first_track_selector(score, str(path))
             songs.append(FolkSong(path.stem, family, extract_voice(score, selector, str(path))))

@@ -31,8 +31,6 @@ from .ingest import NoteSequence
 from .segmentation import (
     BoundarySet,
     Equalization,
-    Segment,
-    SegmentMatrix,
     constant_boundaries,
     cut_segments,
     equalize_interpolate,
@@ -211,43 +209,34 @@ def _representation(pitch_span: np.ndarray, config: ExperimentConfig) -> np.ndar
     return np.asarray(pitch_span, dtype=float)
 
 
-def _cut(
-    rep: np.ndarray,
-    boundaries: BoundarySet,
-    config: ExperimentConfig,
-    source_id: Hashable,
-    label: Hashable,
-) -> list[Segment]:
+def _cut(rep: np.ndarray, boundaries: BoundarySet, config: ExperimentConfig) -> list[np.ndarray]:
     """Cut a represented span; pitch-signal segments are mean-normalized
     after the cut, wavelet segments are transposition-invariant already."""
-    segments = cut_segments(rep, boundaries, source_id, label)
+    segments = cut_segments(rep, boundaries)
     if config.representation is Representation.PITCH:
         norm = _normalizer(config)
-        segments = [
-            Segment(norm(s.values), s.start_index, s.source_id, s.label) for s in segments
-        ]
+        segments = [norm(s) for s in segments]
     return segments
 
 
 def _span_segments(
-    pitch_span: np.ndarray,
-    span_seq: NoteSequence | None,
-    config: ExperimentConfig,
-    source_id: Hashable,
-    label: Hashable,
-) -> list[Segment]:
+    pitch_span: np.ndarray, span_seq: NoteSequence | None, config: ExperimentConfig
+) -> list[np.ndarray]:
     """Represent one span per the config, segment it and cut the segments."""
     rep = _representation(pitch_span, config)
     boundaries = find_boundaries(pitch_span, span_seq, config.segmentation, config.rate)
-    return _cut(rep, boundaries, config, source_id, label)
+    return _cut(rep, boundaries, config)
 
 
 def _equalize(
-    segments: Sequence[Segment], equalization: Equalization, target_len: int | None = None
-) -> SegmentMatrix:
+    segments: Sequence[np.ndarray],
+    labels: Sequence,
+    equalization: Equalization,
+    target_len: int | None = None,
+) -> LabeledCorpus:
     if equalization is Equalization.ZERO_PAD:
-        return equalize_zero_pad(segments, target_len)
-    return equalize_interpolate(segments, target_len)
+        return equalize_zero_pad(segments, labels, target_len)
+    return equalize_interpolate(segments, labels, target_len)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +273,9 @@ def _work_signals(work: BachWork, config: ExperimentConfig):
     if total < EXPOSITION_QN:
         raise ValueError(f"{work.work_id}: work is shorter than the {EXPOSITION_QN} qn exposition")
     parts = []
-    for name, seq in (("upper", work.upper), ("lower", work.lower)):
+    for seq in (work.upper, work.lower):
         extended = seq.with_total_duration(total)
-        parts.append((name, sample_pitch_signal(extended, config.rate, config.rest_policy), extended))
+        parts.append((sample_pitch_signal(extended, config.rate, config.rest_policy), extended))
     return parts
 
 
@@ -303,9 +292,11 @@ def _variant_inputs(
     return values, span_seq
 
 
-def classifier_segments(works: Sequence[BachWork], config: ExperimentConfig) -> list[Segment]:
-    """Segments of the exposition prefixes of every part, with contrapuntal
-    variants added as extra classes when configured."""
+def classifier_segments(
+    works: Sequence[BachWork], config: ExperimentConfig
+) -> tuple[list[np.ndarray], list]:
+    """Segments of the exposition prefixes of every part and their labels,
+    with contrapuntal variants added as extra classes when configured."""
     prefix_samples = math.ceil(config.classifier_prefix_qn * config.rate)
     variations = (
         (VariationKind.PRIME,)
@@ -313,9 +304,10 @@ def classifier_segments(works: Sequence[BachWork], config: ExperimentConfig) -> 
         else tuple(VariationKind)
     )
     needs_notes = config.segmentation.method is SegMethod.LBDM
-    segments: list[Segment] = []
+    segments: list[np.ndarray] = []
+    labels: list = []
     for work in works:
-        for part, signal, seq in _work_signals(work, config):
+        for signal, seq in _work_signals(work, config):
             span = signal.samples[:prefix_samples]
             span_seq = seq.slice(0, config.classifier_prefix_qn) if needs_notes else None
             for variation in variations:
@@ -325,30 +317,30 @@ def classifier_segments(works: Sequence[BachWork], config: ExperimentConfig) -> 
                     if config.contrapuntal is ContrapuntalMode.NC
                     else (work.work_id, variation.value)
                 )
-                source = (work.work_id, part, "exposition", variation.value)
-                segments.extend(_span_segments(values, vseq, config, source, label))
-    return segments
+                cut = _span_segments(values, vseq, config)
+                segments += cut
+                labels += [label] * len(cut)
+    return segments, labels
 
 
 def _test_segment_items(
     works: Sequence[BachWork], config: ExperimentConfig
-) -> list[tuple[str, int, list[Segment]]]:
+) -> list[tuple[str, int, list[np.ndarray]]]:
     needs_notes = config.segmentation.method is SegMethod.LBDM
     items = []
     for work in works:
         parts = _work_signals(work, config)
-        spans = split_section_spans(len(parts[0][1].samples), config.rate)
+        spans = split_section_spans(len(parts[0][0].samples), config.rate)
         for j, (a, b) in enumerate(spans):
-            segments: list[Segment] = []
-            for part, signal, seq in parts:
+            segments: list[np.ndarray] = []
+            for signal, seq in parts:
                 span = signal.samples[a:b]
                 span_seq = (
                     seq.slice(Fraction(a) / config.rate, Fraction(b) / config.rate)
                     if needs_notes
                     else None
                 )
-                source = (work.work_id, part, f"section{j}")
-                segments.extend(_span_segments(span, span_seq, config, source, work.work_id))
+                segments += _span_segments(span, span_seq, config)
             items.append((work.work_id, j, segments))
     return items
 
@@ -362,19 +354,19 @@ def run_bach_experiment(works: Sequence[BachWork], config: ExperimentConfig) -> 
     and report per-section-index accuracies."""
     if config.k != 1:
         raise ConfigError("the invention experiment uses 1-NN")
-    cls_segments = classifier_segments(works, config)
+    cls_segments, cls_labels = classifier_segments(works, config)
     test_items = _test_segment_items(works, config)
     target = max(
         max(len(s) for s in cls_segments),
         max(len(s) for _, _, segs in test_items for s in segs),
     )
-    corpus = LabeledCorpus.from_matrix(_equalize(cls_segments, config.equalization, target))
+    corpus = _equalize(cls_segments, cls_labels, config.equalization, target)
     n_sections = max(j for _, j, _ in test_items) + 1
     correct = [0] * n_sections
     traces = []
     for work_id, section, segments in test_items:
-        matrix = _equalize(segments, config.equalization, target)
-        distances = pairwise_distances(matrix.rows, corpus.rows, config.metric)
+        rows = _equalize(segments, [work_id] * len(segments), config.equalization, target).rows
+        distances = pairwise_distances(rows, corpus.rows, config.metric)
         row_labels = predict_from_distances(distances, corpus.labels, (config.k,))[config.k]
         predicted = _base_work(vote(row_labels, distances))
         if predicted == work_id:
@@ -422,11 +414,11 @@ def run_folk_unsegmented(corpus: FolkCorpus, config: ExperimentConfig) -> FolkCe
     vectors = _folk_vectors(corpus, config)
     distances = pairwise_distances(vectors, vectors, config.metric)
     np.fill_diagonal(distances, np.inf)
-    nearest = distances.argmin(axis=1)
     families = [song.family for song in corpus.songs]
+    predicted = predict_from_distances(distances, families, (1,))[1]
     traces = tuple(
-        TraceRow(song.song_id, song.family, families[nearest[i]], float(distances[i, nearest[i]]))
-        for i, song in enumerate(corpus.songs)
+        TraceRow(song.song_id, song.family, label, float(nearest))
+        for song, label, nearest in zip(corpus.songs, predicted, distances.min(axis=1))
     )
     accuracy = sum(t.true_label == t.predicted_label for t in traces) / len(corpus)
     param = (
@@ -479,44 +471,41 @@ def _song_signals(corpus: FolkCorpus, config: ExperimentConfig) -> list:
 
 def _cut_corpus(
     corpus: FolkCorpus, signals: list, boundaries: list, config: ExperimentConfig
-) -> tuple[list[Segment], np.ndarray]:
-    """Segments of every song in corpus order and the row offsets of each
-    song's segments. A failure raises the first failing song's first error,
-    in the order sample, representation, boundaries, cut."""
-    segments: list[Segment] = []
+) -> tuple[list[np.ndarray], list, np.ndarray]:
+    """Segments of every song in corpus order, their families, and the row
+    offsets of each song's segments. A failure raises the first failing
+    song's first error, in the order sample, representation, boundaries, cut."""
+    segments: list[np.ndarray] = []
+    labels: list = []
     offsets = [0]
     for song, signal, song_boundaries in zip(corpus.songs, signals, boundaries):
         rep = _representation(_ok(signal).samples, config)
-        segments += _cut(rep, _ok(song_boundaries), config, song.song_id, song.family)
-        assert len(segments) > offsets[-1], "default boundaries guarantee at least one segment"
+        cut = _cut(rep, _ok(song_boundaries), config)
+        assert cut, "default boundaries guarantee at least one segment"
+        segments += cut
+        labels += [song.family] * len(cut)
         offsets.append(len(segments))
-    return segments, np.array(offsets)
+    return segments, labels, np.array(offsets)
 
 
 def _leave_one_out(
     corpus: FolkCorpus,
-    matrix: SegmentMatrix,
+    matrix: LabeledCorpus,
     offsets: np.ndarray,
     metric: Metric,
     ks: Sequence[int],
     record_traces: bool,
 ) -> dict[int, tuple[float, tuple[TraceRow, ...]]]:
-    """Song-level leave-one-out for several k at once. Distances are
-    computed one held-out song at a time, as that song's rows against every
-    row with its own columns masked; neighbor orderings are shared across k."""
-    song_ids = np.array([str(song.song_id) for song in corpus.songs])
-    owners = np.repeat(song_ids, np.diff(offsets))
-    sources = np.array([str(s) for s in matrix.sources])
-    assert len(set(song_ids)) == len(song_ids) and np.array_equal(sources, owners), (
-        "held-out song leaked into the corpus"
-    )
-    labels = matrix.labels
+    """Song-level leave-one-out for several k at once. Song i owns rows
+    offsets[i]:offsets[i + 1]. Distances are computed one held-out song at a
+    time, as that song's rows against every row with its own columns
+    masked; neighbor orderings are shared across k."""
     correct = {k: 0 for k in ks}
     traces: dict[int, list[TraceRow]] = {k: [] for k in ks}
     for song, a, b in zip(corpus.songs, offsets, offsets[1:]):
         block = pairwise_distances(matrix.rows[a:b], matrix.rows, metric)
         block[:, a:b] = np.inf
-        by_k = predict_from_distances(block, labels, ks)
+        by_k = predict_from_distances(block, matrix.labels, ks)
         nearest = float(block.min())
         for k in ks:
             predicted = vote(by_k[k], block)
@@ -560,9 +549,11 @@ def _segmentation_group(args) -> list:
                 )
             if len(corpus) < 2:
                 raise ValueError("leave-one-out needs at least two songs")
-            segments, offsets = _once(memo, rep, _cut_corpus, corpus, signals, boundaries, config)
+            segments, labels, offsets = _once(
+                memo, rep, _cut_corpus, corpus, signals, boundaries, config
+            )
             matrix = _once(
-                memo, (rep, config.equalization), _equalize, segments, config.equalization
+                memo, (rep, config.equalization), _equalize, segments, labels, config.equalization
             )
             results.append(
                 _leave_one_out(corpus, matrix, offsets, config.metric, ks, record_traces)

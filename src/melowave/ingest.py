@@ -174,6 +174,8 @@ def parse_standard_midi(data: bytes) -> ScoreModel:
     header_len = r.u32()
     if header_len < 6:
         raise MidiError("MThd chunk too short")
+    if r.remaining() < header_len:
+        raise MidiError("truncated MThd chunk")
     header = _Reader(data, r.pos, r.pos + header_len)
     fmt = header.u16()
     header.u16()  # declared track count; the chunk walk below is authoritative

@@ -3,8 +3,8 @@
 Boundaries come from coefficient zero-crossings or local maxima, from a
 constant grid, or from LBDM boundary strengths on the note stream. The
 beginning and end of the signal are always boundaries. Segments are then
-cut from any same-length vector and equalized by trailing zero-padding or
-nearest-neighbor resizing.
+cut from any same-length vector as slices and equalized, by trailing
+zero-padding or nearest-neighbor resizing, into labeled rows.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .classifier import LabeledCorpus
 from .ingest import NoteSequence
-from .wavelet import CoefficientSignal
 
 ZERO_TOLERANCE = 1e-12  # coefficients of integer signals hit exact zeros
 
@@ -56,53 +56,14 @@ class BoundarySet:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One segment of a vector plus where it came from."""
-
-    values: np.ndarray
-    start_index: int
-    source_id: Hashable = None
-    label: Hashable = None
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.size < 1:
-            raise ValueError("segments must contain at least one value")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class SegmentMatrix:
-    """Equal-length segment vectors ready for distance computation."""
-
-    rows: np.ndarray
-    labels: tuple
-    sources: tuple
-    method: Equalization
-
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2:
-            raise ValueError("segment matrix must be 2-dimensional")
-        if rows.shape[0] != len(self.labels) or rows.shape[0] != len(self.sources):
-            raise ValueError("labels and sources must align with rows")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-
-
-def _coeff_values(coeffs: CoefficientSignal | np.ndarray) -> np.ndarray:
-    values = coeffs.values if isinstance(coeffs, CoefficientSignal) else np.asarray(coeffs, float)
+def _coeff_values(coeffs: np.ndarray) -> np.ndarray:
+    values = np.asarray(coeffs, dtype=float)
     if values.size == 0:
         raise ValueError("coefficient signal is empty")
     return values
 
 
-def zero_crossing_boundaries(coeffs: CoefficientSignal | np.ndarray) -> BoundarySet:
+def zero_crossing_boundaries(coeffs: np.ndarray) -> BoundarySet:
     """Boundaries where the coefficients change sign or are (near) zero.
 
     A sign change puts the boundary on the first index of the new sign;
@@ -115,7 +76,7 @@ def zero_crossing_boundaries(coeffs: CoefficientSignal | np.ndarray) -> Boundary
     return BoundarySet.from_interior(interior, w.size)
 
 
-def local_maxima_boundaries(coeffs: CoefficientSignal | np.ndarray) -> BoundarySet:
+def local_maxima_boundaries(coeffs: np.ndarray) -> BoundarySet:
     """Boundaries at strict interior local maxima of the coefficients.
 
     A plateau flanked by strictly smaller values yields one boundary at its
@@ -202,27 +163,19 @@ def lbdm_boundaries(
     return BoundarySet.from_interior(interior, length)
 
 
-def cut_segments(
-    values: np.ndarray,
-    boundaries: BoundarySet,
-    source_id: Hashable = None,
-    label: Hashable = None,
-) -> list[Segment]:
+def cut_segments(values: np.ndarray, boundaries: BoundarySet) -> list[np.ndarray]:
     """Cut a vector at the boundaries; concatenation reconstructs it exactly."""
     values = np.asarray(values, dtype=float)
     if values.size != boundaries.length:
         raise ValueError(
             f"boundaries are for length {boundaries.length}, vector has {values.size}"
         )
-    return [
-        Segment(values[a:b], a, source_id, label)
-        for a, b in zip(boundaries.indices, boundaries.indices[1:])
-    ]
+    return [values[a:b] for a, b in zip(boundaries.indices, boundaries.indices[1:])]
 
 
 def equalize_zero_pad(
-    segments: Sequence[Segment], target_len: int | None = None
-) -> SegmentMatrix:
+    segments: Sequence[np.ndarray], labels: Sequence, target_len: int | None = None
+) -> LabeledCorpus:
     """Pad shorter segments with trailing zeros up to the target length."""
     if not segments:
         raise ValueError("no segments to equalize")
@@ -232,13 +185,8 @@ def equalize_zero_pad(
         raise ValueError(f"segment of length {longest} exceeds target length {target}")
     rows = np.zeros((len(segments), target))
     for i, seg in enumerate(segments):
-        rows[i, : len(seg)] = seg.values
-    return SegmentMatrix(
-        rows,
-        tuple(s.label for s in segments),
-        tuple(s.source_id for s in segments),
-        Equalization.ZERO_PAD,
-    )
+        rows[i, : len(seg)] = seg
+    return LabeledCorpus(rows, labels)
 
 
 def nearest_resize(values: np.ndarray, target: int) -> np.ndarray:
@@ -251,16 +199,10 @@ def nearest_resize(values: np.ndarray, target: int) -> np.ndarray:
 
 
 def equalize_interpolate(
-    segments: Sequence[Segment], target_len: int | None = None
-) -> SegmentMatrix:
+    segments: Sequence[np.ndarray], labels: Sequence, target_len: int | None = None
+) -> LabeledCorpus:
     """Resize every segment to the target length by nearest-neighbor interpolation."""
     if not segments:
         raise ValueError("no segments to equalize")
     target = max(len(s) for s in segments) if target_len is None else int(target_len)
-    rows = np.vstack([nearest_resize(s.values, target) for s in segments])
-    return SegmentMatrix(
-        rows,
-        tuple(s.label for s in segments),
-        tuple(s.source_id for s in segments),
-        Equalization.INTERPOLATE,
-    )
+    return LabeledCorpus(np.vstack([nearest_resize(s, target) for s in segments]), labels)

@@ -55,26 +55,6 @@ class WaveletScale:
         return cls(int(support), rate)
 
 
-@dataclass(frozen=True)
-class CoefficientSignal:
-    """Haar coefficients at one scale, same length as the source signal."""
-
-    values: np.ndarray
-    scale: WaveletScale
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def source_rate(self) -> Fraction:
-        return self.scale.rate
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def _haar_vector(support: int) -> np.ndarray:
     if support < 2 or support % 2:
         raise ValueError(f"wavelet support must be an even integer >= 2, got {support}")
@@ -114,17 +94,17 @@ def haar_filter(values: np.ndarray, support: int) -> np.ndarray:
     return full[offset : offset + length]
 
 
-def haar_coefficients(signal: PitchSignal, scale: WaveletScale) -> CoefficientSignal:
-    """Filter a pitch signal with the Haar wavelet at one scale."""
+def haar_coefficients(signal: PitchSignal, scale: WaveletScale) -> np.ndarray:
+    """Haar coefficients of a pitch signal at one scale, one per sample."""
     if scale.rate != signal.rate:
         raise ValueError(
             f"scale rate {scale.rate} does not match signal rate {signal.rate}"
         )
-    return CoefficientSignal(haar_filter(signal.samples, scale.support_samples), scale)
+    return haar_filter(signal.samples, scale.support_samples)
 
 
 def scalogram(signal: PitchSignal, scales: list[WaveletScale]) -> np.ndarray:
     """Absolute coefficients, one row per scale, one column per shift."""
     if not scales:
         raise ValueError("at least one scale is required")
-    return np.abs([haar_coefficients(signal, s).values for s in scales])
+    return np.abs([haar_coefficients(signal, s) for s in scales])

@@ -8,12 +8,29 @@ import numpy as np
 import pytest
 
 from melowave.cli import main
-from melowave.corpora import synthetic_inventions
+from melowave.corpora import synthetic_inventions, synthetic_tune_families
 from melowave.ingest import write_standard_midi
 
 from conftest import make_sequence, smf, track_chunk
 
 DATA = Path(__file__).parent / "data"
+
+# `exp bach` configurations pinned byte for byte in tests/data/bach_seed0
+BACH_GOLDEN = {
+    "nc_wr_wszc_pad": [],
+    "nc_vr_const_interp": ["--rep", "vr", "--seg", "const", "--step-qn", "2",
+                           "--equalize", "interp", "--metric", "euclidean"],
+    "nc_vr_lbdm_pad_renorm": ["--rep", "vr", "--seg", "lbdm", "--threshold", "0.3",
+                              "--zero-rest-renormalize", "--prefix-qn", "8"],
+    "nc_wr_none_interp": ["--seg", "none", "--equalize", "interp", "--rests", "remove"],
+    "cp_wr_lbdm_interp": ["--contrapuntal", "cp", "--seg", "lbdm", "--equalize", "interp",
+                          "--rep-scale-qn", "2", "--metric", "euclidean"],
+    "cp_vr_wszc_pad_renorm": ["--contrapuntal", "cp", "--rep", "vr", "--seg-scale-qn", "2",
+                              "--zero-rest-renormalize"],
+    "cp_vr_none_pad": ["--contrapuntal", "cp", "--rep", "vr", "--seg", "none"],
+    "cp_wr_const_pad": ["--contrapuntal", "cp", "--seg", "const", "--step-qn", "1/2",
+                        "--rate", "4"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +267,19 @@ class TestDeterminism:
         digest = (DATA / "grid_seed0_f4_trace.sha256").read_text().strip()
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("name", sorted(BACH_GOLDEN))
+    def test_bach_matches_golden(self, name, bach_dir, tmp_path):
+        # result and trace CSVs of `exp bach` on synthetic_inventions(0),
+        # recorded before segments became plain arrays; a change to these
+        # files changes the invention experiment's output
+        out, trace = tmp_path / "bach.csv", tmp_path / "trace.csv"
+        assert main([
+            "exp", "bach", "--corpus", str(bach_dir), *BACH_GOLDEN[name],
+            "-o", str(out), "--trace", str(trace),
+        ]) == 0
+        assert out.read_bytes() == (DATA / "bach_seed0" / f"{name}.csv").read_bytes()
+        assert trace.read_bytes() == (DATA / "bach_seed0" / f"{name}_trace.csv").read_bytes()
+
 
 class TestErrors:
     def test_missing_input_file(self, tmp_path):
@@ -268,6 +298,33 @@ class TestErrors:
         assert main([command[0], str(noteless_mid), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert err == f"melowave: error: {noteless_mid}: the file contains no notes\n"
+
+    def test_truncated_header_one_line_error(self, tmp_path, capsys):
+        bad = tmp_path / "truncated.mid"
+        bad.write_bytes(b"MThd\x15\x043\x94\xb9")
+        assert main(["ingest", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("melowave: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", [[], ["--unsegmented", "--length", "64"]])
+    def test_duplicate_manifest_row_one_line_error(self, tmp_path, mode, capsys):
+        corpus = synthetic_tune_families(0, n_families=2, min_variants=3, max_variants=3)
+        lines = ["filename,family"]
+        for song in corpus.songs:
+            (tmp_path / f"{song.song_id}.mid").write_bytes(write_standard_midi(song.seq))
+            lines.append(f"{song.song_id}.mid,{song.family}")
+        lines.append(lines[1])
+        manifest = tmp_path / "labels.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        first = corpus.songs[0].song_id
+        assert main(["exp", "folk", "--corpus", str(tmp_path), "--labels", str(manifest),
+                     "--seg", "ws-max", *mode, "-o", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"melowave: error: manifest {manifest} lists song {first} more than once: "
+            f"{first}.mid\n"
+        )
+        assert not (tmp_path / "out.csv").exists()
 
     def test_noteless_voice_names_the_file(self, melody_mid, capsys):
         assert main(["ingest", str(melody_mid), "--voice", "5"]) == 2

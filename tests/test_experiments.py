@@ -124,7 +124,7 @@ def works():
 
 
 def classifier_matrix(works, config):
-    return equalize_zero_pad(classifier_segments(works, config))
+    return equalize_zero_pad(*classifier_segments(works, config))
 
 
 class TestBachClassifier:
@@ -288,20 +288,18 @@ class TestFolkSegmented:
     def test_matches_naive_per_fold_route(self):
         corpus = synthetic_tune_families(7, n_families=3, min_variants=3, max_variants=4)
         for config in (ws_config(2, k=3), ws_config(2, k=1, metric=Metric.EUCLIDEAN)):
-            segments = [
-                s
-                for song in corpus.songs
-                for s in _span_segments(
-                    sample_pitch_signal(song.seq, config.rate, config.rest_policy).samples,
-                    None, config, song.song_id, song.family,
-                )
-            ]
-            matrix = _equalize(segments, config.equalization)
+            segments, owners = [], []
+            for song in corpus.songs:
+                signal = sample_pitch_signal(song.seq, config.rate, config.rest_policy)
+                cut = _span_segments(signal.samples, None, config)
+                segments += cut
+                owners += [song] * len(cut)
+            matrix = _equalize(segments, [song.family for song in owners], config.equalization)
             fast = run_folk_segmented(corpus, config)
             correct = 0
             for song in corpus.songs:
-                keep = [i for i, s in enumerate(matrix.sources) if s != song.song_id]
-                mine = [i for i, s in enumerate(matrix.sources) if s == song.song_id]
+                keep = [i for i, owner in enumerate(owners) if owner is not song]
+                mine = [i for i, owner in enumerate(owners) if owner is song]
                 labels = tuple(matrix.labels[i] for i in keep)
                 rows = pairwise_distances(
                     matrix.rows[mine], matrix.rows[keep], config.metric
@@ -455,6 +453,19 @@ class TestLoaders:
         for song in loaded.songs:
             assert song.family == by_id[song.song_id].family
             assert song.seq.events == by_id[song.song_id].seq.events
+
+    def test_duplicate_manifest_row_rejected(self, tmp_path):
+        corpus = synthetic_tune_families(6, n_families=2, min_variants=2, max_variants=2)
+        for song in corpus.songs:
+            (tmp_path / f"{song.song_id}.mid").write_bytes(write_standard_midi(song.seq))
+        first, second = corpus.songs[:2]
+        manifest = tmp_path / "labels.csv"
+        manifest.write_text(
+            f"{first.song_id}.mid,{first.family}\n{second.song_id}.mid,{second.family}\n"
+            f"{first.song_id}.mid,{second.family}\n"
+        )
+        with pytest.raises(ValueError, match=f"lists song {first.song_id} more than once"):
+            load_folk_corpus(tmp_path, manifest)
 
     def test_missing_manifest_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest"):

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melowave.ingest import (
     MidiError,
@@ -97,6 +100,44 @@ class TestParse:
         score = parse_standard_midi(data)
         assert score.track_numbers() == (0, 1)
         assert score.channel_numbers() == (0, 3)
+
+
+def written_midi(seed: int, n_voices: int) -> bytes:
+    rng = np.random.default_rng(seed)
+    return write_standard_midi([random_sequence(rng, n_notes=6) for _ in range(n_voices)])
+
+
+def parses_or_midi_error(data: bytes) -> None:
+    """Parsing either succeeds or raises MidiError, never anything else."""
+    try:
+        parse_standard_midi(data)
+    except MidiError:
+        pass
+
+
+class TestParseRobustness:
+    def test_header_chunk_past_the_data(self):
+        with pytest.raises(MidiError, match="truncated MThd"):
+            parse_standard_midi(b"MThd\x15\x043\x94\xb9")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64) | st.binary(max_size=64).map(lambda b: b"MThd" + b))
+    def test_arbitrary_bytes(self, data):
+        parses_or_midi_error(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.data())
+    def test_truncated_writer_output(self, seed, n_voices, data):
+        full = written_midi(seed, n_voices)
+        parses_or_midi_error(full[: data.draw(st.integers(0, len(full) - 1))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.data())
+    def test_mutated_writer_output(self, seed, n_voices, data):
+        mutated = bytearray(written_midi(seed, n_voices))
+        for _ in range(data.draw(st.integers(1, 4))):
+            mutated[data.draw(st.integers(0, len(mutated) - 1))] = data.draw(st.integers(0, 255))
+        parses_or_midi_error(bytes(mutated))
 
 
 class TestExtractVoice:

@@ -8,7 +8,6 @@ import pytest
 
 from melowave.segmentation import (
     BoundarySet,
-    Segment,
     constant_boundaries,
     cut_segments,
     equalize_interpolate,
@@ -184,13 +183,12 @@ class TestCutSegments:
     def test_basic(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
         segs = cut_segments(values, BoundarySet((0, 2, 4), 4))
-        assert [list(s.values) for s in segs] == [[1, 2], [3, 4]]
-        assert [s.start_index for s in segs] == [0, 2]
+        assert [list(s) for s in segs] == [[1, 2], [3, 4]]
 
     def test_whole_vector(self):
         values = np.arange(5.0)
         segs = cut_segments(values, BoundarySet((0, 5), 5))
-        assert len(segs) == 1 and np.array_equal(segs[0].values, values)
+        assert len(segs) == 1 and np.array_equal(segs[0], values)
 
     def test_unit_segments(self):
         values = np.arange(4.0)
@@ -203,7 +201,7 @@ class TestCutSegments:
             interior = rng.choice(np.arange(1, values.size), size=min(5, values.size - 1), replace=False)
             bounds = BoundarySet.from_interior(interior.tolist(), values.size)
             segs = cut_segments(values, bounds)
-            assert np.array_equal(np.concatenate([s.values for s in segs]), values)
+            assert np.array_equal(np.concatenate(segs), values)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
@@ -212,37 +210,36 @@ class TestCutSegments:
 
 class TestEqualize:
     def test_zero_pad_to_longest(self):
-        segs = [Segment(np.arange(3.0), 0), Segment(np.arange(5.0), 3)]
-        matrix = equalize_zero_pad(segs)
+        matrix = equalize_zero_pad([np.arange(3.0), np.arange(5.0)], ["a", "b"])
         assert matrix.rows.shape == (2, 5)
         assert list(matrix.rows[0]) == [0, 1, 2, 0, 0]
+        assert matrix.labels == ("a", "b")
 
     def test_zero_pad_example(self):
-        matrix = equalize_zero_pad([Segment(np.array([2.0, -1.0]), 0)], target_len=4)
+        matrix = equalize_zero_pad([np.array([2.0, -1.0])], ["a"], target_len=4)
         assert list(matrix.rows[0]) == [2, -1, 0, 0]
 
     def test_zero_pad_equal_lengths_unchanged(self, rng):
-        segs = [Segment(rng.normal(size=4), i) for i in range(3)]
-        matrix = equalize_zero_pad(segs)
+        segs = [rng.normal(size=4) for _ in range(3)]
+        matrix = equalize_zero_pad(segs, range(3))
         for seg, row in zip(segs, matrix.rows):
-            assert np.array_equal(seg.values, row)
+            assert np.array_equal(seg, row)
 
     def test_zero_pad_never_alters_prefix(self, rng):
-        segs = [Segment(rng.normal(size=int(rng.integers(1, 9))), 0) for _ in range(6)]
-        matrix = equalize_zero_pad(segs)
+        segs = [rng.normal(size=int(rng.integers(1, 9))) for _ in range(6)]
+        matrix = equalize_zero_pad(segs, range(6))
         for seg, row in zip(segs, matrix.rows):
-            assert np.array_equal(row[: len(seg)], seg.values)
+            assert np.array_equal(row[: len(seg)], seg)
 
     def test_zero_pad_overlong_segment_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            equalize_zero_pad([Segment(np.arange(5.0), 0)], target_len=4)
+            equalize_zero_pad([np.arange(5.0)], ["a"], target_len=4)
 
     def test_interpolate_example(self):
         assert list(nearest_resize(np.array([1.0, 2.0]), 4)) == [1, 1, 2, 2]
-        matrix = equalize_interpolate(
-            [Segment(np.array([1.0, 2.0]), 0), Segment(np.arange(4.0), 2)]
-        )
+        matrix = equalize_interpolate([np.array([1.0, 2.0]), np.arange(4.0)], ["a", "b"])
         assert list(matrix.rows[0]) == [1, 1, 2, 2]
+        assert matrix.labels == ("a", "b")
 
     def test_interpolate_matches_bruteforce(self, rng):
         # nearest input-sample center per output-sample center; exact ties
@@ -277,9 +274,9 @@ class TestEqualize:
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="no segments"):
-            equalize_zero_pad([])
+            equalize_zero_pad([], [])
         with pytest.raises(ValueError, match="no segments"):
-            equalize_interpolate([])
+            equalize_interpolate([], [])
 
 
 class TestSegmenterDecoupling:
@@ -290,7 +287,7 @@ class TestSegmenterDecoupling:
         from_grid = constant_boundaries(16, 1, 4)
         from_hand = BoundarySet.from_interior([4, 8, 12], 16)
         assert from_grid == from_hand
-        a = equalize_zero_pad(cut_segments(values, from_grid))
-        b = equalize_zero_pad(cut_segments(values, from_hand))
+        a = equalize_zero_pad(cut_segments(values, from_grid), "abcd")
+        b = equalize_zero_pad(cut_segments(values, from_hand), "abcd")
         assert np.array_equal(a.rows, b.rows)
         assert a.labels == b.labels

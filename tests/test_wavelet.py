@@ -187,10 +187,6 @@ class TestCoefficientSignal:
         with pytest.raises(ValueError, match="rate"):
             haar_coefficients(signal, WaveletScale.from_qn(1, 4))
 
-    def test_source_rate(self):
-        coeffs = haar_coefficients(self._signal(), WaveletScale.from_qn(1, 8))
-        assert coeffs.source_rate == 8
-
 
 class TestScalogram:
     def test_constant_all_zero(self):
@@ -206,7 +202,7 @@ class TestScalogram:
         scale = WaveletScale.from_qn(1, 8)
         matrix = scalogram(signal, [scale])
         assert matrix.shape == (1, len(signal))
-        assert np.array_equal(matrix[0], np.abs(haar_coefficients(signal, scale).values))
+        assert np.array_equal(matrix[0], np.abs(haar_coefficients(signal, scale)))
 
     def test_dyadic_rows(self, rng):
         seq = make_sequence([(i, 1, int(p)) for i, p in enumerate(rng.integers(50, 80, 32))])
