@@ -11,17 +11,15 @@ from .ingest import (
     write_standard_midi,
 )
 from .signals import (
-    PitchSignal,
     RestPolicy,
     mean_normalize,
     resample_to_length,
     sample_pitch_signal,
 )
 from .wavelet import (
-    WaveletScale,
-    haar_coefficients,
     haar_filter,
     scalogram,
+    support_samples,
 )
 from .segmentation import (
     BoundarySet,
@@ -61,7 +59,6 @@ from .experiments import (
     run_bach_experiment,
     run_folk_segmented,
     run_folk_unsegmented,
-    split_bach_sections,
 )
 from .corpora import (
     BachWork,

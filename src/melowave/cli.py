@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,12 +19,12 @@ import numpy as np
 from . import corpora, experiments
 from .classifier import LabeledCorpus, Metric, pairwise_distances, predict_from_distances
 from .contrapuntal import VariationKind, apply_variation
-from .ingest import NoteSequence, extract_voice, first_track_selector, parse_standard_midi
+from .ingest import NoteSequence, extract_voice, first_track_selector
 from .segmentation import Equalization, cut_segments
 from .signals import RestPolicy, resample_to_length, sample_pitch_signal
-from .wavelet import WaveletScale, haar_coefficients, scalogram
+from .wavelet import haar_filter, scalogram, support_samples
 
-_BOOLEAN_KEYS = {"scalogram", "unsegmented", "grid", "zero-rest-renormalize", "synthetic"}
+_BOOLEAN_KEYS = {"scalogram", "unsegmented", "grid", "zero-rest-renormalize"}
 
 _REST = {"represent": RestPolicy.REPRESENT_ZERO, "remove": RestPolicy.REMOVE}
 _METRIC = {"euclidean": Metric.EUCLIDEAN, "cityblock": Metric.CITYBLOCK}
@@ -79,8 +78,7 @@ def _write_rows(path: str, rows) -> None:
 
 
 def _load_sequence(args) -> NoteSequence:
-    data = Path(args.input).read_bytes()
-    score = parse_standard_midi(data)
+    score = corpora.read_score(args.input)
     for message in score.dropped:
         print(f"melowave: warning: {message}", file=sys.stderr)
     selector = args.voice or first_track_selector(score, args.input)
@@ -119,7 +117,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_signal(args) -> int:
     signal = _signal(args)
-    rows = [("index", "value")] + [(i, v) for i, v in enumerate(signal.samples)]
+    rows = [("index", "value")] + [(i, v) for i, v in enumerate(signal)]
     _write_rows(args.output, rows)
     return 0
 
@@ -129,15 +127,14 @@ def cmd_cwt(args) -> int:
     if args.scalogram:
         if not args.scales:
             raise ValueError("--scalogram requires --scales S1,S2,...")
-        scales = [WaveletScale.from_qn(Fraction(s), signal.rate) for s in args.scales.split(",")]
-        matrix = scalogram(signal, scales)
+        scales = [Fraction(s) for s in args.scales.split(",")]
+        matrix = scalogram(signal, [support_samples(s, args.rate) for s in scales])
         rows = [["scale_qn"] + [f"u{i}" for i in range(matrix.shape[1])]]
-        rows += [[scale.scale_qn] + list(row) for scale, row in zip(scales, matrix)]
+        rows += [[scale] + list(row) for scale, row in zip(scales, matrix)]
     else:
         if args.scale_qn is None:
             raise ValueError("either --scale-qn or --scalogram is required")
-        scale = WaveletScale.from_qn(Fraction(args.scale_qn), signal.rate)
-        coeffs = haar_coefficients(signal, scale)
+        coeffs = haar_filter(signal, support_samples(Fraction(args.scale_qn), args.rate))
         rows = [("shift", "coefficient")] + [(u, w) for u, w in enumerate(coeffs)]
     _write_rows(args.output, rows)
     return 0
@@ -145,15 +142,16 @@ def cmd_cwt(args) -> int:
 
 def cmd_segment(args) -> int:
     seq = _load_sequence(args)
-    signal = sample_pitch_signal(seq, Fraction(args.rate), _REST[args.rests])
+    rate = Fraction(args.rate)
+    signal = sample_pitch_signal(seq, rate, _REST[args.rests])
     segmentation = _segmentation(args.method, args)
-    boundaries = experiments.find_boundaries(signal.samples, seq, segmentation, signal.rate)
+    boundaries = experiments.find_boundaries(signal, seq, segmentation, rate)
     rows = [("boundary_sample_index",)] + [(b,) for b in boundaries]
     _write_rows(args.output, rows)
     if args.segments_dir:
         directory = Path(args.segments_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        for n, segment in enumerate(cut_segments(signal.samples, boundaries)):
+        for n, segment in enumerate(cut_segments(signal, boundaries)):
             seg_rows = [("index", "value")] + [(i, v) for i, v in enumerate(segment)]
             _write_rows(str(directory / f"segment_{n:03d}.csv"), seg_rows)
     return 0
@@ -162,7 +160,7 @@ def cmd_segment(args) -> int:
 def cmd_variations(args) -> int:
     signal = _signal(args)
     kinds = list(VariationKind)
-    columns = [apply_variation(signal.samples, kind) for kind in kinds]
+    columns = [apply_variation(signal, kind) for kind in kinds]
     rows = [["index", "prime", "inversion", "retrograde", "retrograde_inversion"]]
     rows += [[i, *(col[i] for col in columns)] for i in range(len(signal))]
     _write_rows(args.output, rows)
@@ -273,7 +271,6 @@ def _parse_list(text: str, caster):
 
 def cmd_exp_folk(args) -> int:
     corpus = _folk_corpus(args)
-    jobs = args.jobs or int(os.environ.get("MELOWAVE_JOBS", "1"))
     rest_policy = _REST[args.rests]
     if args.grid:
         base = experiments.ExperimentConfig(
@@ -287,7 +284,7 @@ def cmd_exp_folk(args) -> int:
             scales=_parse_list(args.scales, Fraction),
             thresholds=_parse_list(args.thresholds, float),
             ks=_parse_list(args.ks, int),
-            jobs=jobs,
+            jobs=args.jobs,
             record_traces=bool(args.trace),
         )
     elif args.unsegmented:
@@ -488,8 +485,8 @@ def _add_folk_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--thresholds", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8",
                    help="comma list of LBDM thresholds for --grid")
     p.add_argument("--ks", default="1,2,3,4,5", help="comma list of k values for --grid")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers for --grid (default: $MELOWAVE_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers for --grid (default 1)")
     p.add_argument("--trace", default=None, help="write per-item prediction CSV here")
     _add_output(p)
 

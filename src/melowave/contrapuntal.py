@@ -60,14 +60,12 @@ _PITCH_FLIP = {VariationKind.INVERSION, VariationKind.RETROGRADE_INVERSION}
 _TIME_FLIP = {VariationKind.RETROGRADE, VariationKind.RETROGRADE_INVERSION}
 
 
-def transform_sequence(
-    seq: NoteSequence, kind: VariationKind, axis_pitch: float | None = None
-) -> NoteSequence:
+def transform_sequence(seq: NoteSequence, kind: VariationKind) -> NoteSequence:
     """Note-level counterpart of the signal variations.
 
     Needed where a segmenter (LBDM) works on notes rather than samples.
-    Inversion reflects pitches about ``axis_pitch`` (default: their mean),
-    which may land between MIDI integers; LBDM only uses pitch differences.
+    Inversion reflects pitches about their mean, which may land between
+    MIDI integers; LBDM only uses pitch differences.
     """
     if not seq.events:
         raise ValueError("variation of an empty sequence")
@@ -79,7 +77,7 @@ def transform_sequence(
             for ev in reversed(events)
         ]
     if kind in _PITCH_FLIP:
-        axis = float(np.mean([ev.pitch_midi for ev in events])) if axis_pitch is None else axis_pitch
+        axis = float(np.mean([ev.pitch_midi for ev in events]))
         events = [
             NoteEvent(ev.onset_qn, ev.duration_qn, 2 * axis - ev.pitch_midi)
             for ev in events

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import (
+    MidiError,
     NoteEvent,
     NoteSequence,
     ScoreModel,
@@ -46,15 +47,16 @@ class FolkSong:
 class FolkCorpus:
     songs: tuple[FolkSong, ...]
 
-    @property
-    def families(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for song in self.songs:
-            seen.setdefault(song.family, None)
-        return tuple(seen)
-
     def __len__(self) -> int:
         return len(self.songs)
+
+
+def read_score(path: str | Path) -> ScoreModel:
+    """Parse a MIDI file; a parse error names the file."""
+    try:
+        return parse_standard_midi(Path(path).read_bytes())
+    except MidiError as exc:
+        raise MidiError(f"{path}: {exc}") from None
 
 
 def _midi_files(directory: str | Path) -> list[Path]:
@@ -87,7 +89,7 @@ def load_bach_corpus(
     """Load a directory of two-part MIDI works, sorted by filename."""
     works = []
     for path in _midi_files(directory):
-        score = parse_standard_midi(path.read_bytes())
+        score = read_score(path)
         upper, lower = (upper_selector, lower_selector)
         if upper is None or lower is None:
             auto_upper, auto_lower = _auto_two_voices(score, path.name)
@@ -126,7 +128,7 @@ def load_folk_corpus(directory: str | Path, manifest: str | Path) -> FolkCorpus:
                 raise ValueError(
                     f"manifest {manifest} lists song {path.stem} more than once: {filename}"
                 )
-            score = parse_standard_midi(path.read_bytes())
+            score = read_score(path)
             selector = first_track_selector(score, str(path))
             songs.append(FolkSong(path.stem, family, extract_voice(score, selector, str(path))))
     if not songs:

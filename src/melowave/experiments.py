@@ -46,7 +46,7 @@ from .signals import (
     sample_pitch_signal,
     resample_to_length,
 )
-from .wavelet import WaveletScale, haar_filter
+from .wavelet import haar_filter, support_samples
 
 
 class ConfigError(ValueError):
@@ -152,7 +152,6 @@ class BachReport:
     section_accuracies: tuple[float, ...]
     mean_accuracy: float
     std_accuracy: float
-    config: ExperimentConfig
     traces: tuple[TraceRow, ...] = ()
 
 
@@ -190,7 +189,7 @@ def find_boundaries(
     if method is SegMethod.NONE:
         return BoundarySet((0, length), length)
     if method in _WS_METHODS:
-        coeffs = haar_filter(pitch_span, WaveletScale.from_qn(param, rate).support_samples)
+        coeffs = haar_filter(pitch_span, support_samples(param, rate))
         if method is SegMethod.WS_ZERO_CROSS:
             return zero_crossing_boundaries(coeffs)
         return local_maxima_boundaries(coeffs)
@@ -204,8 +203,7 @@ def find_boundaries(
 def _representation(pitch_span: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     """The span in the config's representation, before segmentation."""
     if config.representation is Representation.WAVELET:
-        support = WaveletScale.from_qn(config.wavelet_rep_scale_qn, config.rate).support_samples
-        return haar_filter(pitch_span, support)
+        return haar_filter(pitch_span, support_samples(config.wavelet_rep_scale_qn, config.rate))
     return np.asarray(pitch_span, dtype=float)
 
 
@@ -243,29 +241,19 @@ def _equalize(
 # Experiment 1: sections of two-part inventions
 
 
-def split_section_spans(
-    length_samples: int, rate: int | Fraction, exposition_qn: int = EXPOSITION_QN
-) -> list[tuple[int, int]]:
+def split_section_spans(length_samples: int, rate: int | Fraction) -> list[tuple[int, int]]:
     """Divide the samples after the exposition into three contiguous spans
     of equal size; the remainder goes to the final span."""
-    exposition_end = math.ceil(exposition_qn * Fraction(rate))
+    exposition_end = math.ceil(EXPOSITION_QN * Fraction(rate))
     remaining = length_samples - exposition_end
     if remaining < 3:
         raise ValueError(
-            f"work must extend beyond the {exposition_qn} qn exposition "
+            f"work must extend beyond the {EXPOSITION_QN} qn exposition "
             f"to be divided into sections"
         )
     size = remaining // 3
     cuts = [exposition_end, exposition_end + size, exposition_end + 2 * size, length_samples]
     return list(zip(cuts, cuts[1:]))
-
-
-def split_bach_sections(
-    work: BachWork, rate: int | Fraction = 8, exposition_qn: int = EXPOSITION_QN
-) -> list[tuple[int, int]]:
-    """Section sample spans of a work; both parts share one sampled length."""
-    total = max(work.upper.end_qn, work.lower.end_qn)
-    return split_section_spans(math.ceil(total * Fraction(rate)), rate, exposition_qn)
 
 
 def _work_signals(work: BachWork, config: ExperimentConfig):
@@ -308,7 +296,7 @@ def classifier_segments(
     labels: list = []
     for work in works:
         for signal, seq in _work_signals(work, config):
-            span = signal.samples[:prefix_samples]
+            span = signal[:prefix_samples]
             span_seq = seq.slice(0, config.classifier_prefix_qn) if needs_notes else None
             for variation in variations:
                 values, vseq = _variant_inputs(span, span_seq, variation)
@@ -330,11 +318,11 @@ def _test_segment_items(
     items = []
     for work in works:
         parts = _work_signals(work, config)
-        spans = split_section_spans(len(parts[0][0].samples), config.rate)
+        spans = split_section_spans(parts[0][0].size, config.rate)
         for j, (a, b) in enumerate(spans):
             segments: list[np.ndarray] = []
             for signal, seq in parts:
-                span = signal.samples[a:b]
+                span = signal[a:b]
                 span_seq = (
                     seq.slice(Fraction(a) / config.rate, Fraction(b) / config.rate)
                     if needs_notes
@@ -379,7 +367,6 @@ def run_bach_experiment(works: Sequence[BachWork], config: ExperimentConfig) -> 
         accuracies,
         float(np.mean(accuracies)),
         float(np.std(accuracies, ddof=1)),
-        config,
         tuple(traces),
     )
 
@@ -399,9 +386,9 @@ def _folk_vectors(corpus: FolkCorpus, config: ExperimentConfig) -> np.ndarray:
                     "fixed-length wavelet representation needs wavelet_rep_support "
                     "(a scale in samples)"
                 )
-            vectors.append(haar_filter(signal.samples, config.wavelet_rep_support))
+            vectors.append(haar_filter(signal, config.wavelet_rep_support))
         else:
-            vectors.append(_normalizer(config)(signal.samples))
+            vectors.append(_normalizer(config)(signal))
     return np.vstack(vectors)
 
 
@@ -411,16 +398,9 @@ def run_folk_unsegmented(corpus: FolkCorpus, config: ExperimentConfig) -> FolkCe
         raise ConfigError("the unsegmented run takes segmentation 'none'")
     if len(corpus) < 2:
         raise ValueError("leave-one-out needs at least two songs")
-    vectors = _folk_vectors(corpus, config)
-    distances = pairwise_distances(vectors, vectors, config.metric)
-    np.fill_diagonal(distances, np.inf)
-    families = [song.family for song in corpus.songs]
-    predicted = predict_from_distances(distances, families, (1,))[1]
-    traces = tuple(
-        TraceRow(song.song_id, song.family, label, float(nearest))
-        for song, label, nearest in zip(corpus.songs, predicted, distances.min(axis=1))
-    )
-    accuracy = sum(t.true_label == t.predicted_label for t in traces) / len(corpus)
+    matrix = LabeledCorpus(_folk_vectors(corpus, config), [song.family for song in corpus.songs])
+    offsets = np.arange(len(corpus) + 1)  # one row per song
+    accuracy, traces = _leave_one_out(corpus, matrix, offsets, config.metric, (1,), True)[1]
     param = (
         config.wavelet_rep_support
         if config.representation is Representation.WAVELET
@@ -479,7 +459,7 @@ def _cut_corpus(
     labels: list = []
     offsets = [0]
     for song, signal, song_boundaries in zip(corpus.songs, signals, boundaries):
-        rep = _representation(_ok(signal).samples, config)
+        rep = _representation(_ok(signal), config)
         cut = _cut(rep, _ok(song_boundaries), config)
         assert cut, "default boundaries guarantee at least one segment"
         segments += cut
@@ -531,7 +511,7 @@ def _segmentation_group(args) -> list:
     boundaries = [
         signal if isinstance(signal, Exception) else _attempt(
             find_boundaries,
-            signal.samples,
+            signal,
             song.seq if segmentation.method is SegMethod.LBDM else None,
             segmentation,
             first.rate,

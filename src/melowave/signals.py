@@ -3,13 +3,13 @@
 A note sequence becomes a piecewise-constant vector of MIDI pitch numbers
 sampled at ``rate`` samples per quarter note; sample t reads the note whose
 half-open interval contains time t/rate. Rests are represented as 0 or
-removed by substituting the preceding (or first) pitch.
+removed by substituting the preceding (or first) pitch. A sampled signal is
+a read-only 1-D float array; its rate is whatever the caller sampled at.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -23,30 +23,9 @@ class RestPolicy(Enum):
     REMOVE = "remove"
 
 
-@dataclass(frozen=True)
-class PitchSignal:
-    """Immutable sampled pitch vector with its grid rate in samples/qn."""
-
-    samples: np.ndarray
-    rate: Fraction
-    rest_policy: RestPolicy
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 1:
-            raise ValueError("a pitch signal needs at least one sample")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "rate", Fraction(self.rate))
-        if self.rate <= 0:
-            raise ValueError("sample rate must be positive")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
 def _sample(seq: NoteSequence, rate: Fraction, length: int, policy: RestPolicy) -> np.ndarray:
-    """Piecewise-constant fill with rest regions resolved per the policy.
+    """Piecewise-constant fill with rest regions resolved per the policy,
+    returned read-only: one song's signal may be shared by many callers.
 
     Under REMOVE each rest region takes the pitch of the note event that
     immediately precedes it (the first pitch for a leading rest), even when
@@ -69,12 +48,13 @@ def _sample(seq: NoteSequence, rate: Fraction, length: int, policy: RestPolicy) 
             g = min(math.ceil(gap_end * rate), length)
             if g > b:
                 values[b:g] = ev.pitch_midi
+    values.setflags(write=False)
     return values
 
 
 def sample_pitch_signal(
     seq: NoteSequence, rate: int | Fraction, rest_policy: RestPolicy
-) -> PitchSignal:
+) -> np.ndarray:
     """Sample a note sequence at ``rate`` samples per quarter note.
 
     Output length is exactly ceil(total_duration_qn * rate); any gap after
@@ -86,17 +66,16 @@ def sample_pitch_signal(
     length = math.ceil(seq.total_duration_qn * rate)
     if length < 1:
         raise ValueError("sequence has zero duration, nothing to sample")
-    return PitchSignal(_sample(seq, rate, length, rest_policy), rate, rest_policy)
+    return _sample(seq, rate, length, rest_policy)
 
 
-def resample_to_length(seq: NoteSequence, n: int, rest_policy: RestPolicy) -> PitchSignal:
+def resample_to_length(seq: NoteSequence, n: int, rest_policy: RestPolicy) -> np.ndarray:
     """Sample the piecewise-constant pitch function to exactly n points."""
     if n < 1:
         raise ValueError("target length must be at least 1")
     if seq.total_duration_qn <= 0:
         raise ValueError("sequence has zero duration, nothing to resample")
-    rate = Fraction(n) / seq.total_duration_qn
-    return PitchSignal(_sample(seq, rate, n, rest_policy), rate, rest_policy)
+    return _sample(seq, Fraction(n) / seq.total_duration_qn, n, rest_policy)
 
 
 def mean_normalize(values: np.ndarray) -> np.ndarray:

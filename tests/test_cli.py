@@ -267,6 +267,22 @@ class TestDeterminism:
         digest = (DATA / "grid_seed0_f4_trace.sha256").read_text().strip()
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("rep", ["wr", "vr"])
+    @pytest.mark.parametrize("metric", ["cityblock", "euclidean"])
+    def test_unsegmented_matches_golden(self, rep, metric, tmp_path):
+        # result and trace CSVs of `exp folk --unsegmented` (wr: the default
+        # support sweep), recorded while the unsegmented run still had its
+        # own leave-one-out rule; a change to these files changes its output
+        out, trace = tmp_path / "folk.csv", tmp_path / "trace.csv"
+        assert main([
+            "exp", "folk", "--unsegmented", "--synthetic-seed", "0",
+            "--synthetic-families", "4", "--rep", rep, "--metric", metric,
+            "-o", str(out), "--trace", str(trace),
+        ]) == 0
+        name = f"{rep}_{metric}"
+        assert out.read_bytes() == (DATA / "unseg_seed0_f4" / f"{name}.csv").read_bytes()
+        assert trace.read_bytes() == (DATA / "unseg_seed0_f4" / f"{name}_trace.csv").read_bytes()
+
     @pytest.mark.parametrize("name", sorted(BACH_GOLDEN))
     def test_bach_matches_golden(self, name, bach_dir, tmp_path):
         # result and trace CSVs of `exp bach` on synthetic_inventions(0),
@@ -304,7 +320,25 @@ class TestErrors:
         bad.write_bytes(b"MThd\x15\x043\x94\xb9")
         assert main(["ingest", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("melowave: error: ") and err.count("\n") == 1
+        assert err == f"melowave: error: {bad}: truncated MThd chunk\n"
+
+    @pytest.mark.parametrize("experiment", ["folk", "bach"])
+    def test_corpus_parse_error_names_the_file(self, tmp_path, experiment, capsys):
+        corpus = synthetic_tune_families(0, n_families=2, min_variants=2, max_variants=2)
+        for song in corpus.songs:
+            (tmp_path / f"{song.song_id}.mid").write_bytes(write_standard_midi(song.seq))
+        bad = tmp_path / "bad.mid"
+        bad.write_bytes(b"MThd\x15\x043\x94\xb9")
+        manifest = tmp_path / "labels.csv"
+        manifest.write_text("".join(
+            f"{name},family00\n" for name in sorted(p.name for p in tmp_path.glob("*.mid"))
+        ))
+        args = ["--corpus", str(tmp_path), "-o", str(tmp_path / "out.csv")]
+        if experiment == "folk":
+            args += ["--labels", str(manifest)]
+        assert main(["exp", experiment, *args]) == 2
+        assert capsys.readouterr().err == f"melowave: error: {bad}: truncated MThd chunk\n"
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("mode", [[], ["--unsegmented", "--length", "64"]])
     def test_duplicate_manifest_row_one_line_error(self, tmp_path, mode, capsys):

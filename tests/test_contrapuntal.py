@@ -109,7 +109,7 @@ class TestSequenceTransforms:
             sig = sample_pitch_signal(seq, 4, RestPolicy.REPRESENT_ZERO)
             rseq = transform_sequence(seq, VariationKind.RETROGRADE)
             rsig = sample_pitch_signal(rseq, 4, RestPolicy.REPRESENT_ZERO)
-            assert np.array_equal(rsig.samples, sig.samples[::-1])
+            assert np.array_equal(rsig, sig[::-1])
 
     def test_inversion_keeps_timing(self):
         seq = make_sequence([(0, 1, 60), (1, 2, 72)])

@@ -32,12 +32,12 @@ from melowave.experiments import (
     _folk_segmented_multi,
     _grid_configs,
     _span_segments,
+    _test_segment_items,
     classifier_segments,
     grid_search,
     run_bach_experiment,
     run_folk_segmented,
     run_folk_unsegmented,
-    split_bach_sections,
     split_section_spans,
 )
 from melowave.ingest import MidiError, write_standard_midi
@@ -109,13 +109,20 @@ class TestSectionSplit:
     def test_exactly_exposition_length_rejected(self):
         work = BachWork("w", make_sequence([(0, 16, 60)]), make_sequence([(0, 16, 55)]))
         with pytest.raises(ValueError, match="exposition"):
-            split_bach_sections(work, 8)
+            _test_segment_items([work], ExperimentConfig(segmentation=NO_SEGMENTATION))
 
     def test_work_level(self):
+        # both parts share the longer part's sampled length: 40 qn at rate 8
         work = BachWork(
-            "w", make_sequence([(0, 40, 60)]), make_sequence([(0, 40, 55)])
+            "w", make_sequence([(0, 40, 60)]), make_sequence([(0, 38, 55)])
         )
-        assert split_bach_sections(work, 8) == [(128, 192), (192, 256), (256, 320)]
+        config = ExperimentConfig(
+            representation=Representation.PITCH, segmentation=NO_SEGMENTATION
+        )
+        items = _test_segment_items([work], config)
+        assert [(work_id, j, [s.size for s in segs]) for work_id, j, segs in items] == [
+            ("w", 0, [64, 64]), ("w", 1, [64, 64]), ("w", 2, [64, 64]),
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +298,7 @@ class TestFolkSegmented:
             segments, owners = [], []
             for song in corpus.songs:
                 signal = sample_pitch_signal(song.seq, config.rate, config.rest_policy)
-                cut = _span_segments(signal.samples, None, config)
+                cut = _span_segments(signal, None, config)
                 segments += cut
                 owners += [song] * len(cut)
             matrix = _equalize(segments, [song.family for song in owners], config.equalization)
@@ -499,7 +506,7 @@ class TestLoaders:
 class TestSyntheticCorpora:
     def test_tune_family_shape(self):
         corpus = synthetic_tune_families(0)
-        assert len(corpus.families) == 26
+        assert len({song.family for song in corpus.songs}) == 26
         counts = {}
         for song in corpus.songs:
             counts[song.family] = counts.get(song.family, 0) + 1

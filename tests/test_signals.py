@@ -43,29 +43,29 @@ class TestSampling:
     def test_two_notes(self):
         seq = make_sequence([(0, 1, 60), (1, 1, 62)])
         sig = sample_pitch_signal(seq, 2, RestPolicy.REPRESENT_ZERO)
-        assert list(sig.samples) == [60, 60, 62, 62]
+        assert list(sig) == [60, 60, 62, 62]
 
     def test_leading_rest_removed(self):
         seq = make_sequence([(1, 1, 60)])
         sig = sample_pitch_signal(seq, 1, RestPolicy.REMOVE)
-        assert list(sig.samples) == [60, 60]
+        assert list(sig) == [60, 60]
 
     def test_leading_rest_zero(self):
         seq = make_sequence([(1, 1, 60)])
         sig = sample_pitch_signal(seq, 1, RestPolicy.REPRESENT_ZERO)
-        assert list(sig.samples) == [0, 60]
+        assert list(sig) == [0, 60]
 
     def test_interior_rest_takes_preceding_pitch(self):
         seq = make_sequence([(0, 1, 60), (2, 1, 64)])
         sig = sample_pitch_signal(seq, 1, RestPolicy.REMOVE)
-        assert list(sig.samples) == [60, 60, 64]
+        assert list(sig) == [60, 60, 64]
 
     def test_trailing_gap_is_a_rest(self):
         seq = make_sequence([(0, 1, 60)], total=2)
         zero = sample_pitch_signal(seq, 2, RestPolicy.REPRESENT_ZERO)
-        assert list(zero.samples) == [60, 60, 0, 0]
+        assert list(zero) == [60, 60, 0, 0]
         held = sample_pitch_signal(seq, 2, RestPolicy.REMOVE)
-        assert list(held.samples) == [60, 60, 60, 60]
+        assert list(held) == [60, 60, 60, 60]
 
     def test_length_is_ceil(self, rng):
         for _ in range(30):
@@ -80,13 +80,13 @@ class TestSampling:
             rate = int(rng.integers(1, 9))
             for policy in RestPolicy:
                 sig = sample_pitch_signal(seq, rate, policy)
-                assert list(sig.samples) == oracle_samples(seq, rate, policy)
+                assert list(sig) == oracle_samples(seq, rate, policy)
 
     def test_remove_has_no_zeros(self, rng):
         for _ in range(20):
             seq = random_sequence(rng)
             sig = sample_pitch_signal(seq, 8, RestPolicy.REMOVE)
-            assert (sig.samples > 0).all()
+            assert (sig > 0).all()
 
     def test_empty_sequence_remove_errors(self):
         seq = make_sequence([], total=2)
@@ -99,15 +99,26 @@ class TestSampling:
             sample_pitch_signal(seq, 4, RestPolicy.REPRESENT_ZERO)
 
     def test_samples_immutable(self):
-        sig = sample_pitch_signal(make_sequence([(0, 1, 60)]), 2, RestPolicy.REPRESENT_ZERO)
-        with pytest.raises(ValueError):
-            sig.samples[0] = 1.0
+        # one song's signal is shared by every cell of a grid group
+        seq = make_sequence([(0, 1, 60)])
+        for sig in (
+            sample_pitch_signal(seq, 2, RestPolicy.REPRESENT_ZERO),
+            resample_to_length(seq, 4, RestPolicy.REPRESENT_ZERO),
+        ):
+            assert isinstance(sig, np.ndarray) and sig.ndim == 1 and sig.dtype == float
+            with pytest.raises(ValueError):
+                sig[0] = 1.0
+
+    def test_rate_must_be_positive(self):
+        for rate in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                sample_pitch_signal(make_sequence([(0, 1, 60)]), rate, RestPolicy.REPRESENT_ZERO)
 
 
 class TestResample:
     def test_constant(self):
         sig = resample_to_length(make_sequence([(0, 3, 60)]), 8, RestPolicy.REPRESENT_ZERO)
-        assert list(sig.samples) == [60] * 8
+        assert list(sig) == [60] * 8
 
     def test_two_note_oracle_value(self):
         # piecewise-constant sampling oracle gives [60,60,62,62] for n=4
@@ -115,7 +126,7 @@ class TestResample:
         assert oracle_samples(seq, Fraction(4) / seq.total_duration_qn,
                               RestPolicy.REPRESENT_ZERO) == [60, 60, 62, 62]
         sig = resample_to_length(seq, 4, RestPolicy.REPRESENT_ZERO)
-        assert list(sig.samples) == [60, 60, 62, 62]
+        assert list(sig) == [60, 60, 62, 62]
 
     def test_length_1024(self, rng):
         seq = random_sequence(rng)
@@ -131,7 +142,7 @@ class TestResample:
                 continue
             direct = sample_pitch_signal(seq, rate, RestPolicy.REPRESENT_ZERO)
             resampled = resample_to_length(seq, int(n), RestPolicy.REPRESENT_ZERO)
-            assert np.array_equal(direct.samples, resampled.samples)
+            assert np.array_equal(direct, resampled)
 
     def test_zero_duration_errors(self):
         with pytest.raises(ValueError, match="zero duration"):

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from melowave.signals import RestPolicy, sample_pitch_signal
-from melowave.wavelet import (
-    WaveletScale,
-    haar_coefficients,
-    haar_filter,
-    scalogram,
-)
+from melowave.wavelet import haar_filter, scalogram, support_samples
 
 from conftest import make_sequence, mirror_extended
 
@@ -62,8 +57,7 @@ def analyzing_vector(support):
 
 class TestAnalyzingFunction:
     def test_support_4(self):
-        scale = WaveletScale.from_qn(Fraction(1, 2), 8)
-        vec = analyzing_vector(scale.support_samples)
+        vec = analyzing_vector(support_samples(Fraction(1, 2), 8))
         assert np.allclose(vec, [0.5, 0.5, -0.5, -0.5], rtol=0, atol=1e-15)
 
     def test_support_2(self):
@@ -77,20 +71,22 @@ class TestAnalyzingFunction:
             assert abs((vec**2).sum() - 1.0) < 1e-12
 
     def test_odd_support_rejected(self):
-        for support in (3, 0):
-            with pytest.raises(ValueError, match="even"):
-                WaveletScale(support, 8)
+        # a whole but odd support (3/8 qn at rate 8) is rejected by the filter
+        for support in (support_samples(Fraction(3, 8), 8), 0, -2):
             with pytest.raises(ValueError, match="even"):
                 haar_filter(np.zeros(8), support)
 
     def test_fractional_support_rejected(self):
-        with pytest.raises(ValueError, match="fractional"):
-            WaveletScale.from_qn(Fraction(1, 3), 8)
+        with pytest.raises(
+            ValueError, match=r"scale 1/3 qn at rate 8 gives a fractional support of 8/3"
+        ):
+            support_samples(Fraction(1, 3), 8)
 
     def test_scale_qn_round_trip(self):
-        scale = WaveletScale.from_qn(4, 8)
-        assert scale.support_samples == 32
-        assert scale.scale_qn == 4
+        support = support_samples(4, 8)
+        assert support == 32 and type(support) is int
+        assert Fraction(support, 8) == 4
+        assert support_samples(Fraction(3, 2), Fraction(4, 3)) == 2
 
 
 class TestHaarFilter:
@@ -179,36 +175,29 @@ class TestCoefficientSignal:
     def test_length_preserved(self):
         signal = self._signal()
         for scale_qn in (Fraction(1, 2), 1, 2, 4):
-            coeffs = haar_coefficients(signal, WaveletScale.from_qn(scale_qn, 8))
+            coeffs = haar_filter(signal, support_samples(scale_qn, 8))
             assert len(coeffs) == len(signal)
-
-    def test_rate_mismatch_rejected(self):
-        signal = self._signal()
-        with pytest.raises(ValueError, match="rate"):
-            haar_coefficients(signal, WaveletScale.from_qn(1, 4))
 
 
 class TestScalogram:
     def test_constant_all_zero(self):
         seq = make_sequence([(0, 8, 60)])
         signal = sample_pitch_signal(seq, 8, RestPolicy.REPRESENT_ZERO)
-        scales = [WaveletScale.from_qn(s, 8) for s in (1, 2, 4)]
-        assert np.abs(scalogram(signal, scales)).max() <= 1e-12
+        assert np.abs(scalogram(signal, [8, 16, 32])).max() <= 1e-12
 
     def test_single_scale_equals_abs_coefficients(self):
-        signal = self_signal = sample_pitch_signal(
+        signal = sample_pitch_signal(
             make_sequence([(0, 2, 60), (2, 2, 67), (4, 2, 64)]), 8, RestPolicy.REPRESENT_ZERO
         )
-        scale = WaveletScale.from_qn(1, 8)
-        matrix = scalogram(signal, [scale])
+        matrix = scalogram(signal, [8])
         assert matrix.shape == (1, len(signal))
-        assert np.array_equal(matrix[0], np.abs(haar_coefficients(signal, scale)))
+        assert np.array_equal(matrix[0], np.abs(haar_filter(signal, 8)))
 
     def test_dyadic_rows(self, rng):
         seq = make_sequence([(i, 1, int(p)) for i, p in enumerate(rng.integers(50, 80, 32))])
         signal = sample_pitch_signal(seq, 8, RestPolicy.REPRESENT_ZERO)
-        scales = [WaveletScale.from_qn(s, 8) for s in (1, 2, 4, 8, 16, 32)]
-        matrix = scalogram(signal, scales)
+        supports = [support_samples(s, 8) for s in (1, 2, 4, 8, 16, 32)]
+        matrix = scalogram(signal, supports)
         assert matrix.shape == (6, len(signal))
         assert (matrix >= 0).all()
 
