@@ -288,29 +288,16 @@ def cmd_exp_folk(args) -> int:
             record_traces=bool(args.trace),
         )
     elif args.unsegmented:
-        # the wavelet variant sweeps its scale: one report row per support
-        if _REP[args.rep] is experiments.Representation.WAVELET:
-            supports = _parse_list(args.rep_support or "2,4,8,16,32,64,128,256", int)
-        else:
-            supports = (None,)
-        reports = []
-        for support in supports:
-            config = experiments.ExperimentConfig(
-                representation=_REP[args.rep],
-                segmentation=experiments.Segmentation(experiments.SegMethod.NONE),
-                rest_policy=rest_policy,
-                fixed_length=args.length,
-                wavelet_rep_support=support,
-                metric=_METRIC[args.metric],
-                zero_rest_renormalize=args.zero_rest_renormalize,
-            )
-            try:
-                reports.append(experiments.run_folk_unsegmented(corpus, config))
-            except ValueError as exc:
-                reports.append(experiments.FolkCellReport(
-                    config.representation, experiments.SegMethod.NONE, support,
-                    None, config.metric, 1, None, str(exc),
-                ))
+        config = experiments.ExperimentConfig(
+            representation=_REP[args.rep],
+            segmentation=experiments.Segmentation(experiments.SegMethod.NONE),
+            rest_policy=rest_policy,
+            metric=_METRIC[args.metric],
+            zero_rest_renormalize=args.zero_rest_renormalize,
+        )
+        reports = experiments.run_folk_unsegmented(
+            corpus, config, _parse_list(args.rep_support, int), args.length
+        )
     else:
         config = experiments.ExperimentConfig(
             representation=_REP[args.rep],
@@ -326,7 +313,7 @@ def cmd_exp_folk(args) -> int:
         reports = [experiments.run_folk_segmented(corpus, config)]
     _write_rows(args.output, _cell_rows(reports))
     if args.trace:
-        if args.grid:
+        if args.grid or args.unsegmented:
             rows = [("rep", "seg", "param", "equalize", "metric", "k",
                      "item_id", "true", "predicted", "nearest_distance")]
             for r in reports:
@@ -466,9 +453,8 @@ def _add_folk_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rep", choices=("wr", "vr"), default="wr")
     p.add_argument("--rep-scale-qn", default="1",
                    help="wavelet representation scale (segmented runs)")
-    p.add_argument("--rep-support", default=None,
-                   help="wavelet scale(s) in samples for unsegmented fixed-length "
-                        "signals, comma list (default: dyadic sweep 2..256)")
+    p.add_argument("--rep-support", default="2,4,8,16,32,64,128,256",
+                   help="comma list of wavelet supports in samples for --unsegmented wr")
     p.add_argument("--seg", choices=("ws-max", "lbdm"), default="ws-max")
     p.add_argument("--seg-scale-qn", default="1", help="local-maxima segmentation scale")
     p.add_argument("--threshold", type=float, default=0.4, help="LBDM threshold")

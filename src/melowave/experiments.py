@@ -111,11 +111,9 @@ class ExperimentConfig:
 
     representation: Representation = Representation.WAVELET
     wavelet_rep_scale_qn: Fraction = Fraction(1)
-    wavelet_rep_support: int | None = None  # scale in samples, for fixed-length signals
     segmentation: Segmentation = Segmentation(SegMethod.WS_ZERO_CROSS, Fraction(1))
     rest_policy: RestPolicy = RestPolicy.REPRESENT_ZERO
     rate: Fraction = Fraction(8)
-    fixed_length: int | None = None
     equalization: Equalization = Equalization.ZERO_PAD
     metric: Metric = Metric.CITYBLOCK
     k: int = 1
@@ -132,8 +130,6 @@ class ExperimentConfig:
             raise ConfigError(f"k must be in 1..5, got {self.k}")
         if self.classifier_prefix_qn not in (4, 8, 16):
             raise ConfigError(f"classifier prefix must be 4, 8 or 16 qn, got {self.classifier_prefix_qn}")
-        if self.fixed_length is not None and self.fixed_length < 1:
-            raise ConfigError("fixed length must be positive")
 
 
 @dataclass(frozen=True)
@@ -375,44 +371,7 @@ def run_bach_experiment(works: Sequence[BachWork], config: ExperimentConfig) -> 
 # Experiment 2: folk tune families
 
 
-def _folk_vectors(corpus: FolkCorpus, config: ExperimentConfig) -> np.ndarray:
-    length = config.fixed_length or 1024
-    vectors = []
-    for song in corpus.songs:
-        signal = resample_to_length(song.seq, length, config.rest_policy)
-        if config.representation is Representation.WAVELET:
-            if config.wavelet_rep_support is None:
-                raise ConfigError(
-                    "fixed-length wavelet representation needs wavelet_rep_support "
-                    "(a scale in samples)"
-                )
-            vectors.append(haar_filter(signal, config.wavelet_rep_support))
-        else:
-            vectors.append(_normalizer(config)(signal))
-    return np.vstack(vectors)
-
-
-def run_folk_unsegmented(corpus: FolkCorpus, config: ExperimentConfig) -> FolkCellReport:
-    """1-NN leave-one-out over whole melodies resampled to a fixed length."""
-    if config.segmentation.method is not SegMethod.NONE:
-        raise ConfigError("the unsegmented run takes segmentation 'none'")
-    if len(corpus) < 2:
-        raise ValueError("leave-one-out needs at least two songs")
-    matrix = LabeledCorpus(_folk_vectors(corpus, config), [song.family for song in corpus.songs])
-    offsets = np.arange(len(corpus) + 1)  # one row per song
-    accuracy, traces = _leave_one_out(corpus, matrix, offsets, config.metric, (1,), True)[1]
-    param = (
-        config.wavelet_rep_support
-        if config.representation is Representation.WAVELET
-        else None
-    )
-    return FolkCellReport(
-        config.representation, SegMethod.NONE, param, None, config.metric, 1,
-        accuracy, None, traces,
-    )
-
-
-# A grid cell reports these errors in place of its accuracy.
+# A folk cell reports these errors in place of its accuracy.
 _CELL_ERRORS = (ValueError, ArithmeticError)
 
 
@@ -494,6 +453,43 @@ def _leave_one_out(
             if record_traces:
                 traces[k].append(TraceRow(song.song_id, song.family, predicted, nearest))
     return {k: (correct[k] / len(corpus), tuple(traces[k])) for k in ks}
+
+
+def run_folk_unsegmented(
+    corpus: FolkCorpus, config: ExperimentConfig, supports: Sequence[int], length: int = 1024
+) -> list[FolkCellReport]:
+    """1-NN leave-one-out over whole melodies resampled to ``length``
+    samples: one report for the pitch signal, or one per wavelet support in
+    samples. Each song is resampled once for all supports."""
+    if config.segmentation.method is not SegMethod.NONE:
+        raise ConfigError("the unsegmented run takes segmentation 'none'")
+    if length < 1:
+        raise ConfigError("fixed length must be positive")
+    signals = [
+        _attempt(resample_to_length, song.seq, length, config.rest_policy)
+        for song in corpus.songs
+    ]
+    wavelet = config.representation is Representation.WAVELET
+    offsets = np.arange(len(corpus) + 1)  # one row per song
+    reports = []
+    for support in supports if wavelet else (None,):
+        try:
+            if len(corpus) < 2:
+                raise ValueError("leave-one-out needs at least two songs")
+            rows = [
+                haar_filter(_ok(signal), support) if wavelet else _normalizer(config)(_ok(signal))
+                for signal in signals
+            ]
+            matrix = LabeledCorpus(np.vstack(rows), [song.family for song in corpus.songs])
+            accuracy, traces = _leave_one_out(corpus, matrix, offsets, config.metric, (1,), True)[1]
+            error = None
+        except _CELL_ERRORS as exc:
+            accuracy, traces, error = None, (), str(exc)
+        reports.append(FolkCellReport(
+            config.representation, SegMethod.NONE, support, None, config.metric, 1,
+            accuracy, error, traces,
+        ))
+    return reports
 
 
 def _segmentation_group(args) -> list:
@@ -623,6 +619,10 @@ def grid_search(
     ``jobs`` worker processes share; evaluation is pure, so any job count assembles identical results."""
     if base_config is None:
         base_config = ExperimentConfig(rest_policy=RestPolicy.REMOVE)
+    if len(set(ks)) < len(ks):
+        raise ConfigError(f"k values must be distinct, got {', '.join(map(str, ks))}")
+    for k in ks:
+        replace(base_config, k=k)  # rejects a k outside ExperimentConfig's range
     configs = _grid_configs(base_config, scales, thresholds)
     signals = _song_signals(corpus, base_config)
     groups: dict[Segmentation, list[int]] = {}

@@ -282,9 +282,8 @@ def test_criterion_7_meertens_if_available():
         representation=Representation.PITCH,
         segmentation=Segmentation(SegMethod.NONE),
         rest_policy=RestPolicy.REMOVE,
-        fixed_length=1024,
     )
-    result = run_folk_unsegmented(corpus, config)
+    (result,) = run_folk_unsegmented(corpus, config, (), 1024)
     ok = abs(result.accuracy - 0.8806) <= 0.05
     assert report("7 meertens", ok, f"vr/city-block/rests-removed {result.accuracy:.4f}")
 

@@ -271,8 +271,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("metric", ["cityblock", "euclidean"])
     def test_unsegmented_matches_golden(self, rep, metric, tmp_path):
         # result and trace CSVs of `exp folk --unsegmented` (wr: the default
-        # support sweep), recorded while the unsegmented run still had its
-        # own leave-one-out rule; a change to these files changes its output
+        # support sweep). The results were recorded while the unsegmented run
+        # still had its own leave-one-out rule; the traces were re-recorded in
+        # the grid's keyed format, one row per song and support. A change to
+        # these files changes its output
         out, trace = tmp_path / "folk.csv", tmp_path / "trace.csv"
         assert main([
             "exp", "folk", "--unsegmented", "--synthetic-seed", "0",
@@ -282,6 +284,25 @@ class TestDeterminism:
         name = f"{rep}_{metric}"
         assert out.read_bytes() == (DATA / "unseg_seed0_f4" / f"{name}.csv").read_bytes()
         assert trace.read_bytes() == (DATA / "unseg_seed0_f4" / f"{name}_trace.csv").read_bytes()
+
+    def test_unsegmented_trace_rescores_every_support(self, tmp_path):
+        out, trace = tmp_path / "folk.csv", tmp_path / "trace.csv"
+        supports = ["2", "8", "64"]
+        assert main([
+            "exp", "folk", "--unsegmented", "--synthetic-seed", "3",
+            "--synthetic-families", "3", "--length", "256", "--rep-support", ",".join(supports),
+            "-o", str(out), "--trace", str(trace),
+        ]) == 0
+        n_songs = len(synthetic_tune_families(3, n_families=3))
+        results, traces = read_csv(out)[1:], read_csv(trace)
+        assert traces[0] == ["rep", "seg", "param", "equalize", "metric", "k",
+                             "item_id", "true", "predicted", "nearest_distance"]
+        assert len(traces) == 1 + len(supports) * n_songs
+        assert [row[2] for row in results] == supports
+        for row in results:
+            rows = [t for t in traces[1:] if t[:6] == row[:6]]
+            assert len(rows) == n_songs
+            assert float(row[6]) == sum(t[7] == t[8] for t in rows) / n_songs
 
     @pytest.mark.parametrize("name", sorted(BACH_GOLDEN))
     def test_bach_matches_golden(self, name, bach_dir, tmp_path):
@@ -339,6 +360,22 @@ class TestErrors:
         assert main(["exp", experiment, *args]) == 2
         assert capsys.readouterr().err == f"melowave: error: {bad}: truncated MThd chunk\n"
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("ks, message", [
+        ("1,1", "k values must be distinct, got 1, 1"),
+        ("7", "k must be in 1..5, got 7"),
+    ])
+    def test_grid_ks_one_line_error(self, ks, message, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert main(["grid", "--synthetic-seed", "0", "--synthetic-families", "2", "--scales", "1",
+                     "--thresholds", "0.4", "--ks", ks, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"melowave: error: {message}\n"
+        assert not out.exists()
+
+    def test_unsegmented_zero_length_one_line_error(self, capsys):
+        assert main(["exp", "folk", "--unsegmented", "--synthetic-seed", "0",
+                     "--synthetic-families", "2", "--length", "0"]) == 2
+        assert capsys.readouterr().err == "melowave: error: fixed length must be positive\n"
 
     @pytest.mark.parametrize("mode", [[], ["--unsegmented", "--length", "64"]])
     def test_duplicate_manifest_row_one_line_error(self, tmp_path, mode, capsys):

@@ -42,7 +42,7 @@ from melowave.experiments import (
 )
 from melowave.ingest import MidiError, write_standard_midi
 from melowave.segmentation import equalize_zero_pad
-from melowave.signals import RestPolicy, sample_pitch_signal
+from melowave.signals import RestPolicy, resample_to_length, sample_pitch_signal
 
 from conftest import make_sequence, smf, track_chunk
 from test_classifier import oracle_decide, oracle_vote
@@ -235,38 +235,32 @@ class TestFolkUnsegmented:
             representation=Representation.PITCH,
             segmentation=NO_SEGMENTATION,
             rest_policy=RestPolicy.REMOVE,
-            fixed_length=256,
         )
-        report = run_folk_unsegmented(corpus, config)
+        (report,) = run_folk_unsegmented(corpus, config, (16, 32), 256)  # vr takes no support
         assert report.accuracy == 1.0
+        assert report.param is None
         assert len(report.traces) == len(corpus)
-
-    def test_wavelet_needs_support(self):
-        corpus = uniform_family_corpus()
-        config = ExperimentConfig(
-            representation=Representation.WAVELET,
-            segmentation=NO_SEGMENTATION,
-            fixed_length=256,
-        )
-        with pytest.raises(ConfigError, match="support"):
-            run_folk_unsegmented(corpus, config)
 
     def test_wavelet_route(self):
         corpus = uniform_family_corpus()
         config = ExperimentConfig(
             representation=Representation.WAVELET,
             segmentation=NO_SEGMENTATION,
-            fixed_length=256,
-            wavelet_rep_support=16,
             rest_policy=RestPolicy.REMOVE,
         )
-        report = run_folk_unsegmented(corpus, config)
-        assert report.accuracy == 1.0
-        assert report.param == 16
+        reports = run_folk_unsegmented(corpus, config, (16, 4), 256)
+        assert [r.param for r in reports] == [16, 4]
+        assert [r.accuracy for r in reports] == [1.0, 1.0]
+        assert all(len(r.traces) == len(corpus) for r in reports)
 
     def test_segmented_config_rejected(self):
         with pytest.raises(ConfigError, match="none"):
-            run_folk_unsegmented(uniform_family_corpus(), ExperimentConfig())
+            run_folk_unsegmented(uniform_family_corpus(), ExperimentConfig(), (2,))
+
+    def test_length_must_be_positive(self):
+        config = ExperimentConfig(segmentation=NO_SEGMENTATION)
+        with pytest.raises(ConfigError, match="fixed length must be positive"):
+            run_folk_unsegmented(uniform_family_corpus(), config, (2,), 0)
 
     def test_default_length_is_1024(self):
         corpus = uniform_family_corpus()
@@ -275,8 +269,59 @@ class TestFolkUnsegmented:
             segmentation=NO_SEGMENTATION,
             rest_policy=RestPolicy.REMOVE,
         )
-        report = run_folk_unsegmented(corpus, config)
+        (report,) = run_folk_unsegmented(corpus, config, ())
         assert report.accuracy == 1.0
+
+    def test_failing_support_reports_its_error(self):
+        config = ExperimentConfig(segmentation=NO_SEGMENTATION, rest_policy=RestPolicy.REMOVE)
+        reports = run_folk_unsegmented(uniform_family_corpus(), config, (3, 4, 256), 64)
+        assert [r.error for r in reports] == [
+            "wavelet support must be an even integer >= 2, got 3",
+            None,
+            "signal too short for the scale: support 256 exceeds twice the signal length 64",
+        ]
+        assert reports[1].accuracy == 1.0
+        assert [len(r.traces) for r in reports] == [0, 12, 0]
+
+    def test_first_failing_song_first_error(self):
+        # songs in corpus order; within a song, resample before filter
+        songs = uniform_family_corpus().songs
+        empty = FolkSong("empty", "fam0", make_sequence([], total=0))
+        config = ExperimentConfig(segmentation=NO_SEGMENTATION, rest_policy=RestPolicy.REMOVE)
+        odd = "wavelet support must be an even integer >= 2, got 3"
+        zero = "sequence has zero duration, nothing to resample"
+        for order, errors in (
+            ((songs[0], empty, *songs[1:]), [odd, zero]),
+            ((empty, *songs), [zero, zero]),
+        ):
+            reports = run_folk_unsegmented(FolkCorpus(order), config, (3, 4), 64)
+            assert [r.error for r in reports] == errors
+
+    @pytest.mark.parametrize("n_songs", [0, 1])
+    def test_too_few_songs_error_per_support(self, n_songs):
+        corpus = FolkCorpus(uniform_family_corpus().songs[:n_songs])
+        config = ExperimentConfig(segmentation=NO_SEGMENTATION)
+        reports = run_folk_unsegmented(corpus, config, (2, 3), 64)
+        assert [(r.param, r.accuracy, r.error) for r in reports] == [
+            (support, None, "leave-one-out needs at least two songs") for support in (2, 3)
+        ]
+
+    def test_songs_resampled_once_for_the_sweep(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return resample_to_length(*args)
+
+        monkeypatch.setattr(experiments, "resample_to_length", counting)
+        corpus = synthetic_tune_families(2, n_families=3, min_variants=3, max_variants=3)
+        config = ExperimentConfig(segmentation=NO_SEGMENTATION, rest_policy=RestPolicy.REMOVE)
+        supports = (2, 8, 32)
+        reports = run_folk_unsegmented(corpus, config, supports)
+        assert calls == [(song.seq, 1024, RestPolicy.REMOVE) for song in corpus.songs]
+        for support, report in zip(supports, reports, strict=True):
+            (single,) = run_folk_unsegmented(corpus, config, (support,))
+            assert single == report
 
 
 class TestFolkSegmented:
@@ -382,6 +427,17 @@ class TestGridSearch:
             and c.segmentation.method is SegMethod.LBDM
         ]
         assert all(c.wavelet_rep_scale_qn == 1 for c in wr_lbdm)
+
+    @pytest.mark.parametrize("ks, message", [
+        ((1, 1), "k values must be distinct, got 1, 1"),
+        ((2, 7), "k must be in 1..5, got 7"),
+        ((0,), "k must be in 1..5, got 0"),
+    ])
+    def test_ks_distinct_and_in_range(self, ks, message):
+        # a repeated k used to score each song once per repeat (accuracy 2.0)
+        corpus = synthetic_tune_families(2, n_families=2, min_variants=2, max_variants=2)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            grid_search(corpus, scales=(1,), thresholds=(), ks=ks)
 
     def test_error_cells_reported(self):
         # songs far too short for a 128 qn support
