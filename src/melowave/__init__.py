@@ -49,7 +49,6 @@ from .classifier import (
 from .experiments import (
     BachReport,
     ConfigError,
-    ContrapuntalMode,
     ExperimentConfig,
     FolkCellReport,
     Representation,

@@ -31,7 +31,6 @@ _METRIC = {"euclidean": Metric.EUCLIDEAN, "cityblock": Metric.CITYBLOCK}
 _EQUALIZE = {"pad": Equalization.ZERO_PAD, "interp": Equalization.INTERPOLATE}
 _REP = {"wr": experiments.Representation.WAVELET, "vr": experiments.Representation.PITCH}
 _SEG = {method.value: method for method in experiments.SegMethod}
-_CP = {"nc": experiments.ContrapuntalMode.NC, "cp": experiments.ContrapuntalMode.CP}
 # segmentation method -> the destination of its parameter flag, and the flag;
 # only `segment` leaves these flags unset by default
 _SEG_PARAM = {
@@ -94,10 +93,26 @@ def _segmentation(method: str, args) -> experiments.Segmentation:
     return experiments.Segmentation(_SEG[method], getattr(args, dest))
 
 
+def _config(args, **fields) -> experiments.ExperimentConfig:
+    """The experiment cell that the flags describe; ``fields`` replace
+    flag values."""
+    flags = dict(
+        representation=_REP[args.rep],
+        wavelet_rep_scale_qn=Fraction(args.rep_scale_qn),
+        segmentation=_segmentation(args.seg, args),
+        rest_policy=_REST[args.rests],
+        rate=Fraction(args.rate),
+        equalization=_EQUALIZE[args.equalize],
+        metric=_METRIC[args.metric],
+        zero_rest_renormalize=args.zero_rest_renormalize,
+    )
+    return experiments.ExperimentConfig(**{**flags, **fields})
+
+
 def _signal(args):
     seq = _load_sequence(args)
     policy = _REST[args.rests]
-    if getattr(args, "length", None):
+    if getattr(args, "length", None) is not None:
         return resample_to_length(seq, args.length, policy)
     return sample_pitch_signal(seq, Fraction(args.rate), policy)
 
@@ -217,19 +232,9 @@ def _write_traces(path: str, traces) -> None:
 
 def cmd_exp_bach(args) -> int:
     works = corpora.load_bach_corpus(args.corpus, args.upper, args.lower)
-    config = experiments.ExperimentConfig(
-        representation=_REP[args.rep],
-        wavelet_rep_scale_qn=Fraction(args.rep_scale_qn),
-        segmentation=_segmentation(args.seg, args),
-        rest_policy=_REST[args.rests],
-        rate=Fraction(args.rate),
-        equalization=_EQUALIZE[args.equalize],
-        metric=_METRIC[args.metric],
-        classifier_prefix_qn=args.prefix_qn,
-        contrapuntal=_CP[args.contrapuntal],
-        zero_rest_renormalize=args.zero_rest_renormalize,
+    report = experiments.run_bach_experiment(
+        works, _config(args), args.prefix_qn, args.contrapuntal == "cp"
     )
-    report = experiments.run_bach_experiment(works, config)
     rows = [("section_index", "accuracy")]
     rows += [(i, acc) for i, acc in enumerate(report.section_accuracies)]
     rows += [("mean", report.mean_accuracy), ("std", report.std_accuracy)]
@@ -271,16 +276,10 @@ def _parse_list(text: str, caster):
 
 def cmd_exp_folk(args) -> int:
     corpus = _folk_corpus(args)
-    rest_policy = _REST[args.rests]
     if args.grid:
-        base = experiments.ExperimentConfig(
-            rest_policy=rest_policy,
-            rate=Fraction(args.rate),
-            wavelet_rep_scale_qn=Fraction(args.rep_scale_qn),
-        )
         reports = experiments.grid_search(
             corpus,
-            base,
+            _config(args),
             scales=_parse_list(args.scales, Fraction),
             thresholds=_parse_list(args.thresholds, float),
             ks=_parse_list(args.ks, int),
@@ -288,29 +287,12 @@ def cmd_exp_folk(args) -> int:
             record_traces=bool(args.trace),
         )
     elif args.unsegmented:
-        config = experiments.ExperimentConfig(
-            representation=_REP[args.rep],
-            segmentation=experiments.Segmentation(experiments.SegMethod.NONE),
-            rest_policy=rest_policy,
-            metric=_METRIC[args.metric],
-            zero_rest_renormalize=args.zero_rest_renormalize,
-        )
+        config = _config(args, segmentation=experiments.Segmentation(experiments.SegMethod.NONE))
         reports = experiments.run_folk_unsegmented(
             corpus, config, _parse_list(args.rep_support, int), args.length
         )
     else:
-        config = experiments.ExperimentConfig(
-            representation=_REP[args.rep],
-            wavelet_rep_scale_qn=Fraction(args.rep_scale_qn),
-            segmentation=_segmentation(args.seg, args),
-            rest_policy=rest_policy,
-            rate=Fraction(args.rate),
-            equalization=_EQUALIZE[args.equalize],
-            metric=_METRIC[args.metric],
-            k=args.k,
-            zero_rest_renormalize=args.zero_rest_renormalize,
-        )
-        reports = [experiments.run_folk_segmented(corpus, config)]
+        reports = experiments.run_folk_segmented(corpus, _config(args), (args.k,))
     _write_rows(args.output, _cell_rows(reports))
     if args.trace:
         if args.grid or args.unsegmented:

@@ -66,11 +66,6 @@ class SegMethod(Enum):
     LBDM = "lbdm"
 
 
-class ContrapuntalMode(Enum):
-    NC = "nc"
-    CP = "cp"
-
-
 DYADIC_SCALES_QN: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 LBDM_THRESHOLDS: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 ALL_KS: tuple[int, ...] = (1, 2, 3, 4, 5)
@@ -107,7 +102,9 @@ class Segmentation:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full parameterization of one experiment cell."""
+    """One experiment cell: sampling, representation, segmentation,
+    equalization and metric. Protocol values (k, the invention prefix,
+    contrapuntal classes) are arguments of the entry points."""
 
     representation: Representation = Representation.WAVELET
     wavelet_rep_scale_qn: Fraction = Fraction(1)
@@ -116,9 +113,6 @@ class ExperimentConfig:
     rate: Fraction = Fraction(8)
     equalization: Equalization = Equalization.ZERO_PAD
     metric: Metric = Metric.CITYBLOCK
-    k: int = 1
-    classifier_prefix_qn: int = 16
-    contrapuntal: ContrapuntalMode = ContrapuntalMode.NC
     zero_rest_renormalize: bool = False
 
     def __post_init__(self) -> None:
@@ -126,10 +120,17 @@ class ExperimentConfig:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.rate <= 0:
             raise ConfigError("rate must be positive")
-        if not 1 <= self.k <= 5:
-            raise ConfigError(f"k must be in 1..5, got {self.k}")
-        if self.classifier_prefix_qn not in (4, 8, 16):
-            raise ConfigError(f"classifier prefix must be 4, 8 or 16 qn, got {self.classifier_prefix_qn}")
+
+
+def _check_ks(ks: Sequence[int]) -> None:
+    """Reject a k sweep that is empty, repeats a k or leaves 1..5."""
+    if not ks:
+        raise ConfigError("k values must not be empty")
+    if len(set(ks)) < len(ks):
+        raise ConfigError(f"k values must be distinct, got {', '.join(map(str, ks))}")
+    for k in ks:
+        if not 1 <= k <= 5:
+            raise ConfigError(f"k must be in 1..5, got {k}")
 
 
 @dataclass(frozen=True)
@@ -277,30 +278,24 @@ def _variant_inputs(
 
 
 def classifier_segments(
-    works: Sequence[BachWork], config: ExperimentConfig
+    works: Sequence[BachWork], parts: Sequence[list], config: ExperimentConfig,
+    prefix_qn: int = 16, contrapuntal: bool = False,
 ) -> tuple[list[np.ndarray], list]:
-    """Segments of the exposition prefixes of every part and their labels,
-    with contrapuntal variants added as extra classes when configured."""
-    prefix_samples = math.ceil(config.classifier_prefix_qn * config.rate)
-    variations = (
-        (VariationKind.PRIME,)
-        if config.contrapuntal is ContrapuntalMode.NC
-        else tuple(VariationKind)
-    )
+    """Segments of the exposition prefixes of every part (``parts[i]`` holds
+    work i's sampled parts) and their labels, with contrapuntal variants
+    added as extra classes when ``contrapuntal`` is set."""
+    prefix_samples = math.ceil(prefix_qn * config.rate)
+    variations = tuple(VariationKind) if contrapuntal else (VariationKind.PRIME,)
     needs_notes = config.segmentation.method is SegMethod.LBDM
     segments: list[np.ndarray] = []
     labels: list = []
-    for work in works:
-        for signal, seq in _work_signals(work, config):
+    for work, work_parts in zip(works, parts):
+        for signal, seq in work_parts:
             span = signal[:prefix_samples]
-            span_seq = seq.slice(0, config.classifier_prefix_qn) if needs_notes else None
+            span_seq = seq.slice(0, prefix_qn) if needs_notes else None
             for variation in variations:
                 values, vseq = _variant_inputs(span, span_seq, variation)
-                label = (
-                    work.work_id
-                    if config.contrapuntal is ContrapuntalMode.NC
-                    else (work.work_id, variation.value)
-                )
+                label = (work.work_id, variation.value) if contrapuntal else work.work_id
                 cut = _span_segments(values, vseq, config)
                 segments += cut
                 labels += [label] * len(cut)
@@ -308,16 +303,15 @@ def classifier_segments(
 
 
 def _test_segment_items(
-    works: Sequence[BachWork], config: ExperimentConfig
+    works: Sequence[BachWork], parts: Sequence[list], config: ExperimentConfig
 ) -> list[tuple[str, int, list[np.ndarray]]]:
     needs_notes = config.segmentation.method is SegMethod.LBDM
     items = []
-    for work in works:
-        parts = _work_signals(work, config)
-        spans = split_section_spans(parts[0][0].size, config.rate)
+    for work, work_parts in zip(works, parts):
+        spans = split_section_spans(work_parts[0][0].size, config.rate)
         for j, (a, b) in enumerate(spans):
             segments: list[np.ndarray] = []
-            for signal, seq in parts:
+            for signal, seq in work_parts:
                 span = signal[a:b]
                 span_seq = (
                     seq.slice(Fraction(a) / config.rate, Fraction(b) / config.rate)
@@ -329,17 +323,18 @@ def _test_segment_items(
     return items
 
 
-def _base_work(label: Hashable) -> str:
-    return label[0] if isinstance(label, tuple) else label
-
-
-def run_bach_experiment(works: Sequence[BachWork], config: ExperimentConfig) -> BachReport:
-    """Classify every section of every work against the exposition corpus
-    and report per-section-index accuracies."""
-    if config.k != 1:
-        raise ConfigError("the invention experiment uses 1-NN")
-    cls_segments, cls_labels = classifier_segments(works, config)
-    test_items = _test_segment_items(works, config)
+def run_bach_experiment(
+    works: Sequence[BachWork], config: ExperimentConfig, prefix_qn: int = 16,
+    contrapuntal: bool = False,
+) -> BachReport:
+    """Classify every section of every work by 1-NN against the corpus of
+    the first ``prefix_qn`` quarter notes of every part, and report
+    per-section-index accuracies. Each part is sampled once."""
+    if prefix_qn not in (4, 8, 16):
+        raise ConfigError(f"classifier prefix must be 4, 8 or 16 qn, got {prefix_qn}")
+    parts = [_work_signals(work, config) for work in works]
+    cls_segments, cls_labels = classifier_segments(works, parts, config, prefix_qn, contrapuntal)
+    test_items = _test_segment_items(works, parts, config)
     target = max(
         max(len(s) for s in cls_segments),
         max(len(s) for _, _, segs in test_items for s in segs),
@@ -351,8 +346,10 @@ def run_bach_experiment(works: Sequence[BachWork], config: ExperimentConfig) -> 
     for work_id, section, segments in test_items:
         rows = _equalize(segments, [work_id] * len(segments), config.equalization, target).rows
         distances = pairwise_distances(rows, corpus.rows, config.metric)
-        row_labels = predict_from_distances(distances, corpus.labels, (config.k,))[config.k]
-        predicted = _base_work(vote(row_labels, distances))
+        row_labels = predict_from_distances(distances, corpus.labels, (1,))[1]
+        predicted = vote(row_labels, distances)
+        if contrapuntal:  # a (work, variation) class counts for its work
+            predicted = predicted[0]
         if predicted == work_id:
             correct[section] += 1
         traces.append(
@@ -465,11 +462,13 @@ def run_folk_unsegmented(
         raise ConfigError("the unsegmented run takes segmentation 'none'")
     if length < 1:
         raise ConfigError("fixed length must be positive")
+    wavelet = config.representation is Representation.WAVELET
+    if wavelet and not supports:
+        raise ConfigError("the wavelet sweep needs at least one support")
     signals = [
         _attempt(resample_to_length, song.seq, length, config.rest_policy)
         for song in corpus.songs
     ]
-    wavelet = config.representation is Representation.WAVELET
     offsets = np.arange(len(corpus) + 1)  # one row per song
     reports = []
     for support in supports if wavelet else (None,):
@@ -539,19 +538,6 @@ def _segmentation_group(args) -> list:
     return results
 
 
-def _folk_segmented_multi(
-    corpus: FolkCorpus,
-    config: ExperimentConfig,
-    ks: Sequence[int],
-    record_traces: bool = True,
-) -> dict[int, tuple[float, tuple[TraceRow, ...]]]:
-    """Song-level leave-one-out of one cell for several k values at once."""
-    (result,) = _segmentation_group(
-        (corpus, _song_signals(corpus, config), [config], tuple(ks), record_traces)
-    )
-    return _ok(result)
-
-
 def _cell_report(
     config: ExperimentConfig, k: int, accuracy: float | None,
     traces: tuple[TraceRow, ...] = (), error: str | None = None,
@@ -562,10 +548,24 @@ def _cell_report(
     )
 
 
-def run_folk_segmented(corpus: FolkCorpus, config: ExperimentConfig) -> FolkCellReport:
-    """Leave-one-out tune-family classification over melody segments."""
-    accuracy, traces = _folk_segmented_multi(corpus, config, (config.k,))[config.k]
-    return _cell_report(config, config.k, accuracy, traces)
+def _cell_reports(config: ExperimentConfig, ks: Sequence[int], result) -> list[FolkCellReport]:
+    if isinstance(result, Exception):
+        return [_cell_report(config, k, None, error=str(result)) for k in ks]
+    return [_cell_report(config, k, *result[k]) for k in ks]
+
+
+def run_folk_segmented(
+    corpus: FolkCorpus, config: ExperimentConfig, ks: Sequence[int] = (1,),
+    record_traces: bool = True,
+) -> list[FolkCellReport]:
+    """Leave-one-out tune-family classification over melody segments: one
+    report per k, all from one pass. A cell that cannot run raises its
+    error."""
+    _check_ks(ks)
+    (result,) = _segmentation_group(
+        (corpus, _song_signals(corpus, config), [config], tuple(ks), record_traces)
+    )
+    return _cell_reports(config, ks, _ok(result))
 
 
 def _grid_configs(
@@ -590,18 +590,11 @@ def _grid_configs(
                             segmentation=Segmentation(seg, param),
                             equalization=equalization,
                             metric=metric,
-                            k=1,
                         )
                         if seg is SegMethod.WS_LOCAL_MAX and rep is Representation.WAVELET:
                             changes["wavelet_rep_scale_qn"] = Fraction(param)
                         configs.append(replace(base, **changes))
     return configs
-
-
-def _cell_reports(config: ExperimentConfig, ks: Sequence[int], result) -> list[FolkCellReport]:
-    if isinstance(result, Exception):
-        return [_cell_report(config, k, None, error=str(result)) for k in ks]
-    return [_cell_report(config, k, *result[k]) for k in ks]
 
 
 def grid_search(
@@ -619,11 +612,10 @@ def grid_search(
     ``jobs`` worker processes share; evaluation is pure, so any job count assembles identical results."""
     if base_config is None:
         base_config = ExperimentConfig(rest_policy=RestPolicy.REMOVE)
-    if len(set(ks)) < len(ks):
-        raise ConfigError(f"k values must be distinct, got {', '.join(map(str, ks))}")
-    for k in ks:
-        replace(base_config, k=k)  # rejects a k outside ExperimentConfig's range
+    _check_ks(ks)
     configs = _grid_configs(base_config, scales, thresholds)
+    if not configs:
+        raise ConfigError("the grid has no cells: give at least one scale or threshold")
     signals = _song_signals(corpus, base_config)
     groups: dict[Segmentation, list[int]] = {}
     for i, config in enumerate(configs):

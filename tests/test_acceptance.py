@@ -23,13 +23,12 @@ from melowave.classifier import Metric, pairwise_distances, predict_from_distanc
 from melowave.cli import main
 from melowave.corpora import load_bach_corpus, load_folk_corpus, synthetic_inventions, synthetic_tune_families
 from melowave.experiments import (
-    ContrapuntalMode,
     ExperimentConfig,
     Representation,
     SegMethod,
     Segmentation,
-    _folk_segmented_multi,
     run_bach_experiment,
+    run_folk_segmented,
     run_folk_unsegmented,
 )
 from melowave.ingest import write_standard_midi
@@ -217,7 +216,7 @@ def test_criterion_6_bach_qualitative_orderings():
     none = run_bach_experiment(
         works, ExperimentConfig(segmentation=Segmentation(SegMethod.NONE))
     )
-    cp = run_bach_experiment(works, ExperimentConfig(contrapuntal=ContrapuntalMode.CP))
+    cp = run_bach_experiment(works, ExperimentConfig(), contrapuntal=True)
     ok = best.mean_accuracy > none.mean_accuracy and cp.mean_accuracy <= best.mean_accuracy
     assert report(
         "6 bach-orderings", ok,
@@ -226,13 +225,12 @@ def test_criterion_6_bach_qualitative_orderings():
     )
 
 
-def _folk_cell_config(scale_qn: int, k: int = 1) -> ExperimentConfig:
+def _folk_cell_config(scale_qn: int) -> ExperimentConfig:
     return ExperimentConfig(
         representation=Representation.WAVELET,
         wavelet_rep_scale_qn=Fraction(scale_qn),
         segmentation=Segmentation(SegMethod.WS_LOCAL_MAX, Fraction(scale_qn)),
         rest_policy=RestPolicy.REMOVE,
-        k=k,
     )
 
 
@@ -241,12 +239,12 @@ def folk_seed_results():
     results = {}
     for seed in range(10):
         corpus = synthetic_tune_families(seed)
-        small = _folk_segmented_multi(corpus, _folk_cell_config(1), (1, 2), record_traces=False)
-        large = _folk_segmented_multi(corpus, _folk_cell_config(64), (1,), record_traces=False)
+        k1, k2 = run_folk_segmented(corpus, _folk_cell_config(1), (1, 2), record_traces=False)
+        (large,) = run_folk_segmented(corpus, _folk_cell_config(64), (1,), record_traces=False)
         results[seed] = {
-            "scale1_k1": small[1][0],
-            "scale1_k2": small[2][0],
-            "scale64_k1": large[1][0],
+            "scale1_k1": k1.accuracy,
+            "scale1_k2": k2.accuracy,
+            "scale64_k1": large.accuracy,
         }
     return results
 

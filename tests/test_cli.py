@@ -213,6 +213,26 @@ class TestExperimentCommands:
         k2 = [r for r in rows[1:] if r[5] == "2"]
         assert [r[6] for r in k1] == [r[6] for r in k2]
 
+    def test_grid_honours_zero_rest_renormalize(self, tmp_path):
+        # the flag changes vr rows when rests are represented; the grid's
+        # rows must equal the single cells run with the same flags
+        common = ["--synthetic-seed", "0", "--synthetic-families", "4", "--rests", "represent"]
+        rows = {}
+        for flags in ([], ["--zero-rest-renormalize"]):
+            out = tmp_path / "grid.csv"
+            assert main(["grid", *common, "--scales", "1", "--thresholds", "0.4", "--ks", "1",
+                         *flags, "-o", str(out)]) == 0
+            rows[bool(flags)] = [r for r in read_csv(out)[1:] if r[0] == "vr"]
+        assert rows[True] != rows[False]
+        for row in rows[True]:
+            rep, seg, param, equalize, metric, k = row[:6]
+            out = tmp_path / "cell.csv"
+            param_flag = "--seg-scale-qn" if seg == "ws-max" else "--threshold"
+            assert main(["exp", "folk", *common, "--rep", rep, "--seg", seg, param_flag, param,
+                         "--equalize", equalize, "--metric", metric, "--k", k,
+                         "--zero-rest-renormalize", "-o", str(out)]) == 0
+            assert read_csv(out)[1] == row
+
     def test_config_file_defaults_and_override(self, bach_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("prefix-qn = 8\nmetric = euclidean\n")
@@ -371,6 +391,25 @@ class TestErrors:
                      "--thresholds", "0.4", "--ks", ks, "-o", str(out)]) == 2
         assert capsys.readouterr().err == f"melowave: error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (["grid", "--scales", "1", "--thresholds", "0.4", "--ks", ""],
+         "k values must not be empty"),
+        (["exp", "folk", "--unsegmented", "--rep", "wr", "--rep-support", ""],
+         "the wavelet sweep needs at least one support"),
+        (["grid", "--scales", "", "--thresholds", ""],
+         "the grid has no cells: give at least one scale or threshold"),
+    ])
+    def test_empty_sweep_one_line_error(self, command, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*command, "--synthetic-seed", "0", "--synthetic-families", "2",
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"melowave: error: {message}\n"
+        assert not out.exists()
+
+    def test_signal_zero_length_one_line_error(self, melody_mid, capsys):
+        assert main(["signal", str(melody_mid), "--length", "0"]) == 2
+        assert capsys.readouterr() == ("", "melowave: error: target length must be at least 1\n")
 
     def test_unsegmented_zero_length_one_line_error(self, capsys):
         assert main(["exp", "folk", "--unsegmented", "--synthetic-seed", "0",

@@ -1,6 +1,5 @@
 """Experiment harnesses: invention sections, tune families, grid search."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,17 +21,16 @@ from melowave.experiments import (
     DYADIC_SCALES_QN,
     LBDM_THRESHOLDS,
     ConfigError,
-    ContrapuntalMode,
     ExperimentConfig,
     Equalization,
     Representation,
     SegMethod,
     Segmentation,
     _equalize,
-    _folk_segmented_multi,
     _grid_configs,
     _span_segments,
     _test_segment_items,
+    _work_signals,
     classifier_segments,
     grid_search,
     run_bach_experiment,
@@ -50,15 +48,18 @@ from test_classifier import oracle_decide, oracle_vote
 NO_SEGMENTATION = Segmentation(SegMethod.NONE)
 
 
-def ws_config(scale, k=1, **kwargs):
+def ws_config(scale, **kwargs):
     return ExperimentConfig(
         representation=Representation.WAVELET,
         wavelet_rep_scale_qn=Fraction(scale),
         segmentation=Segmentation(SegMethod.WS_LOCAL_MAX, Fraction(scale)),
         rest_policy=RestPolicy.REMOVE,
-        k=k,
         **kwargs,
     )
+
+
+def work_parts(works, config):
+    return [_work_signals(work, config) for work in works]
 
 
 class TestConfigValidation:
@@ -80,12 +81,12 @@ class TestConfigValidation:
         assert type(Segmentation(SegMethod.LBDM, Fraction(2, 5)).param) is float
 
     def test_k_range(self):
-        with pytest.raises(ConfigError, match="k must"):
-            ExperimentConfig(k=6)
+        with pytest.raises(ConfigError, match="^k must be in 1..5, got 6$"):
+            run_folk_segmented(uniform_family_corpus(), ws_config(1), ks=(6,))
 
-    def test_prefix_choices(self):
-        with pytest.raises(ConfigError, match="prefix"):
-            ExperimentConfig(classifier_prefix_qn=12)
+    def test_prefix_choices(self, works):
+        with pytest.raises(ConfigError, match="^classifier prefix must be 4, 8 or 16 qn, got 12$"):
+            run_bach_experiment(works, ExperimentConfig(), prefix_qn=12)
 
     def test_threshold_range(self):
         with pytest.raises(ConfigError, match="threshold"):
@@ -108,8 +109,9 @@ class TestSectionSplit:
 
     def test_exactly_exposition_length_rejected(self):
         work = BachWork("w", make_sequence([(0, 16, 60)]), make_sequence([(0, 16, 55)]))
+        config = ExperimentConfig(segmentation=NO_SEGMENTATION)
         with pytest.raises(ValueError, match="exposition"):
-            _test_segment_items([work], ExperimentConfig(segmentation=NO_SEGMENTATION))
+            _test_segment_items([work], work_parts([work], config), config)
 
     def test_work_level(self):
         # both parts share the longer part's sampled length: 40 qn at rate 8
@@ -119,7 +121,7 @@ class TestSectionSplit:
         config = ExperimentConfig(
             representation=Representation.PITCH, segmentation=NO_SEGMENTATION
         )
-        items = _test_segment_items([work], config)
+        items = _test_segment_items([work], work_parts([work], config), config)
         assert [(work_id, j, [s.size for s in segs]) for work_id, j, segs in items] == [
             ("w", 0, [64, 64]), ("w", 1, [64, 64]), ("w", 2, [64, 64]),
         ]
@@ -130,8 +132,10 @@ def works():
     return synthetic_inventions(0)
 
 
-def classifier_matrix(works, config):
-    return equalize_zero_pad(*classifier_segments(works, config))
+def classifier_matrix(works, config, **protocol):
+    return equalize_zero_pad(
+        *classifier_segments(works, work_parts(works, config), config, **protocol)
+    )
 
 
 class TestBachClassifier:
@@ -140,7 +144,7 @@ class TestBachClassifier:
         assert len(set(matrix.labels)) == 15
 
     def test_cp_has_four_times_the_classes(self, works):
-        matrix = classifier_matrix(works, ExperimentConfig(contrapuntal=ContrapuntalMode.CP))
+        matrix = classifier_matrix(works, ExperimentConfig(), contrapuntal=True)
         assert len(set(matrix.labels)) == 60
 
     def test_no_segmentation_one_row_per_part(self, works):
@@ -150,7 +154,7 @@ class TestBachClassifier:
     def test_short_work_rejected(self):
         works = [BachWork("w", make_sequence([(0, 10, 60)]), make_sequence([(0, 10, 55)]))]
         with pytest.raises(ValueError, match="shorter"):
-            classifier_segments(works, ExperimentConfig())
+            run_bach_experiment(works, ExperimentConfig())
 
 
 class TestBachExperiment:
@@ -181,10 +185,6 @@ class TestBachExperiment:
         b = run_bach_experiment(works, ExperimentConfig())
         assert a == b
 
-    def test_k_not_one_rejected(self, works):
-        with pytest.raises(ConfigError, match="1-NN"):
-            run_bach_experiment(works, ExperimentConfig(k=3))
-
     def test_segmentation_beats_none_on_synthetic(self, works):
         seg = run_bach_experiment(works, ExperimentConfig())
         none = run_bach_experiment(
@@ -194,23 +194,38 @@ class TestBachExperiment:
 
     def test_cp_not_better_on_synthetic(self, works):
         nc = run_bach_experiment(works, ExperimentConfig())
-        cp = run_bach_experiment(works, ExperimentConfig(contrapuntal=ContrapuntalMode.CP))
+        cp = run_bach_experiment(works, ExperimentConfig(), contrapuntal=True)
         assert cp.mean_accuracy <= nc.mean_accuracy
 
     def test_lbdm_and_constant_and_interpolate_routes(self, works):
         few = works[:5]
-        for config in (
-            ExperimentConfig(segmentation=Segmentation(SegMethod.LBDM, 0.2)),
-            ExperimentConfig(segmentation=Segmentation(SegMethod.CONSTANT, 1)),
-            ExperimentConfig(equalization=Equalization.INTERPOLATE),
-            ExperimentConfig(representation=Representation.PITCH),
-            ExperimentConfig(
-                segmentation=Segmentation(SegMethod.LBDM, 0.2),
-                contrapuntal=ContrapuntalMode.CP,
-            ),
+        lbdm = ExperimentConfig(segmentation=Segmentation(SegMethod.LBDM, 0.2))
+        for config, contrapuntal in (
+            (lbdm, False),
+            (ExperimentConfig(segmentation=Segmentation(SegMethod.CONSTANT, 1)), False),
+            (ExperimentConfig(equalization=Equalization.INTERPOLATE), False),
+            (ExperimentConfig(representation=Representation.PITCH), False),
+            (lbdm, True),
         ):
-            report = run_bach_experiment(few, config)
+            report = run_bach_experiment(few, config, contrapuntal=contrapuntal)
             assert all(0 <= a <= 1 for a in report.section_accuracies)
+
+    def test_each_part_sampled_once_per_run(self, works, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sample_pitch_signal(*args)
+
+        monkeypatch.setattr(experiments, "sample_pitch_signal", counting)
+        few = works[:4]
+        for config, contrapuntal in (
+            (ExperimentConfig(), False),
+            (ExperimentConfig(segmentation=Segmentation(SegMethod.LBDM, 0.2)), True),
+        ):
+            calls.clear()
+            run_bach_experiment(few, config, contrapuntal=contrapuntal)
+            assert len(calls) == 2 * len(few)
 
 
 def uniform_family_corpus():
@@ -326,20 +341,19 @@ class TestFolkUnsegmented:
 
 class TestFolkSegmented:
     def test_shared_motifs_classify_perfectly(self):
-        report = run_folk_segmented(uniform_family_corpus(), ws_config(1))
+        (report,) = run_folk_segmented(uniform_family_corpus(), ws_config(1))
         assert report.accuracy == 1.0
 
     def test_k1_equals_k2(self):
         corpus = synthetic_tune_families(3, n_families=5)
-        by_k = _folk_segmented_multi(corpus, ws_config(1), (1, 2))
-        assert by_k[1][0] == by_k[2][0]
-        assert [t.predicted_label for t in by_k[1][1]] == [
-            t.predicted_label for t in by_k[2][1]
-        ]
+        k1, k2 = run_folk_segmented(corpus, ws_config(1), (1, 2))
+        assert (k1.k, k2.k) == (1, 2)
+        assert k1.accuracy == k2.accuracy
+        assert [t.predicted_label for t in k1.traces] == [t.predicted_label for t in k2.traces]
 
     def test_matches_naive_per_fold_route(self):
         corpus = synthetic_tune_families(7, n_families=3, min_variants=3, max_variants=4)
-        for config in (ws_config(2, k=3), ws_config(2, k=1, metric=Metric.EUCLIDEAN)):
+        for config, k in ((ws_config(2), 3), (ws_config(2, metric=Metric.EUCLIDEAN), 1)):
             segments, owners = [], []
             for song in corpus.songs:
                 signal = sample_pitch_signal(song.seq, config.rate, config.rest_policy)
@@ -347,7 +361,7 @@ class TestFolkSegmented:
                 segments += cut
                 owners += [song] * len(cut)
             matrix = _equalize(segments, [song.family for song in owners], config.equalization)
-            fast = run_folk_segmented(corpus, config)
+            (fast,) = run_folk_segmented(corpus, config, (k,))
             correct = 0
             for song in corpus.songs:
                 keep = [i for i, owner in enumerate(owners) if owner is not song]
@@ -356,7 +370,7 @@ class TestFolkSegmented:
                 rows = pairwise_distances(
                     matrix.rows[mine], matrix.rows[keep], config.metric
                 ).tolist()
-                predictions = [oracle_decide(row, labels, config.k) for row in rows]
+                predictions = [oracle_decide(row, labels, k) for row in rows]
                 if oracle_vote(predictions, rows) == song.family:
                     correct += 1
             assert fast.accuracy == pytest.approx(correct / len(corpus))
@@ -368,7 +382,7 @@ class TestFolkSegmented:
             segmentation=Segmentation(SegMethod.LBDM, 0.3),
             rest_policy=RestPolicy.REMOVE,
         )
-        report = run_folk_segmented(corpus, config)
+        (report,) = run_folk_segmented(corpus, config)
         assert 0 <= report.accuracy <= 1
         assert report.param == 0.3
 
@@ -379,9 +393,37 @@ class TestFolkSegmented:
                 ExperimentConfig(segmentation=Segmentation(SegMethod.WS_ZERO_CROSS, 1)),
             )
 
+    @pytest.mark.parametrize("equalization", list(Equalization))
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_all_zero_rows_fall_back_to_corpus_order(self, equalization, metric):
+        # single-note songs: every mean-normalized vr segment is all zero, so
+        # every distance ties at 0 and the neighbors are the other songs in
+        # corpus order; the first six songs share a family, so every k up to
+        # 5 predicts the family of the first other song
+        families = ["fam0"] * 6 + ["fam1"] * 3 + ["fam2"] * 3
+        corpus = FolkCorpus(tuple(
+            FolkSong(f"s{i}", family, make_sequence([(0, 2 + i % 4, 50 + 3 * i)]))
+            for i, family in enumerate(families)
+        ))
+        config = ExperimentConfig(
+            representation=Representation.PITCH,
+            segmentation=Segmentation(SegMethod.WS_LOCAL_MAX, Fraction(1)),
+            equalization=equalization,
+            metric=metric,
+        )
+        for song in corpus.songs:
+            signal = sample_pitch_signal(song.seq, config.rate, config.rest_policy)
+            assert not any(segment.any() for segment in _span_segments(signal, None, config))
+        reports = run_folk_segmented(corpus, config, ALL_KS)
+        first_other = [corpus.songs[1 if i == 0 else 0].family for i in range(len(corpus))]
+        for report in reports:
+            assert [t.predicted_label for t in report.traces] == first_other
+            assert all(t.nearest_distance == 0.0 for t in report.traces)
+            assert report.accuracy == 0.5
+
     def test_traces_rescore(self):
         corpus = synthetic_tune_families(11, n_families=4, min_variants=3, max_variants=4)
-        report = run_folk_segmented(corpus, ws_config(1))
+        (report,) = run_folk_segmented(corpus, ws_config(1))
         rescored = np.mean([t.true_label == t.predicted_label for t in report.traces])
         assert report.accuracy == pytest.approx(rescored)
 
@@ -432,6 +474,7 @@ class TestGridSearch:
         ((1, 1), "k values must be distinct, got 1, 1"),
         ((2, 7), "k must be in 1..5, got 7"),
         ((0,), "k must be in 1..5, got 0"),
+        ((), "k values must not be empty"),
     ])
     def test_ks_distinct_and_in_range(self, ks, message):
         # a repeated k used to score each song once per repeat (accuracy 2.0)
@@ -481,7 +524,7 @@ class TestGridSearch:
                   and c.metric is Metric.EUCLIDEAN), 2),
             (next(c for c in configs if c.segmentation.method is SegMethod.LBDM), 1),
         ):
-            single = run_folk_segmented(corpus, replace(config, k=k))
+            (single,) = run_folk_segmented(corpus, config, (k,))
             assert single == reports[2 * configs.index(config) + k - 1]
 
     def test_jobs_produce_identical_reports(self):
