@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,11 +28,6 @@ from .wavelet import haar_filter, scalogram, support_samples
 
 _BOOLEAN_KEYS = {"scalogram", "unsegmented", "grid", "zero-rest-renormalize"}
 
-_REST = {"represent": RestPolicy.REPRESENT_ZERO, "remove": RestPolicy.REMOVE}
-_METRIC = {"euclidean": Metric.EUCLIDEAN, "cityblock": Metric.CITYBLOCK}
-_EQUALIZE = {"pad": Equalization.ZERO_PAD, "interp": Equalization.INTERPOLATE}
-_REP = {"wr": experiments.Representation.WAVELET, "vr": experiments.Representation.PITCH}
-_SEG = {method.value: method for method in experiments.SegMethod}
 # segmentation method -> the destination of its parameter flag, and the flag;
 # only `segment` leaves these flags unset by default
 _SEG_PARAM = {
@@ -53,25 +50,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-class _Output:
-    def __init__(self, path: str):
-        self.path = path
-
-    def __enter__(self):
-        if self.path == "-":
-            self.handle = sys.stdout
-        else:
-            self.handle = open(self.path, "w", newline="")
-        return csv.writer(self.handle, lineterminator="\n")
-
-    def __exit__(self, *exc):
-        if self.handle is not sys.stdout:
-            self.handle.close()
-        return False
-
-
 def _write_rows(path: str, rows) -> None:
-    with _Output(path) as writer:
+    output = nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="")
+    with output as handle:
+        writer = csv.writer(handle, lineterminator="\n")
         for row in rows:
             writer.writerow([_fmt(cell) for cell in row])
 
@@ -90,20 +72,20 @@ def _segmentation(method: str, args) -> experiments.Segmentation:
     dest, flag = _SEG_PARAM[method]
     if getattr(args, dest) is None:
         raise ValueError(f"--method {method} requires {flag}")
-    return experiments.Segmentation(_SEG[method], getattr(args, dest))
+    return experiments.Segmentation(experiments.SegMethod(method), getattr(args, dest))
 
 
 def _config(args, **fields) -> experiments.ExperimentConfig:
     """The experiment cell that the flags describe; ``fields`` replace
     flag values."""
     flags = dict(
-        representation=_REP[args.rep],
+        representation=experiments.Representation(args.rep),
         wavelet_rep_scale_qn=Fraction(args.rep_scale_qn),
         segmentation=_segmentation(args.seg, args),
-        rest_policy=_REST[args.rests],
+        rest_policy=RestPolicy(args.rests),
         rate=Fraction(args.rate),
-        equalization=_EQUALIZE[args.equalize],
-        metric=_METRIC[args.metric],
+        equalization=Equalization(args.equalize),
+        metric=Metric(args.metric),
         zero_rest_renormalize=args.zero_rest_renormalize,
     )
     return experiments.ExperimentConfig(**{**flags, **fields})
@@ -111,7 +93,7 @@ def _config(args, **fields) -> experiments.ExperimentConfig:
 
 def _signal(args):
     seq = _load_sequence(args)
-    policy = _REST[args.rests]
+    policy = RestPolicy(args.rests)
     if getattr(args, "length", None) is not None:
         return resample_to_length(seq, args.length, policy)
     return sample_pitch_signal(seq, Fraction(args.rate), policy)
@@ -158,7 +140,7 @@ def cmd_cwt(args) -> int:
 def cmd_segment(args) -> int:
     seq = _load_sequence(args)
     rate = Fraction(args.rate)
-    signal = sample_pitch_signal(seq, rate, _REST[args.rests])
+    signal = sample_pitch_signal(seq, rate, RestPolicy(args.rests))
     segmentation = _segmentation(args.method, args)
     boundaries = experiments.find_boundaries(signal, seq, segmentation, rate)
     rows = [("boundary_sample_index",)] + [(b,) for b in boundaries]
@@ -182,40 +164,49 @@ def cmd_variations(args) -> int:
     return 0
 
 
-def _read_corpus_csv(path: str) -> LabeledCorpus:
+def _read_vectors_csv(path: str, what: str) -> tuple[np.ndarray, tuple]:
+    """Rows and labels of a corpus or query CSV; blank lines are skipped. A
+    corpus has a header when a cell of its first line reads ``label``, and
+    takes its labels from that column, else from the first; a query CSV has
+    a header when its first cell is not a number, and no labels. A line of
+    another width than the first, or a value that is not a number, is an
+    error that names the file and the line."""
     with open(path, newline="") as handle:
-        raw = [row for row in csv.reader(handle) if row]
-    if not raw:
-        raise ValueError(f"corpus CSV {path} is empty")
-    label_col = 0
-    if "label" in raw[0]:
-        label_col = raw[0].index("label")
-        raw = raw[1:]
+        reader = csv.reader(handle)
+        lines = [(reader.line_num, row) for row in reader if row]
+    if not lines:
+        raise ValueError(f"{what} CSV {path} is empty")
+    first_line, first = lines[0]
+    label_col = None
+    if what == "corpus":
+        header = "label" in first
+        label_col = first.index("label") if header else 0
+    else:
+        try:
+            float(first[0])
+            header = False
+        except ValueError:
+            header = True
     labels, vectors = [], []
-    for row in raw:
-        labels.append(row[label_col])
-        vectors.append([float(c) for i, c in enumerate(row) if i != label_col])
-    return LabeledCorpus(np.array(vectors), tuple(labels))
-
-
-def _read_vectors_csv(path: str) -> np.ndarray:
-    with open(path, newline="") as handle:
-        raw = [row for row in csv.reader(handle) if row]
-    if not raw:
-        raise ValueError(f"query CSV {path} is empty")
-    try:
-        float(raw[0][0])
-    except ValueError:
-        raw = raw[1:]  # header row
-    return np.array([[float(c) for c in row] for row in raw])
+    for line, row in lines[1:] if header else lines:
+        where = f"{what} CSV {path}, line {line}"
+        if len(row) != len(first):
+            raise ValueError(f"{where}: {len(row)} values where line {first_line} has {len(first)}")
+        try:
+            vectors.append([float(c) for i, c in enumerate(row) if i != label_col])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if label_col is not None:
+            labels.append(row[label_col])
+    return np.array(vectors), tuple(labels)
 
 
 def cmd_classify(args) -> int:
-    corpus = _read_corpus_csv(args.corpus)
-    queries = _read_vectors_csv(args.queries)
+    corpus = LabeledCorpus(*_read_vectors_csv(args.corpus, "corpus"))
+    queries, _ = _read_vectors_csv(args.queries, "query")
     if not queries.size:  # a header without vectors
         queries = queries.reshape(0, corpus.rows.shape[1])
-    block = pairwise_distances(queries, corpus.rows, _METRIC[args.metric])
+    block = pairwise_distances(queries, corpus.rows, Metric(args.metric))
     labels = predict_from_distances(block, corpus.labels, (args.k,))[args.k]
     nearest = np.where(np.isfinite(block), block, np.inf).min(axis=1)
     rows = [("query_index", "predicted_label", "nearest_distance")]
@@ -224,10 +215,13 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _write_traces(path: str, traces) -> None:
-    rows = [("item_id", "true", "predicted", "nearest_distance")]
-    rows += [(t.item_id, t.true_label, t.predicted_label, t.nearest_distance) for t in traces]
-    _write_rows(path, rows)
+_CELL_COLUMNS = ("rep", "seg", "param", "equalize", "metric", "k")
+_TRACE_COLUMNS = ("item_id", "true", "predicted", "nearest_distance")
+
+
+def _trace_rows(key: tuple, traces) -> list[tuple]:
+    """Trace CSV rows, each led by the columns of ``key``."""
+    return [(*key, t.item_id, t.true_label, t.predicted_label, t.nearest_distance) for t in traces]
 
 
 def cmd_exp_bach(args) -> int:
@@ -240,7 +234,7 @@ def cmd_exp_bach(args) -> int:
     rows += [("mean", report.mean_accuracy), ("std", report.std_accuracy)]
     _write_rows(args.output, rows)
     if args.trace:
-        _write_traces(args.trace, report.traces)
+        _write_rows(args.trace, [_TRACE_COLUMNS, *_trace_rows((), report.traces)])
     return 0
 
 
@@ -254,20 +248,16 @@ def _folk_corpus(args) -> corpora.FolkCorpus:
     return corpora.load_folk_corpus(args.corpus, args.labels)
 
 
-def _cell_rows(reports) -> list[tuple]:
-    rows = [("rep", "seg", "param", "equalize", "metric", "k", "accuracy")]
-    for r in reports:
-        accuracy = f"ERROR({r.error})" if r.error else r.accuracy
-        rows.append((
-            r.representation.value,
-            r.segmentation.value,
-            r.param,
-            r.equalization.value if r.equalization else "",
-            r.metric.value,
-            r.k,
-            accuracy,
-        ))
-    return rows
+def _cell_key(r) -> tuple:
+    """The columns that name a folk cell in the result and trace CSVs."""
+    return (
+        r.representation.value,
+        r.segmentation.value,
+        r.param,
+        r.equalization.value if r.equalization else "",
+        r.metric.value,
+        r.k,
+    )
 
 
 def _parse_list(text: str, caster):
@@ -275,6 +265,10 @@ def _parse_list(text: str, caster):
 
 
 def cmd_exp_folk(args) -> int:
+    if args.grid and args.k is not None:
+        raise ValueError("the grid takes its k values from --ks, not --k")
+    if args.unsegmented and args.k is not None:
+        raise ValueError("the unsegmented run is 1-NN and takes no --k")
     corpus = _folk_corpus(args)
     if args.grid:
         reports = experiments.grid_search(
@@ -292,22 +286,20 @@ def cmd_exp_folk(args) -> int:
             corpus, config, _parse_list(args.rep_support, int), args.length
         )
     else:
-        reports = experiments.run_folk_segmented(corpus, _config(args), (args.k,))
-    _write_rows(args.output, _cell_rows(reports))
+        k = 1 if args.k is None else args.k
+        reports = experiments.run_folk_segmented(corpus, _config(args), (k,))
+    rows = [(*_CELL_COLUMNS, "accuracy")]
+    for r in reports:
+        rows.append((*_cell_key(r), f"ERROR({r.error})" if r.error else r.accuracy))
+    _write_rows(args.output, rows)
     if args.trace:
         if args.grid or args.unsegmented:
-            rows = [("rep", "seg", "param", "equalize", "metric", "k",
-                     "item_id", "true", "predicted", "nearest_distance")]
+            rows = [_CELL_COLUMNS + _TRACE_COLUMNS]
             for r in reports:
-                for t in r.traces:
-                    rows.append((
-                        r.representation.value, r.segmentation.value, r.param,
-                        r.equalization.value if r.equalization else "", r.metric.value,
-                        r.k, t.item_id, t.true_label, t.predicted_label, t.nearest_distance,
-                    ))
-            _write_rows(args.trace, rows)
+                rows += _trace_rows(_cell_key(r), r.traces)
         else:
-            _write_traces(args.trace, reports[0].traces)
+            rows = [_TRACE_COLUMNS, *_trace_rows((), reports[0].traces)]
+        _write_rows(args.trace, rows)
     return 0
 
 
@@ -442,7 +434,8 @@ def _add_folk_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, default=0.4, help="LBDM threshold")
     p.add_argument("--length", type=int, default=1024,
                    help="fixed signal length for --unsegmented (default 2^10)")
-    p.add_argument("--k", type=int, default=1, help="neighbors, 1..5")
+    p.add_argument("--k", type=int, default=None,
+                   help="neighbors, 1..5, for a single cell (default 1)")
     p.add_argument("--metric", choices=("euclidean", "cityblock"), default="cityblock")
     p.add_argument("--equalize", choices=("pad", "interp"), default="pad")
     p.add_argument("--rests", choices=("represent", "remove"), default="remove")
@@ -505,7 +498,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _expand_config_file(argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout has gone: stop quietly, and send what is
+        # still buffered, flushed at exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"melowave: error: {exc}", file=sys.stderr)
         return 2

@@ -234,6 +234,38 @@ def _equalize(
     return equalize_interpolate(segments, labels, target_len)
 
 
+def _classify(
+    items: Sequence[tuple[str, str]],
+    queries: np.ndarray,
+    offsets: np.ndarray,
+    corpus: LabeledCorpus,
+    metric: Metric,
+    ks: Sequence[int],
+    held_out: bool,
+) -> dict[int, tuple[TraceRow, ...]]:
+    """Traces of the kNN/vote decision of every item, for several k at once.
+    Item i is (item id, true label); the kNN decisions of its query rows
+    offsets[i]:offsets[i + 1] vote for its prediction. Distances are computed
+    one item at a time; neighbor orderings are shared across k. With
+    ``held_out`` the queries are the corpus rows and each item's own columns
+    are masked (leave-one-out)."""
+    traces: dict[int, list[TraceRow]] = {k: [] for k in ks}
+    for (item_id, true_label), a, b in zip(items, offsets, offsets[1:]):
+        block = pairwise_distances(queries[a:b], corpus.rows, metric)
+        if held_out:
+            block[:, a:b] = np.inf
+        by_k = predict_from_distances(block, corpus.labels, ks)
+        nearest = float(block.min())
+        for k in ks:
+            traces[k].append(TraceRow(item_id, true_label, vote(by_k[k], block), nearest))
+    return {k: tuple(rows) for k, rows in traces.items()}
+
+
+def _accuracy(traces: Sequence[TraceRow]) -> float:
+    """The share of traces whose prediction is the true label."""
+    return sum(t.predicted_label == t.true_label for t in traces) / len(traces)
+
+
 # ---------------------------------------------------------------------------
 # Experiment 1: sections of two-part inventions
 
@@ -302,15 +334,18 @@ def classifier_segments(
     return segments, labels
 
 
-def _test_segment_items(
+def _section_segments(
     works: Sequence[BachWork], parts: Sequence[list], config: ExperimentConfig
-) -> list[tuple[str, int, list[np.ndarray]]]:
+) -> tuple[list[np.ndarray], list[tuple[str, str]], np.ndarray]:
+    """Segments of both parts of every section, the sections as (item id,
+    work id) items, and the row offsets of each section's segments."""
     needs_notes = config.segmentation.method is SegMethod.LBDM
+    segments: list[np.ndarray] = []
     items = []
+    offsets = [0]
     for work, work_parts in zip(works, parts):
         spans = split_section_spans(work_parts[0][0].size, config.rate)
         for j, (a, b) in enumerate(spans):
-            segments: list[np.ndarray] = []
             for signal, seq in work_parts:
                 span = signal[a:b]
                 span_seq = (
@@ -319,8 +354,9 @@ def _test_segment_items(
                     else None
                 )
                 segments += _span_segments(span, span_seq, config)
-            items.append((work.work_id, j, segments))
-    return items
+            items.append((f"{work.work_id}/s{j}", work.work_id))
+            offsets.append(len(segments))
+    return segments, items, np.array(offsets)
 
 
 def run_bach_experiment(
@@ -334,33 +370,20 @@ def run_bach_experiment(
         raise ConfigError(f"classifier prefix must be 4, 8 or 16 qn, got {prefix_qn}")
     parts = [_work_signals(work, config) for work in works]
     cls_segments, cls_labels = classifier_segments(works, parts, config, prefix_qn, contrapuntal)
-    test_items = _test_segment_items(works, parts, config)
-    target = max(
-        max(len(s) for s in cls_segments),
-        max(len(s) for _, _, segs in test_items for s in segs),
-    )
+    test_segments, items, offsets = _section_segments(works, parts, config)
+    target = max(len(s) for s in cls_segments + test_segments)
     corpus = _equalize(cls_segments, cls_labels, config.equalization, target)
-    n_sections = max(j for _, j, _ in test_items) + 1
-    correct = [0] * n_sections
-    traces = []
-    for work_id, section, segments in test_items:
-        rows = _equalize(segments, [work_id] * len(segments), config.equalization, target).rows
-        distances = pairwise_distances(rows, corpus.rows, config.metric)
-        row_labels = predict_from_distances(distances, corpus.labels, (1,))[1]
-        predicted = vote(row_labels, distances)
-        if contrapuntal:  # a (work, variation) class counts for its work
-            predicted = predicted[0]
-        if predicted == work_id:
-            correct[section] += 1
-        traces.append(
-            TraceRow(f"{work_id}/s{section}", work_id, predicted, float(distances.min()))
-        )
-    accuracies = tuple(c / len(works) for c in correct)
+    queries = _equalize(test_segments, [None] * len(test_segments), config.equalization, target)
+    traces = _classify(items, queries.rows, offsets, corpus, config.metric, (1,), False)[1]
+    if contrapuntal:  # a (work, variation) class counts for its work
+        traces = tuple(replace(t, predicted_label=t.predicted_label[0]) for t in traces)
+    # split_section_spans gives every work three sections, in order
+    accuracies = tuple(_accuracy(traces[j::3]) for j in range(3))
     return BachReport(
         accuracies,
         float(np.mean(accuracies)),
         float(np.std(accuracies, ddof=1)),
-        tuple(traces),
+        traces,
     )
 
 
@@ -424,34 +447,6 @@ def _cut_corpus(
     return segments, labels, np.array(offsets)
 
 
-def _leave_one_out(
-    corpus: FolkCorpus,
-    matrix: LabeledCorpus,
-    offsets: np.ndarray,
-    metric: Metric,
-    ks: Sequence[int],
-    record_traces: bool,
-) -> dict[int, tuple[float, tuple[TraceRow, ...]]]:
-    """Song-level leave-one-out for several k at once. Song i owns rows
-    offsets[i]:offsets[i + 1]. Distances are computed one held-out song at a
-    time, as that song's rows against every row with its own columns
-    masked; neighbor orderings are shared across k."""
-    correct = {k: 0 for k in ks}
-    traces: dict[int, list[TraceRow]] = {k: [] for k in ks}
-    for song, a, b in zip(corpus.songs, offsets, offsets[1:]):
-        block = pairwise_distances(matrix.rows[a:b], matrix.rows, metric)
-        block[:, a:b] = np.inf
-        by_k = predict_from_distances(block, matrix.labels, ks)
-        nearest = float(block.min())
-        for k in ks:
-            predicted = vote(by_k[k], block)
-            if predicted == song.family:
-                correct[k] += 1
-            if record_traces:
-                traces[k].append(TraceRow(song.song_id, song.family, predicted, nearest))
-    return {k: (correct[k] / len(corpus), tuple(traces[k])) for k in ks}
-
-
 def run_folk_unsegmented(
     corpus: FolkCorpus, config: ExperimentConfig, supports: Sequence[int], length: int = 1024
 ) -> list[FolkCellReport]:
@@ -469,6 +464,7 @@ def run_folk_unsegmented(
         _attempt(resample_to_length, song.seq, length, config.rest_policy)
         for song in corpus.songs
     ]
+    items = [(song.song_id, song.family) for song in corpus.songs]
     offsets = np.arange(len(corpus) + 1)  # one row per song
     reports = []
     for support in supports if wavelet else (None,):
@@ -480,8 +476,8 @@ def run_folk_unsegmented(
                 for signal in signals
             ]
             matrix = LabeledCorpus(np.vstack(rows), [song.family for song in corpus.songs])
-            accuracy, traces = _leave_one_out(corpus, matrix, offsets, config.metric, (1,), True)[1]
-            error = None
+            traces = _classify(items, matrix.rows, offsets, matrix, config.metric, (1,), True)[1]
+            accuracy, error = _accuracy(traces), None
         except _CELL_ERRORS as exc:
             accuracy, traces, error = None, (), str(exc)
         reports.append(FolkCellReport(
@@ -513,6 +509,7 @@ def _segmentation_group(args) -> list:
         )
         for song, signal in zip(corpus.songs, signals)
     ]
+    items = [(song.song_id, song.family) for song in corpus.songs]
     memo: dict = {}
     results = []
     for config in configs:
@@ -530,8 +527,9 @@ def _segmentation_group(args) -> list:
             matrix = _once(
                 memo, (rep, config.equalization), _equalize, segments, labels, config.equalization
             )
+            traces = _classify(items, matrix.rows, offsets, matrix, config.metric, ks, True)
             results.append(
-                _leave_one_out(corpus, matrix, offsets, config.metric, ks, record_traces)
+                {k: (_accuracy(t), t if record_traces else ()) for k, t in traces.items()}
             )
         except _CELL_ERRORS as exc:
             results.append(exc)

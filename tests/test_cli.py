@@ -2,6 +2,9 @@
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from melowave.ingest import write_standard_midi
 from conftest import make_sequence, smf, track_chunk
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 # `exp bach` configurations pinned byte for byte in tests/data/bach_seed0
 BACH_GOLDEN = {
@@ -391,6 +395,57 @@ class TestErrors:
                      "--thresholds", "0.4", "--ks", ks, "-o", str(out)]) == 2
         assert capsys.readouterr().err == f"melowave: error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (["grid", "--scales", "1", "--thresholds", "", "--ks", "1", "--k", "7"],
+         "the grid takes its k values from --ks, not --k"),
+        (["exp", "folk", "--grid", "--scales", "1", "--thresholds", "", "--k", "1"],
+         "the grid takes its k values from --ks, not --k"),
+        (["exp", "folk", "--unsegmented", "--rep", "vr", "--k", "3"],
+         "the unsegmented run is 1-NN and takes no --k"),
+    ], ids=["grid", "exp-folk-grid", "unsegmented"])
+    def test_k_outside_single_cell_one_line_error(self, command, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*command, "--synthetic-seed", "0", "--synthetic-families", "2",
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"melowave: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corpus, queries, message", [
+        ("label,v0,v1\nA,0,0\n\nB,1,2,3\n", "1,1\n",
+         "corpus CSV {corpus}, line 4: 4 values where line 1 has 3"),
+        ("label,v0,v1\nA,0,0\nB,z,1\n", "1,1\n",
+         "corpus CSV {corpus}, line 3: could not convert string to float: 'z'"),
+        ("A,0,0\n", "x,y\n1,1\n2\n",
+         "query CSV {queries}, line 3: 1 values where line 1 has 2"),
+        ("A,0,0\n", "1,1\n1,q\n",
+         "query CSV {queries}, line 2: could not convert string to float: 'q'"),
+    ], ids=["ragged-corpus", "bad-corpus-value", "ragged-queries", "bad-query-value"])
+    def test_classify_csv_error_names_file_and_line(
+        self, corpus, queries, message, tmp_path, capsys
+    ):
+        paths = {"corpus": tmp_path / "corpus.csv", "queries": tmp_path / "queries.csv"}
+        paths["corpus"].write_text(corpus)
+        paths["queries"].write_text(queries)
+        out = tmp_path / "out.csv"
+        assert main(["classify", "--corpus", str(paths["corpus"]),
+                     "--queries", str(paths["queries"]), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"melowave: error: {message.format(**paths)}\n"
+        assert not out.exists()
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # the reader of stdout is gone before the trace is written: the
+        # command stops with status 1 and reports nothing
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        command = [sys.executable, "-m", "melowave.cli", "exp", "folk", "--synthetic-seed", "0",
+                   "--synthetic-families", "2", "--unsegmented", "--rep", "vr",
+                   "--trace", "-", "-o", str(tmp_path / "out.csv")]
+        with open(tmp_path / "err.txt", "wb") as err:
+            proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=err, env=env)
+            proc.stdout.close()
+            assert proc.wait(timeout=300) == 1
+        assert (tmp_path / "err.txt").read_bytes() == b""
 
     @pytest.mark.parametrize("command, message", [
         (["grid", "--scales", "1", "--thresholds", "0.4", "--ks", ""],

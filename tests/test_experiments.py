@@ -28,8 +28,8 @@ from melowave.experiments import (
     Segmentation,
     _equalize,
     _grid_configs,
+    _section_segments,
     _span_segments,
-    _test_segment_items,
     _work_signals,
     classifier_segments,
     grid_search,
@@ -111,7 +111,7 @@ class TestSectionSplit:
         work = BachWork("w", make_sequence([(0, 16, 60)]), make_sequence([(0, 16, 55)]))
         config = ExperimentConfig(segmentation=NO_SEGMENTATION)
         with pytest.raises(ValueError, match="exposition"):
-            _test_segment_items([work], work_parts([work], config), config)
+            _section_segments([work], work_parts([work], config), config)
 
     def test_work_level(self):
         # both parts share the longer part's sampled length: 40 qn at rate 8
@@ -121,10 +121,10 @@ class TestSectionSplit:
         config = ExperimentConfig(
             representation=Representation.PITCH, segmentation=NO_SEGMENTATION
         )
-        items = _test_segment_items([work], work_parts([work], config), config)
-        assert [(work_id, j, [s.size for s in segs]) for work_id, j, segs in items] == [
-            ("w", 0, [64, 64]), ("w", 1, [64, 64]), ("w", 2, [64, 64]),
-        ]
+        segments, items, offsets = _section_segments([work], work_parts([work], config), config)
+        assert items == [("w/s0", "w"), ("w/s1", "w"), ("w/s2", "w")]
+        assert offsets.tolist() == [0, 2, 4, 6]  # each section holds one segment per part
+        assert [s.size for s in segments] == [64] * 6
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +226,65 @@ class TestBachExperiment:
             calls.clear()
             run_bach_experiment(few, config, contrapuntal=contrapuntal)
             assert len(calls) == 2 * len(few)
+
+    def test_two_equalizer_calls_per_run(self, works, monkeypatch):
+        calls = []
+
+        def counting(equalize):
+            def wrapper(*args):
+                calls.append(equalize.__name__)
+                return equalize(*args)
+            return wrapper
+
+        for name in ("equalize_zero_pad", "equalize_interpolate"):
+            monkeypatch.setattr(experiments, name, counting(getattr(experiments, name)))
+        for equalization, name in (
+            (Equalization.ZERO_PAD, "equalize_zero_pad"),
+            (Equalization.INTERPOLATE, "equalize_interpolate"),
+        ):
+            calls.clear()
+            run_bach_experiment(works[:4], ExperimentConfig(equalization=equalization))
+            assert calls == [name, name]  # the classifier rows, then every section's rows
+
+    @pytest.mark.parametrize("config, contrapuntal", [
+        (ExperimentConfig(), False),
+        (ExperimentConfig(equalization=Equalization.INTERPOLATE), True),
+        (ExperimentConfig(
+            representation=Representation.PITCH, segmentation=Segmentation(SegMethod.LBDM, 0.2)
+        ), False),
+    ], ids=["nc-pad", "cp-interp", "vr-lbdm"])
+    def test_matches_naive_per_section_route(self, works, config, contrapuntal):
+        # each section equalized on its own at the run's target length, then
+        # decided row by row and voted on by the oracles
+        few = works[:5]
+        parts = work_parts(few, config)
+        cls_segments, cls_labels = classifier_segments(
+            few, parts, config, contrapuntal=contrapuntal
+        )
+        sections = []
+        for work, (upper, lower) in zip(few, parts):
+            for j, (a, b) in enumerate(split_section_spans(upper[0].size, config.rate)):
+                segments = []
+                for signal, seq in (upper, lower):
+                    span_seq = seq.slice(Fraction(a) / config.rate, Fraction(b) / config.rate)
+                    segments += _span_segments(signal[a:b], span_seq, config)
+                sections.append((f"{work.work_id}/s{j}", work.work_id, segments))
+        target = max(len(s) for s in cls_segments + [s for *_, segs in sections for s in segs])
+        corpus = _equalize(cls_segments, cls_labels, config.equalization, target)
+        expected = []
+        for item_id, work_id, segments in sections:
+            rows = _equalize(segments, [work_id] * len(segments), config.equalization, target)
+            distances = pairwise_distances(rows.rows, corpus.rows, config.metric).tolist()
+            predictions = [oracle_decide(row, corpus.labels, 1) for row in distances]
+            predicted = oracle_vote(predictions, distances)
+            if contrapuntal:
+                predicted = predicted[0]
+            expected.append((item_id, work_id, predicted, min(map(min, distances))))
+        report = run_bach_experiment(few, config, contrapuntal=contrapuntal)
+        assert [
+            (t.item_id, t.true_label, t.predicted_label, t.nearest_distance)
+            for t in report.traces
+        ] == expected
 
 
 def uniform_family_corpus():
