@@ -125,21 +125,11 @@ def vote(row_labels: Sequence, block: np.ndarray) -> Hashable:
     tied = [label for label in votes if votes[label] == top]
     if len(tied) == 1:
         return tied[0]
-    pooled = {}
-    for label in tied:
+
+    def pooled(label) -> list[float]:
+        # sorted finite distances, then +inf: a label with a finite next-nearest
+        # point precedes one without; min keeps the first of equal labels
         rows = block[[i for i, row_label in enumerate(row_labels) if row_label == label]]
-        pooled[label] = np.sort(rows[np.isfinite(rows)])
-    best = tied[0]
-    for label in tied[1:]:
-        if _lex_less(pooled[label], pooled[best]):
-            best = label
-    return best
+        return [*np.sort(rows[np.isfinite(rows)]).tolist(), np.inf]
 
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when a precedes b comparing entries ascending, missing = +inf."""
-    n = min(a.size, b.size)
-    for i in range(n):
-        if a[i] != b[i]:
-            return bool(a[i] < b[i])
-    return a.size > b.size  # the longer list has a finite next-nearest point
+    return min(tied, key=pooled)

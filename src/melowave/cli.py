@@ -187,6 +187,8 @@ def _read_vectors_csv(path: str, what: str) -> tuple[np.ndarray, tuple]:
             header = False
         except ValueError:
             header = True
+    if header and what == "corpus" and len(lines) == 1:
+        raise ValueError(f"corpus CSV {path} has a header but no rows")
     labels, vectors = [], []
     for line, row in lines[1:] if header else lines:
         where = f"{what} CSV {path}, line {line}"
@@ -202,10 +204,17 @@ def _read_vectors_csv(path: str, what: str) -> tuple[np.ndarray, tuple]:
 
 
 def cmd_classify(args) -> int:
+    experiments._check_ks((args.k,))
     corpus = LabeledCorpus(*_read_vectors_csv(args.corpus, "corpus"))
     queries, _ = _read_vectors_csv(args.queries, "query")
+    width = corpus.rows.shape[1]
     if not queries.size:  # a header without vectors
-        queries = queries.reshape(0, corpus.rows.shape[1])
+        queries = queries.reshape(0, width)
+    if queries.shape[1] != width:
+        raise ValueError(
+            f"query CSV {args.queries} has {queries.shape[1]} values per row where "
+            f"corpus CSV {args.corpus} has {width}"
+        )
     block = pairwise_distances(queries, corpus.rows, Metric(args.metric))
     labels = predict_from_distances(block, corpus.labels, (args.k,))[args.k]
     nearest = np.where(np.isfinite(block), block, np.inf).min(axis=1)
@@ -281,9 +290,8 @@ def cmd_exp_folk(args) -> int:
             record_traces=bool(args.trace),
         )
     elif args.unsegmented:
-        config = _config(args, segmentation=experiments.Segmentation(experiments.SegMethod.NONE))
         reports = experiments.run_folk_unsegmented(
-            corpus, config, _parse_list(args.rep_support, int), args.length
+            corpus, _config(args), _parse_list(args.rep_support, int), args.length
         )
     else:
         k = 1 if args.k is None else args.k

@@ -419,13 +419,10 @@ def _once(memo: dict, key: Hashable, func, *args):
     return _ok(memo[key])
 
 
-def _song_signals(corpus: FolkCorpus, config: ExperimentConfig) -> list:
-    """Every song sampled at the config's rate and rest policy, an error in
-    place of a song that cannot be sampled."""
-    return [
-        _attempt(sample_pitch_signal, song.seq, config.rate, config.rest_policy)
-        for song in corpus.songs
-    ]
+def _signals(corpus: FolkCorpus, sample, *args) -> list:
+    """Every song's ``sample(song.seq, *args)``, an error in place of a song
+    that cannot be sampled."""
+    return [_attempt(sample, song.seq, *args) for song in corpus.songs]
 
 
 def _cut_corpus(
@@ -447,50 +444,10 @@ def _cut_corpus(
     return segments, labels, np.array(offsets)
 
 
-def run_folk_unsegmented(
-    corpus: FolkCorpus, config: ExperimentConfig, supports: Sequence[int], length: int = 1024
-) -> list[FolkCellReport]:
-    """1-NN leave-one-out over whole melodies resampled to ``length``
-    samples: one report for the pitch signal, or one per wavelet support in
-    samples. Each song is resampled once for all supports."""
-    if config.segmentation.method is not SegMethod.NONE:
-        raise ConfigError("the unsegmented run takes segmentation 'none'")
-    if length < 1:
-        raise ConfigError("fixed length must be positive")
-    wavelet = config.representation is Representation.WAVELET
-    if wavelet and not supports:
-        raise ConfigError("the wavelet sweep needs at least one support")
-    signals = [
-        _attempt(resample_to_length, song.seq, length, config.rest_policy)
-        for song in corpus.songs
-    ]
-    items = [(song.song_id, song.family) for song in corpus.songs]
-    offsets = np.arange(len(corpus) + 1)  # one row per song
-    reports = []
-    for support in supports if wavelet else (None,):
-        try:
-            if len(corpus) < 2:
-                raise ValueError("leave-one-out needs at least two songs")
-            rows = [
-                haar_filter(_ok(signal), support) if wavelet else _normalizer(config)(_ok(signal))
-                for signal in signals
-            ]
-            matrix = LabeledCorpus(np.vstack(rows), [song.family for song in corpus.songs])
-            traces = _classify(items, matrix.rows, offsets, matrix, config.metric, (1,), True)[1]
-            accuracy, error = _accuracy(traces), None
-        except _CELL_ERRORS as exc:
-            accuracy, traces, error = None, (), str(exc)
-        reports.append(FolkCellReport(
-            config.representation, SegMethod.NONE, support, None, config.metric, 1,
-            accuracy, error, traces,
-        ))
-    return reports
-
-
 def _segmentation_group(args) -> list:
-    """Segmented folk cells that share one segmentation, rate and rest
-    policy, given the songs' signals: per cell, in order, the k ->
-    (accuracy, traces) results or the cell's error.
+    """Folk cells that share one segmentation, rate and rest policy, given
+    the songs' signals: per cell, in order, the k -> (accuracy, traces)
+    results or the cell's error.
 
     Each stage runs once for every cell that shares its inputs: boundaries
     per song, representation and cut per representation, equalization per
@@ -515,10 +472,6 @@ def _segmentation_group(args) -> list:
     for config in configs:
         rep = (config.representation, config.wavelet_rep_scale_qn, _normalizer(config))
         try:
-            if config.segmentation.method not in (SegMethod.WS_LOCAL_MAX, SegMethod.LBDM):
-                raise ConfigError(
-                    "segmented folk classification uses ws-max or lbdm segmentation"
-                )
             if len(corpus) < 2:
                 raise ValueError("leave-one-out needs at least two songs")
             segments, labels, offsets = _once(
@@ -536,34 +489,92 @@ def _segmentation_group(args) -> list:
     return results
 
 
+def _run_cells(
+    corpus: FolkCorpus, signals: list, configs: Sequence[ExperimentConfig],
+    ks: Sequence[int], jobs: int, record_traces: bool,
+) -> list:
+    """Per config, in order, the k -> (accuracy, traces) results of its cell
+    over the songs' signals, or the cell's error. Cells run in segmentation
+    groups, the units of work that ``jobs`` worker processes share;
+    evaluation is pure, so any job count assembles identical results."""
+    groups: dict[Segmentation, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(config.segmentation, []).append(i)
+    tasks = [
+        (corpus, signals, [configs[i] for i in cells], tuple(ks), record_traces)
+        for cells in groups.values()
+    ]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            per_group = list(pool.map(_segmentation_group, tasks))
+    else:
+        per_group = [_segmentation_group(task) for task in tasks]
+    results: list = [None] * len(configs)
+    for cells, group_results in zip(groups.values(), per_group):
+        for i, result in zip(cells, group_results):
+            results[i] = result
+    return results
+
+
 def _cell_report(
     config: ExperimentConfig, k: int, accuracy: float | None,
     traces: tuple[TraceRow, ...] = (), error: str | None = None,
 ) -> FolkCellReport:
+    param, equalization = config.segmentation.param, config.equalization
+    if config.segmentation.method is SegMethod.NONE:  # whole melodies: a support, unequalized
+        wavelet = config.representation is Representation.WAVELET
+        param, equalization = config.wavelet_rep_scale_qn if wavelet else None, None
     return FolkCellReport(
-        config.representation, config.segmentation.method, config.segmentation.param,
-        config.equalization, config.metric, k, accuracy, error, traces,
+        config.representation, config.segmentation.method, param,
+        equalization, config.metric, k, accuracy, error, traces,
     )
 
 
-def _cell_reports(config: ExperimentConfig, ks: Sequence[int], result) -> list[FolkCellReport]:
-    if isinstance(result, Exception):
-        return [_cell_report(config, k, None, error=str(result)) for k in ks]
-    return [_cell_report(config, k, *result[k]) for k in ks]
+def _cell_reports(
+    configs: Sequence[ExperimentConfig], ks: Sequence[int], results: Sequence
+) -> list[FolkCellReport]:
+    """One report per config, in order, and k: its result or its error."""
+    reports = []
+    for config, result in zip(configs, results):
+        if isinstance(result, Exception):
+            reports += [_cell_report(config, k, None, error=str(result)) for k in ks]
+        else:
+            reports += [_cell_report(config, k, *result[k]) for k in ks]
+    return reports
 
 
 def run_folk_segmented(
-    corpus: FolkCorpus, config: ExperimentConfig, ks: Sequence[int] = (1,),
-    record_traces: bool = True,
+    corpus: FolkCorpus, config: ExperimentConfig, ks: Sequence[int] = (1,)
 ) -> list[FolkCellReport]:
     """Leave-one-out tune-family classification over melody segments: one
     report per k, all from one pass. A cell that cannot run raises its
     error."""
     _check_ks(ks)
-    (result,) = _segmentation_group(
-        (corpus, _song_signals(corpus, config), [config], tuple(ks), record_traces)
-    )
-    return _cell_reports(config, ks, _ok(result))
+    if config.segmentation.method not in (SegMethod.WS_LOCAL_MAX, SegMethod.LBDM):
+        raise ConfigError("segmented folk classification uses ws-max or lbdm segmentation")
+    signals = _signals(corpus, sample_pitch_signal, config.rate, config.rest_policy)
+    (result,) = _run_cells(corpus, signals, [config], ks, 1, True)
+    return _cell_reports([config], ks, [_ok(result)])
+
+
+def run_folk_unsegmented(
+    corpus: FolkCorpus, config: ExperimentConfig, supports: Sequence[int], length: int = 1024
+) -> list[FolkCellReport]:
+    """1-NN leave-one-out over whole melodies resampled to ``length``
+    samples: one report for the pitch signal, or one per wavelet support in
+    samples. The config's segmentation, rate, representation scale and
+    equalization are not read. Each song is resampled once for all supports."""
+    if length < 1:
+        raise ConfigError("fixed length must be positive")
+    wavelet = config.representation is Representation.WAVELET
+    if wavelet and not supports:
+        raise ConfigError("the wavelet sweep needs at least one support")
+    signals = _signals(corpus, resample_to_length, length, config.rest_policy)
+    # a resampled melody has no quarter-note grid; at one sample per unit, a
+    # cell's representation scale is its support in samples
+    whole = replace(config, segmentation=Segmentation(SegMethod.NONE), rate=1)
+    configs = [replace(whole, wavelet_rep_scale_qn=m) for m in supports] if wavelet else [whole]
+    return _cell_reports(configs, (1,), _run_cells(corpus, signals, configs, (1,), 1, True))
 
 
 def _grid_configs(
@@ -606,33 +617,14 @@ def grid_search(
 ) -> list[FolkCellReport]:
     """Accuracy for every cell of the parameter sweep; cells that error are
     reported with the error instead of being skipped. Songs are sampled
-    once, then cells run in segmentation groups, the units of work that
-    ``jobs`` worker processes share; evaluation is pure, so any job count assembles identical results."""
+    once for every cell; ``jobs`` worker processes share the cells'
+    segmentation groups."""
     if base_config is None:
         base_config = ExperimentConfig(rest_policy=RestPolicy.REMOVE)
     _check_ks(ks)
     configs = _grid_configs(base_config, scales, thresholds)
     if not configs:
         raise ConfigError("the grid has no cells: give at least one scale or threshold")
-    signals = _song_signals(corpus, base_config)
-    groups: dict[Segmentation, list[int]] = {}
-    for i, config in enumerate(configs):
-        groups.setdefault(config.segmentation, []).append(i)
-    tasks = [
-        (corpus, signals, [configs[i] for i in cells], tuple(ks), record_traces)
-        for cells in groups.values()
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_group = list(pool.map(_segmentation_group, tasks))
-    else:
-        per_group = [_segmentation_group(task) for task in tasks]
-    results: list = [None] * len(configs)
-    for cells, group_results in zip(groups.values(), per_group):
-        for i, result in zip(cells, group_results):
-            results[i] = result
-    return [
-        report
-        for config, result in zip(configs, results)
-        for report in _cell_reports(config, ks, result)
-    ]
+    signals = _signals(corpus, sample_pitch_signal, base_config.rate, base_config.rest_policy)
+    results = _run_cells(corpus, signals, configs, ks, jobs, record_traces)
+    return _cell_reports(configs, ks, results)

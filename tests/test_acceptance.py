@@ -239,8 +239,8 @@ def folk_seed_results():
     results = {}
     for seed in range(10):
         corpus = synthetic_tune_families(seed)
-        k1, k2 = run_folk_segmented(corpus, _folk_cell_config(1), (1, 2), record_traces=False)
-        (large,) = run_folk_segmented(corpus, _folk_cell_config(64), (1,), record_traces=False)
+        k1, k2 = run_folk_segmented(corpus, _folk_cell_config(1), (1, 2))
+        (large,) = run_folk_segmented(corpus, _folk_cell_config(64), (1,))
         results[seed] = {
             "scale1_k1": k1.accuracy,
             "scale1_k2": k2.accuracy,

@@ -291,9 +291,17 @@ class TestDeterminism:
         digest = (DATA / "grid_seed0_f4_trace.sha256").read_text().strip()
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("rep", ["wr", "vr"])
-    @pytest.mark.parametrize("metric", ["cityblock", "euclidean"])
-    def test_unsegmented_matches_golden(self, rep, metric, tmp_path):
+    # the segmented-cell flags must not change the unsegmented run
+    @pytest.mark.parametrize("rep, metric, cell", [
+        pytest.param(rep, metric, cell, id=f"{metric}-{rep}{suffix}")
+        for suffix, cell in (
+            ("", []),
+            ("-lbdm-interp-rate4", ["--seg", "lbdm", "--equalize", "interp", "--rate", "4"]),
+        )
+        for metric in ("cityblock", "euclidean")
+        for rep in ("wr", "vr")
+    ])
+    def test_unsegmented_matches_golden(self, rep, metric, cell, tmp_path):
         # result and trace CSVs of `exp folk --unsegmented` (wr: the default
         # support sweep). The results were recorded while the unsegmented run
         # still had its own leave-one-out rule; the traces were re-recorded in
@@ -302,7 +310,7 @@ class TestDeterminism:
         out, trace = tmp_path / "folk.csv", tmp_path / "trace.csv"
         assert main([
             "exp", "folk", "--unsegmented", "--synthetic-seed", "0",
-            "--synthetic-families", "4", "--rep", rep, "--metric", metric,
+            "--synthetic-families", "4", "--rep", rep, "--metric", metric, *cell,
             "-o", str(out), "--trace", str(trace),
         ]) == 0
         name = f"{rep}_{metric}"
@@ -431,6 +439,35 @@ class TestErrors:
         assert main(["classify", "--corpus", str(paths["corpus"]),
                      "--queries", str(paths["queries"]), "-o", str(out)]) == 2
         assert capsys.readouterr().err == f"melowave: error: {message.format(**paths)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corpus, queries, message", [
+        ("label,v0,v1\nA,0,0\n", "1,1,1\n",
+         "query CSV {queries} has 3 values per row where corpus CSV {corpus} has 2"),
+        ("label,v0,v1\n", "1,1\n", "corpus CSV {corpus} has a header but no rows"),
+        ("label\nA\nB\n", "1,1\n",
+         "query CSV {queries} has 2 values per row where corpus CSV {corpus} has 0"),
+    ], ids=["query-width", "header-only-corpus", "label-only-corpus"])
+    def test_classify_shape_error_names_files(self, corpus, queries, message, tmp_path, capsys):
+        paths = {"corpus": tmp_path / "corpus.csv", "queries": tmp_path / "queries.csv"}
+        paths["corpus"].write_text(corpus)
+        paths["queries"].write_text(queries)
+        out = tmp_path / "out.csv"
+        assert main(["classify", "--corpus", str(paths["corpus"]),
+                     "--queries", str(paths["queries"]), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"melowave: error: {message.format(**paths)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0", "9"])
+    def test_classify_k_outside_1_to_5_one_line_error(self, k, tmp_path, capsys):
+        # k 9 exceeds the three corpus rows and the 1..5 rule of every other k flag
+        corpus, queries = tmp_path / "corpus.csv", tmp_path / "queries.csv"
+        corpus.write_text("label,v0,v1\nA,0,0\nB,10,10\nA,1,2\n")
+        queries.write_text("9,9\n")
+        out = tmp_path / "out.csv"
+        assert main(["classify", "--corpus", str(corpus), "--queries", str(queries),
+                     "--k", k, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"melowave: error: k must be in 1..5, got {k}\n"
         assert not out.exists()
 
     def test_closed_stdout_exits_quietly(self, tmp_path):

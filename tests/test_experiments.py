@@ -327,9 +327,20 @@ class TestFolkUnsegmented:
         assert [r.accuracy for r in reports] == [1.0, 1.0]
         assert all(len(r.traces) == len(corpus) for r in reports)
 
-    def test_segmented_config_rejected(self):
-        with pytest.raises(ConfigError, match="none"):
-            run_folk_unsegmented(uniform_family_corpus(), ExperimentConfig(), (2,))
+    def test_segmented_fields_are_not_read(self):
+        # segmentation, rate, representation scale and equalization
+        corpus = synthetic_tune_families(2, n_families=3, min_variants=3, max_variants=3)
+        segmented = ExperimentConfig(
+            wavelet_rep_scale_qn=Fraction(1, 2),
+            segmentation=Segmentation(SegMethod.WS_LOCAL_MAX, 1),
+            rate=Fraction(4),
+            equalization=Equalization.INTERPOLATE,
+            rest_policy=RestPolicy.REMOVE,
+        )
+        whole = ExperimentConfig(segmentation=NO_SEGMENTATION, rest_policy=RestPolicy.REMOVE)
+        reports = run_folk_unsegmented(corpus, segmented, (2, 3, 16), 128)
+        assert reports == run_folk_unsegmented(corpus, whole, (2, 3, 16), 128)
+        assert [(r.segmentation, r.equalization) for r in reports] == [(SegMethod.NONE, None)] * 3
 
     def test_length_must_be_positive(self):
         config = ExperimentConfig(segmentation=NO_SEGMENTATION)
