@@ -274,6 +274,8 @@ def _parse_list(text: str, caster):
 
 
 def cmd_exp_folk(args) -> int:
+    if args.grid and args.unsegmented:
+        raise ValueError("the grid runs segmented cells and takes no --unsegmented")
     if args.grid and args.k is not None:
         raise ValueError("the grid takes its k values from --ks, not --k")
     if args.unsegmented and args.k is not None:
@@ -455,7 +457,7 @@ def _add_folk_flags(p: argparse.ArgumentParser) -> None:
                    help="comma list of LBDM thresholds for --grid")
     p.add_argument("--ks", default="1,2,3,4,5", help="comma list of k values for --grid")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for --grid (default 1)")
+                   help="parallel workers for --grid, at most one per segmentation (default 1)")
     p.add_argument("--trace", default=None, help="write per-item prediction CSV here")
     _add_output(p)
 

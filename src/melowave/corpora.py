@@ -38,9 +38,16 @@ class BachWork:
 
 @dataclass(frozen=True)
 class FolkSong:
+    """One tune of a family; a song without notes is rejected here, so
+    every song can be sampled."""
+
     song_id: str
     family: str
     seq: NoteSequence
+
+    def __post_init__(self) -> None:
+        if not self.seq.events:
+            raise ValueError(f"song {self.song_id} has no notes")
 
 
 @dataclass(frozen=True)

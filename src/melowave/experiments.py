@@ -214,15 +214,6 @@ def _cut(rep: np.ndarray, boundaries: BoundarySet, config: ExperimentConfig) -> 
     return segments
 
 
-def _span_segments(
-    pitch_span: np.ndarray, span_seq: NoteSequence | None, config: ExperimentConfig
-) -> list[np.ndarray]:
-    """Represent one span per the config, segment it and cut the segments."""
-    rep = _representation(pitch_span, config)
-    boundaries = find_boundaries(pitch_span, span_seq, config.segmentation, config.rate)
-    return _cut(rep, boundaries, config)
-
-
 def _equalize(
     segments: Sequence[np.ndarray],
     labels: Sequence,
@@ -296,17 +287,30 @@ def _work_signals(work: BachWork, config: ExperimentConfig):
     return parts
 
 
-def _variant_inputs(
-    span: np.ndarray,
+def _span_notes(
+    seq: NoteSequence, start_qn: Fraction, end_qn: Fraction, config: ExperimentConfig
+) -> NoteSequence | None:
+    """The notes of a part's span, which only LBDM segmentation reads."""
+    if config.segmentation.method is SegMethod.LBDM:
+        return seq.slice(start_qn, end_qn)
+    return None
+
+
+def _part_segments(
+    values: np.ndarray,
     span_seq: NoteSequence | None,
     variation: VariationKind,
-) -> tuple[np.ndarray, NoteSequence | None]:
-    if variation is VariationKind.PRIME:
-        return span, span_seq
-    values = apply_variation(span, variation)
-    if span_seq is not None and span_seq.events:
-        span_seq = transform_sequence(span_seq, variation)
-    return values, span_seq
+    config: ExperimentConfig,
+) -> list[np.ndarray]:
+    """Segments of one span of a part under a contrapuntal variation: the
+    span is varied, represented per the config, segmented and cut."""
+    if variation is not VariationKind.PRIME:
+        values = apply_variation(values, variation)
+        if span_seq is not None and span_seq.events:
+            span_seq = transform_sequence(span_seq, variation)
+    rep = _representation(values, config)
+    boundaries = find_boundaries(values, span_seq, config.segmentation, config.rate)
+    return _cut(rep, boundaries, config)
 
 
 def classifier_segments(
@@ -318,17 +322,15 @@ def classifier_segments(
     added as extra classes when ``contrapuntal`` is set."""
     prefix_samples = math.ceil(prefix_qn * config.rate)
     variations = tuple(VariationKind) if contrapuntal else (VariationKind.PRIME,)
-    needs_notes = config.segmentation.method is SegMethod.LBDM
     segments: list[np.ndarray] = []
     labels: list = []
     for work, work_parts in zip(works, parts):
         for signal, seq in work_parts:
             span = signal[:prefix_samples]
-            span_seq = seq.slice(0, prefix_qn) if needs_notes else None
+            span_seq = _span_notes(seq, Fraction(0), Fraction(prefix_qn), config)
             for variation in variations:
-                values, vseq = _variant_inputs(span, span_seq, variation)
                 label = (work.work_id, variation.value) if contrapuntal else work.work_id
-                cut = _span_segments(values, vseq, config)
+                cut = _part_segments(span, span_seq, variation, config)
                 segments += cut
                 labels += [label] * len(cut)
     return segments, labels
@@ -339,7 +341,6 @@ def _section_segments(
 ) -> tuple[list[np.ndarray], list[tuple[str, str]], np.ndarray]:
     """Segments of both parts of every section, the sections as (item id,
     work id) items, and the row offsets of each section's segments."""
-    needs_notes = config.segmentation.method is SegMethod.LBDM
     segments: list[np.ndarray] = []
     items = []
     offsets = [0]
@@ -347,13 +348,8 @@ def _section_segments(
         spans = split_section_spans(work_parts[0][0].size, config.rate)
         for j, (a, b) in enumerate(spans):
             for signal, seq in work_parts:
-                span = signal[a:b]
-                span_seq = (
-                    seq.slice(Fraction(a) / config.rate, Fraction(b) / config.rate)
-                    if needs_notes
-                    else None
-                )
-                segments += _span_segments(span, span_seq, config)
+                span_seq = _span_notes(seq, a / config.rate, b / config.rate, config)
+                segments += _part_segments(signal[a:b], span_seq, VariationKind.PRIME, config)
             items.append((f"{work.work_id}/s{j}", work.work_id))
             offsets.append(len(segments))
     return segments, items, np.array(offsets)
@@ -395,48 +391,36 @@ def run_bach_experiment(
 _CELL_ERRORS = (ValueError, ArithmeticError)
 
 
-def _attempt(func, *args):
-    """``func(*args)``, or the error that a grid cell would report for it."""
-    try:
-        return func(*args)
-    except _CELL_ERRORS as exc:
-        return exc
-
-
-def _ok(result):
-    """A stage's result; an error stored in its place is raised again,
-    without the traceback that would keep its failed frames alive."""
-    if isinstance(result, Exception):
-        raise result.with_traceback(None)
-    return result
-
-
-def _once(memo: dict, key: Hashable, func, *args):
-    """``func(*args)`` computed at the first call with ``key``; later calls
-    return its result, or raise its error, again."""
+def _cached(memo: dict, key: Hashable, func, *args):
+    """``func(*args)``, computed at the first call with ``key`` and kept for
+    later calls. An error is raised and not kept: a later call computes
+    the stage again and raises it again."""
     if key not in memo:
-        memo[key] = _attempt(func, *args)
-    return _ok(memo[key])
+        memo[key] = func(*args)
+    return memo[key]
 
 
-def _signals(corpus: FolkCorpus, sample, *args) -> list:
-    """Every song's ``sample(song.seq, *args)``, an error in place of a song
-    that cannot be sampled."""
-    return [_attempt(sample, song.seq, *args) for song in corpus.songs]
+def _signals(corpus: FolkCorpus, sample, *args) -> list[np.ndarray]:
+    """Every song's ``sample(song.seq, *args)``."""
+    return [sample(song.seq, *args) for song in corpus.songs]
 
 
 def _cut_corpus(
-    corpus: FolkCorpus, signals: list, boundaries: list, config: ExperimentConfig
+    corpus: FolkCorpus, signals: list[np.ndarray], memo: dict, config: ExperimentConfig
 ) -> tuple[list[np.ndarray], list, np.ndarray]:
     """Segments of every song in corpus order, their families, and the row
-    offsets of each song's segments. A failure raises the first failing
-    song's first error, in the order sample, representation, boundaries, cut."""
+    offsets of each song's segments. A song's boundaries are found once per
+    ``memo``, keyed by the song's index. A failure raises the first failing
+    song's first error, in the order representation, boundaries, cut."""
+    segmentation = config.segmentation
     segments: list[np.ndarray] = []
     labels: list = []
     offsets = [0]
-    for song, signal, song_boundaries in zip(corpus.songs, signals, boundaries):
-        rep = _representation(_ok(signal), config)
-        cut = _cut(rep, _ok(song_boundaries), config)
+    for i, (song, signal) in enumerate(zip(corpus.songs, signals)):
+        rep = _representation(signal, config)
+        notes = song.seq if segmentation.method is SegMethod.LBDM else None
+        boundaries = _cached(memo, i, find_boundaries, signal, notes, segmentation, config.rate)
+        cut = _cut(rep, boundaries, config)
         assert cut, "default boundaries guarantee at least one segment"
         segments += cut
         labels += [song.family] * len(cut)
@@ -451,21 +435,10 @@ def _segmentation_group(args) -> list:
 
     Each stage runs once for every cell that shares its inputs: boundaries
     per song, representation and cut per representation, equalization per
-    representation and equalization (shared by the metrics).
+    representation and equalization (shared by the metrics). A stage that
+    fails runs again, and fails again, in each cell that needs it.
     """
     corpus, signals, configs, ks, record_traces = args
-    first = configs[0]
-    segmentation = first.segmentation
-    boundaries = [
-        signal if isinstance(signal, Exception) else _attempt(
-            find_boundaries,
-            signal,
-            song.seq if segmentation.method is SegMethod.LBDM else None,
-            segmentation,
-            first.rate,
-        )
-        for song, signal in zip(corpus.songs, signals)
-    ]
     items = [(song.song_id, song.family) for song in corpus.songs]
     memo: dict = {}
     results = []
@@ -474,10 +447,10 @@ def _segmentation_group(args) -> list:
         try:
             if len(corpus) < 2:
                 raise ValueError("leave-one-out needs at least two songs")
-            segments, labels, offsets = _once(
-                memo, rep, _cut_corpus, corpus, signals, boundaries, config
+            segments, labels, offsets = _cached(
+                memo, rep, _cut_corpus, corpus, signals, memo, config
             )
-            matrix = _once(
+            matrix = _cached(
                 memo, (rep, config.equalization), _equalize, segments, labels, config.equalization
             )
             traces = _classify(items, matrix.rows, offsets, matrix, config.metric, ks, True)
@@ -485,7 +458,8 @@ def _segmentation_group(args) -> list:
                 {k: (_accuracy(t), t if record_traces else ()) for k, t in traces.items()}
             )
         except _CELL_ERRORS as exc:
-            results.append(exc)
+            # without its traceback, the error keeps no failed frame alive
+            results.append(exc.with_traceback(None))
     return results
 
 
@@ -495,7 +469,7 @@ def _run_cells(
 ) -> list:
     """Per config, in order, the k -> (accuracy, traces) results of its cell
     over the songs' signals, or the cell's error. Cells run in segmentation
-    groups, the units of work that ``jobs`` worker processes share;
+    groups, the units of work that at most ``jobs`` worker processes share;
     evaluation is pure, so any job count assembles identical results."""
     groups: dict[Segmentation, list[int]] = {}
     for i, config in enumerate(configs):
@@ -504,8 +478,9 @@ def _run_cells(
         (corpus, signals, [configs[i] for i in cells], tuple(ks), record_traces)
         for cells in groups.values()
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # a group is the smallest unit of work
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_group = list(pool.map(_segmentation_group, tasks))
     else:
         per_group = [_segmentation_group(task) for task in tasks]
@@ -554,7 +529,9 @@ def run_folk_segmented(
         raise ConfigError("segmented folk classification uses ws-max or lbdm segmentation")
     signals = _signals(corpus, sample_pitch_signal, config.rate, config.rest_policy)
     (result,) = _run_cells(corpus, signals, [config], ks, 1, True)
-    return _cell_reports([config], ks, [_ok(result)])
+    if isinstance(result, Exception):
+        raise result
+    return _cell_reports([config], ks, [result])
 
 
 def run_folk_unsegmented(
@@ -617,11 +594,13 @@ def grid_search(
 ) -> list[FolkCellReport]:
     """Accuracy for every cell of the parameter sweep; cells that error are
     reported with the error instead of being skipped. Songs are sampled
-    once for every cell; ``jobs`` worker processes share the cells'
-    segmentation groups."""
+    once for every cell; at most ``jobs`` worker processes, one per
+    segmentation group, share the cells."""
     if base_config is None:
         base_config = ExperimentConfig(rest_policy=RestPolicy.REMOVE)
     _check_ks(ks)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     configs = _grid_configs(base_config, scales, thresholds)
     if not configs:
         raise ConfigError("the grid has no cells: give at least one scale or threshold")

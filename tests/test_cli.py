@@ -419,6 +419,32 @@ class TestErrors:
         assert capsys.readouterr().err == f"melowave: error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config", [
+        (["grid", "--unsegmented"], ""),
+        (["exp", "folk", "--grid", "--unsegmented"], ""),
+        (["grid"], "unsegmented=true\n"),
+        (["exp", "folk", "--grid"], "unsegmented = yes\n"),
+    ], ids=["grid", "exp-folk", "grid-config", "exp-folk-config"])
+    def test_grid_unsegmented_one_line_error(self, command, config, tmp_path, capsys):
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            command = [*command, "--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out.csv"
+        assert main([*command, "--synthetic-seed", "0", "--synthetic-families", "2",
+                     "--scales", "1", "--thresholds", "", "--ks", "1", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "melowave: error: the grid runs segmented cells and takes no --unsegmented\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_grid_jobs_below_one_one_line_error(self, jobs, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert main(["grid", "--synthetic-seed", "0", "--synthetic-families", "2", "--scales", "1",
+                     "--thresholds", "", "--ks", "1", "--jobs", jobs, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"melowave: error: jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("corpus, queries, message", [
         ("label,v0,v1\nA,0,0\n\nB,1,2,3\n", "1,1\n",
          "corpus CSV {corpus}, line 4: 4 values where line 1 has 3"),

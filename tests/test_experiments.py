@@ -7,6 +7,7 @@ import pytest
 
 from melowave import experiments
 from melowave.classifier import Metric, pairwise_distances
+from melowave.contrapuntal import VariationKind
 from melowave.corpora import (
     BachWork,
     FolkCorpus,
@@ -28,8 +29,8 @@ from melowave.experiments import (
     Segmentation,
     _equalize,
     _grid_configs,
+    _part_segments,
     _section_segments,
-    _span_segments,
     _work_signals,
     classifier_segments,
     grid_search,
@@ -267,7 +268,7 @@ class TestBachExperiment:
                 segments = []
                 for signal, seq in (upper, lower):
                     span_seq = seq.slice(Fraction(a) / config.rate, Fraction(b) / config.rate)
-                    segments += _span_segments(signal[a:b], span_seq, config)
+                    segments += _part_segments(signal[a:b], span_seq, VariationKind.PRIME, config)
                 sections.append((f"{work.work_id}/s{j}", work.work_id, segments))
         target = max(len(s) for s in cls_segments + [s for *_, segs in sections for s in segs])
         corpus = _equalize(cls_segments, cls_labels, config.equalization, target)
@@ -368,19 +369,12 @@ class TestFolkUnsegmented:
         assert reports[1].accuracy == 1.0
         assert [len(r.traces) for r in reports] == [0, 12, 0]
 
-    def test_first_failing_song_first_error(self):
-        # songs in corpus order; within a song, resample before filter
-        songs = uniform_family_corpus().songs
-        empty = FolkSong("empty", "fam0", make_sequence([], total=0))
-        config = ExperimentConfig(segmentation=NO_SEGMENTATION, rest_policy=RestPolicy.REMOVE)
-        odd = "wavelet support must be an even integer >= 2, got 3"
-        zero = "sequence has zero duration, nothing to resample"
-        for order, errors in (
-            ((songs[0], empty, *songs[1:]), [odd, zero]),
-            ((empty, *songs), [zero, zero]),
-        ):
-            reports = run_folk_unsegmented(FolkCorpus(order), config, (3, 4), 64)
-            assert [r.error for r in reports] == errors
+    def test_song_without_notes_rejected(self):
+        # every song can be sampled: a song without notes, even one that
+        # lasts, cannot be made
+        for total in (0, 4):
+            with pytest.raises(ValueError, match="^song empty has no notes$"):
+                FolkSong("empty", "fam0", make_sequence([], total=total))
 
     @pytest.mark.parametrize("n_songs", [0, 1])
     def test_too_few_songs_error_per_support(self, n_songs):
@@ -427,7 +421,7 @@ class TestFolkSegmented:
             segments, owners = [], []
             for song in corpus.songs:
                 signal = sample_pitch_signal(song.seq, config.rate, config.rest_policy)
-                cut = _span_segments(signal, None, config)
+                cut = _part_segments(signal, None, VariationKind.PRIME, config)
                 segments += cut
                 owners += [song] * len(cut)
             matrix = _equalize(segments, [song.family for song in owners], config.equalization)
@@ -483,13 +477,35 @@ class TestFolkSegmented:
         )
         for song in corpus.songs:
             signal = sample_pitch_signal(song.seq, config.rate, config.rest_policy)
-            assert not any(segment.any() for segment in _span_segments(signal, None, config))
+            segments = _part_segments(signal, None, VariationKind.PRIME, config)
+            assert not any(segment.any() for segment in segments)
         reports = run_folk_segmented(corpus, config, ALL_KS)
         first_other = [corpus.songs[1 if i == 0 else 0].family for i in range(len(corpus))]
         for report in reports:
             assert [t.predicted_label for t in report.traces] == first_other
             assert all(t.nearest_distance == 0.0 for t in report.traces)
             assert report.accuracy == 0.5
+
+    @pytest.mark.parametrize("order, error", [
+        ((0, 1, 2), "support 32 exceeds twice the signal length 12"),
+        ((0, 2, 1), "support 16 exceeds twice the signal length 4"),
+    ], ids=["boundaries-of-mid", "representation-of-short"])
+    def test_first_failing_song_raises_its_first_stage_error(self, order, error):
+        # wr at 2 qn (support 16), ws-max at 4 qn (support 32), 8 samples per
+        # qn: the 1.5 qn song fails only at its boundaries, the 0.5 qn song
+        # at both stages, its representation first; songs fail in corpus order
+        songs = (
+            uniform_family_corpus().songs[0],
+            FolkSong("mid", "fam0", make_sequence([(0, Fraction(3, 2), 60)])),
+            FolkSong("short", "fam1", make_sequence([(0, Fraction(1, 2), 60)])),
+        )
+        config = ExperimentConfig(
+            wavelet_rep_scale_qn=Fraction(2),
+            segmentation=Segmentation(SegMethod.WS_LOCAL_MAX, Fraction(4)),
+            rest_policy=RestPolicy.REMOVE,
+        )
+        with pytest.raises(ValueError, match=f"^signal too short for the scale: {error}$"):
+            run_folk_segmented(FolkCorpus(tuple(songs[i] for i in order)), config)
 
     def test_traces_rescore(self):
         corpus = synthetic_tune_families(11, n_families=4, min_variants=3, max_variants=4)
@@ -596,6 +612,52 @@ class TestGridSearch:
         ):
             (single,) = run_folk_segmented(corpus, config, (k,))
             assert single == reports[2 * configs.index(config) + k - 1]
+
+    def test_failing_stage_fails_every_cell_that_shares_it(self):
+        # a 1.5 qn song (12 samples) is too short for ws-max at 4 qn (support
+        # 32): the wr cells fail at its representation and the vr cells at
+        # its boundaries, with one message; the LBDM cells run
+        mid = FolkSong("mid", "fam0", make_sequence([(0, Fraction(3, 2), 60)]))
+        songs = uniform_family_corpus().songs
+        corpus = FolkCorpus((*songs[:5], mid, *songs[5:]))
+        reports = grid_search(corpus, scales=(4,), thresholds=(0.4,), ks=(1, 2))
+        ws = [r for r in reports if r.segmentation is SegMethod.WS_LOCAL_MAX]
+        lbdm = [r for r in reports if r.segmentation is SegMethod.LBDM]
+        assert len(ws) == len(lbdm) == 16
+        error = "signal too short for the scale: support 32 exceeds twice the signal length 12"
+        assert all((r.accuracy, r.error) == (None, error) for r in ws)
+        assert all(r.error is None and 0 <= r.accuracy <= 1 for r in lbdm)
+
+    @pytest.mark.parametrize("jobs, scales, workers", [
+        (4, (1,), []), (4, (1, 2), [2]), (2, (1, 2, 4), [2]), (1, (1, 2), []),
+    ])
+    def test_at_most_one_worker_per_group(self, jobs, scales, workers, monkeypatch):
+        started = []
+
+        class Pool:  # runs the groups in this process and records its size
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks):
+                return map(func, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+        corpus = synthetic_tune_families(4, n_families=2, min_variants=2, max_variants=2)
+        serial = grid_search(corpus, scales=scales, thresholds=(), ks=(1,))
+        assert grid_search(corpus, scales=scales, thresholds=(), ks=(1,), jobs=jobs) == serial
+        assert started == workers
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        corpus = synthetic_tune_families(2, n_families=2, min_variants=2, max_variants=2)
+        with pytest.raises(ConfigError, match=f"^jobs must be at least 1, got {jobs}$"):
+            grid_search(corpus, scales=(1,), thresholds=(), ks=(1,), jobs=jobs)
 
     def test_jobs_produce_identical_reports(self):
         corpus = synthetic_tune_families(4, n_families=3, min_variants=3, max_variants=4)
