@@ -273,6 +273,10 @@ def _parse_list(text: str, caster):
     return tuple(caster(part) for part in text.split(",") if part)
 
 
+# the flags that only the grid reads (None when not given) -> the type of their list items
+_GRID_FLAGS = {"scales": Fraction, "thresholds": float, "ks": int, "jobs": None}
+
+
 def cmd_exp_folk(args) -> int:
     if args.grid and args.unsegmented:
         raise ValueError("the grid runs segmented cells and takes no --unsegmented")
@@ -280,16 +284,17 @@ def cmd_exp_folk(args) -> int:
         raise ValueError("the grid takes its k values from --ks, not --k")
     if args.unsegmented and args.k is not None:
         raise ValueError("the unsegmented run is 1-NN and takes no --k")
+    sweep = {name: getattr(args, name) for name in _GRID_FLAGS if getattr(args, name) is not None}
+    if sweep and not args.grid:
+        raise ValueError(f"only the grid reads --{next(iter(sweep))}")
     corpus = _folk_corpus(args)
     if args.grid:
         reports = experiments.grid_search(
             corpus,
             _config(args),
-            scales=_parse_list(args.scales, Fraction),
-            thresholds=_parse_list(args.thresholds, float),
-            ks=_parse_list(args.ks, int),
-            jobs=args.jobs,
             record_traces=bool(args.trace),
+            **{name: _parse_list(value, _GRID_FLAGS[name]) if _GRID_FLAGS[name] else value
+               for name, value in sweep.items()},
         )
     elif args.unsegmented:
         reports = experiments.run_folk_unsegmented(
@@ -451,12 +456,12 @@ def _add_folk_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rests", choices=("represent", "remove"), default="remove")
     p.add_argument("--zero-rest-renormalize", action="store_true")
     p.add_argument("--rate", default="8")
-    p.add_argument("--scales", default="1,2,4,8,16,32,64,128",
-                   help="comma list of wavelet scales for --grid")
-    p.add_argument("--thresholds", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8",
-                   help="comma list of LBDM thresholds for --grid")
-    p.add_argument("--ks", default="1,2,3,4,5", help="comma list of k values for --grid")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--scales", help="comma list of wavelet scales for --grid "
+                   "(default 1,2,4,8,16,32,64,128)")
+    p.add_argument("--thresholds", help="comma list of LBDM thresholds for --grid "
+                   "(default 0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8)")
+    p.add_argument("--ks", help="comma list of k values for --grid (default 1,2,3,4,5)")
+    p.add_argument("--jobs", type=int,
                    help="parallel workers for --grid, at most one per segmentation (default 1)")
     p.add_argument("--trace", default=None, help="write per-item prediction CSV here")
     _add_output(p)

@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ingest import NoteEvent, NoteSequence
+from .ingest import NoteSequence
 
 
 class VariationKind(Enum):
@@ -67,19 +67,11 @@ def transform_sequence(seq: NoteSequence, kind: VariationKind) -> NoteSequence:
     Inversion reflects pitches about their mean, which may land between
     MIDI integers; LBDM only uses pitch differences.
     """
-    if not seq.events:
+    if not len(seq):
         raise ValueError("variation of an empty sequence")
-    events = list(seq.events)
+    onsets, ends, pitches = seq.onsets, seq.ends, seq.pitches
     if kind in _TIME_FLIP:
-        total = seq.total_duration_qn
-        events = [
-            NoteEvent(total - ev.end_qn, ev.duration_qn, ev.pitch_midi)
-            for ev in reversed(events)
-        ]
+        onsets, ends, pitches = (seq.total - ends)[::-1], (seq.total - onsets)[::-1], pitches[::-1]
     if kind in _PITCH_FLIP:
-        axis = float(np.mean([ev.pitch_midi for ev in events]))
-        events = [
-            NoteEvent(ev.onset_qn, ev.duration_qn, 2 * axis - ev.pitch_midi)
-            for ev in events
-        ]
-    return NoteSequence(tuple(events), seq.total_duration_qn)
+        pitches = 2 * float(np.mean(pitches)) - pitches
+    return NoteSequence(onsets, ends, pitches, seq.division, seq.total)

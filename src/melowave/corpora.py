@@ -46,7 +46,7 @@ class FolkSong:
     seq: NoteSequence
 
     def __post_init__(self) -> None:
-        if not self.seq.events:
+        if not len(self.seq):
             raise ValueError(f"song {self.song_id} has no notes")
 
 
@@ -201,7 +201,7 @@ def synthetic_tune_families(
                 events.append(NoteEvent(onset, dur, int(np.clip(pitch + transpose, 36, 96))))
                 onset += dur
             events.append(NoteEvent(onset, Fraction(2), int(np.clip(center + transpose, 36, 96))))
-            seq = NoteSequence(tuple(events), onset + Fraction(2))
+            seq = NoteSequence.from_events(events, onset + Fraction(2))
             songs.append(FolkSong(f"f{fam:02d}v{var:02d}", f"family{fam:02d}", seq))
     return FolkCorpus(tuple(songs))
 
@@ -257,11 +257,6 @@ def synthetic_inventions(seed: int = 0, n_works: int = 15) -> list[BachWork]:
                         events, cursor = _fragment_events(block, cursor, rng, t, 0.15)
                     part.extend(events)
         total = max(upper[-1].end_qn, lower[-1].end_qn)
-        works.append(
-            BachWork(
-                f"inv{w:02d}",
-                NoteSequence(tuple(upper), total),
-                NoteSequence(tuple(lower), total),
-            )
-        )
+        parts = (NoteSequence.from_events(part, total) for part in (upper, lower))
+        works.append(BachWork(f"inv{w:02d}", *parts))
     return works

@@ -280,20 +280,8 @@ def _work_signals(work: BachWork, config: ExperimentConfig):
     total = max(work.upper.end_qn, work.lower.end_qn)
     if total < EXPOSITION_QN:
         raise ValueError(f"{work.work_id}: work is shorter than the {EXPOSITION_QN} qn exposition")
-    parts = []
-    for seq in (work.upper, work.lower):
-        extended = seq.with_total_duration(total)
-        parts.append((sample_pitch_signal(extended, config.rate, config.rest_policy), extended))
-    return parts
-
-
-def _span_notes(
-    seq: NoteSequence, start_qn: Fraction, end_qn: Fraction, config: ExperimentConfig
-) -> NoteSequence | None:
-    """The notes of a part's span, which only LBDM segmentation reads."""
-    if config.segmentation.method is SegMethod.LBDM:
-        return seq.slice(start_qn, end_qn)
-    return None
+    parts = [seq.slice(0, total) for seq in (work.upper, work.lower)]  # both end at the total
+    return [(sample_pitch_signal(seq, config.rate, config.rest_policy), seq) for seq in parts]
 
 
 def _part_segments(
@@ -306,7 +294,7 @@ def _part_segments(
     span is varied, represented per the config, segmented and cut."""
     if variation is not VariationKind.PRIME:
         values = apply_variation(values, variation)
-        if span_seq is not None and span_seq.events:
+        if span_seq is not None and len(span_seq):
             span_seq = transform_sequence(span_seq, variation)
     rep = _representation(values, config)
     boundaries = find_boundaries(values, span_seq, config.segmentation, config.rate)
@@ -322,12 +310,13 @@ def classifier_segments(
     added as extra classes when ``contrapuntal`` is set."""
     prefix_samples = math.ceil(prefix_qn * config.rate)
     variations = tuple(VariationKind) if contrapuntal else (VariationKind.PRIME,)
+    lbdm = config.segmentation.method is SegMethod.LBDM  # only LBDM reads a span's notes
     segments: list[np.ndarray] = []
     labels: list = []
     for work, work_parts in zip(works, parts):
         for signal, seq in work_parts:
             span = signal[:prefix_samples]
-            span_seq = _span_notes(seq, Fraction(0), Fraction(prefix_qn), config)
+            span_seq = seq.slice(0, prefix_qn) if lbdm else None
             for variation in variations:
                 label = (work.work_id, variation.value) if contrapuntal else work.work_id
                 cut = _part_segments(span, span_seq, variation, config)
@@ -341,6 +330,7 @@ def _section_segments(
 ) -> tuple[list[np.ndarray], list[tuple[str, str]], np.ndarray]:
     """Segments of both parts of every section, the sections as (item id,
     work id) items, and the row offsets of each section's segments."""
+    lbdm = config.segmentation.method is SegMethod.LBDM  # only LBDM reads a span's notes
     segments: list[np.ndarray] = []
     items = []
     offsets = [0]
@@ -348,7 +338,7 @@ def _section_segments(
         spans = split_section_spans(work_parts[0][0].size, config.rate)
         for j, (a, b) in enumerate(spans):
             for signal, seq in work_parts:
-                span_seq = _span_notes(seq, a / config.rate, b / config.rate, config)
+                span_seq = seq.slice(a / config.rate, b / config.rate) if lbdm else None
                 segments += _part_segments(signal[a:b], span_seq, VariationKind.PRIME, config)
             items.append((f"{work.work_id}/s{j}", work.work_id))
             offsets.append(len(segments))

@@ -2,7 +2,7 @@
 
 Parses SMF format 0/1 byte streams into raw tick-timed note events, selects
 single voices by track or channel and reduces them to monophonic note
-sequences with exact quarter-note timing (kept rational until sampling).
+sequences with exact timing: integer ticks over a division per quarter note.
 """
 
 from __future__ import annotations
@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
 
 _HEADER_MAGIC = b"MThd"
 _TRACK_MAGIC = b"MTrk"
-
-QN = Fraction  # quarter-note amounts are exact rationals
 
 
 class MidiError(ValueError):
@@ -73,51 +74,112 @@ class NoteEvent:
         return self.onset_qn + self.duration_qn
 
 
-@dataclass(frozen=True)
+def _check_ticks(*values: int) -> None:
+    """Keep ticks below 2**53: a sum of two fits int64, which numpy wraps
+    silently, and a tick difference over a division is its float(Fraction)."""
+    if max(map(abs, values)) >= 2**53:
+        raise ValueError("note timing does not fit in 53-bit ticks")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class NoteSequence:
-    """An ordered monophonic sequence of notes.
+    """An ordered monophonic sequence of notes on an integer time base:
+    onset and end ticks over ``division`` ticks per quarter note, one pitch
+    per note (float once inverted) and a total length in ticks, which may
+    extend past the last note-off (the trailing gap is a rest). The arrays
+    are read-only; sequences compare equal over any division."""
 
-    ``total_duration_qn`` may extend past the last note-off; the trailing
-    gap counts as a rest when the sequence is sampled.
-    """
-
-    events: tuple[NoteEvent, ...]
-    total_duration_qn: Fraction
+    onsets: np.ndarray
+    ends: np.ndarray
+    pitches: np.ndarray
+    division: int
+    total: int
 
     def __post_init__(self) -> None:
-        prev_end = Fraction(0)
-        prev_onset = Fraction(-1)
-        for ev in self.events:
-            if ev.duration_qn <= 0:
-                raise ValueError(f"note duration must be positive: {ev}")
-            if ev.onset_qn < prev_onset:
+        for name, dtype in (("onsets", np.int64), ("ends", np.int64), ("pitches", None)):
+            values = np.asarray(getattr(self, name), dtype)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        on, end = self.onsets, self.ends
+        _check_ticks(self.division, self.total)
+        short, unordered = end <= on, on < np.append(-self.division, on[:-1])
+        for i in np.flatnonzero(short | unordered | (on < np.append(0, end[:-1])))[:1]:
+            if short[i]:
+                raise ValueError(f"note duration must be positive: {self.events[i]}")
+            if unordered[i]:
                 raise ValueError("note onsets must be non-decreasing")
-            if ev.onset_qn < prev_end:
-                raise ValueError(f"sequence is not monophonic at {ev.onset_qn} qn")
-            prev_onset = ev.onset_qn
-            prev_end = ev.end_qn
-        if self.events and self.total_duration_qn < self.events[-1].end_qn:
+            raise ValueError(f"sequence is not monophonic at {self.events[i].onset_qn} qn")
+        if end.size and self.total < end[-1]:
             raise ValueError("total duration is shorter than the last note-off")
+
+    @classmethod
+    def from_events(cls, events: Sequence[NoteEvent], total_qn) -> NoteSequence:
+        """``events``, timed in Fractions or ints, over the least exact division."""
+        times = [t for ev in events for t in (ev.onset_qn, ev.duration_qn)]
+        times.append(Fraction(total_qn))
+        division = math.lcm(*(t.denominator for t in times))
+        ticks = [t.numerator * (division // t.denominator) for t in times]
+        _check_ticks(*ticks)
+        on, duration = np.array(ticks[:-1:2], np.int64), np.array(ticks[1::2], np.int64)
+        pitches = np.array([ev.pitch_midi for ev in events])
+        return cls(on, on + duration, pitches, division, ticks[-1])
+
+    @property
+    def events(self) -> tuple[NoteEvent, ...]:
+        """The notes in quarter notes: a read-only view."""
+        d = self.division
+        return tuple(
+            NoteEvent(Fraction(a, d), Fraction(b - a, d), p)
+            for a, b, p in zip(self.onsets.tolist(), self.ends.tolist(), self.pitches.tolist())
+        )
+
+    def __len__(self) -> int:
+        return self.onsets.size
 
     @property
     def end_qn(self) -> Fraction:
-        return self.events[-1].end_qn if self.events else Fraction(0)
+        return Fraction(int(self.ends[-1]) if len(self) else 0, self.division)
 
-    def with_total_duration(self, total_qn: Fraction) -> "NoteSequence":
-        return NoteSequence(self.events, Fraction(total_qn))
+    @property
+    def total_duration_qn(self) -> Fraction:
+        return Fraction(self.total, self.division)
 
-    def slice(self, start_qn: Fraction, end_qn: Fraction) -> "NoteSequence":
-        """Notes overlapping [start, end), clipped and rebased to start."""
+    def _key(self) -> tuple:
+        """Division, total, onsets, ends and pitches over the coarsest division."""
+        g = math.gcd(self.division, self.total, *self.onsets.tolist(), *self.ends.tolist())
+        ticks = (tuple((t // g).tolist()) for t in (self.onsets, self.ends))
+        return (self.division // g, self.total // g, *ticks, tuple(self.pitches.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, NoteSequence) and self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return "NoteSequence(division={}, total={}, onsets={}, ends={}, pitches={})".format(
+            *self._key()
+        )
+
+    def sample_index(self, ticks, rate: Fraction):
+        """ceil(t * rate) for tick times t (an int or an array, at most the
+        total) at ``rate`` samples per quarter note: exact ceiling division."""
+        p, q = rate.numerator, rate.denominator
+        _check_ticks(p, self.total * p, self.division * q)
+        return -(-ticks * p // (self.division * q))
+
+    def slice(self, start_qn, end_qn) -> NoteSequence:
+        """Notes overlapping [start, end), clipped and rebased to start. The
+        slice is over the least multiple of the division that holds start
+        and end exactly: a finer grid, never a rounded time."""
         start_qn, end_qn = Fraction(start_qn), Fraction(end_qn)
         if end_qn <= start_qn:
             raise ValueError("slice must have positive length")
-        out = []
-        for ev in self.events:
-            a = max(ev.onset_qn, start_qn)
-            b = min(ev.end_qn, end_qn)
-            if b > a:
-                out.append(NoteEvent(a - start_qn, b - a, ev.pitch_midi))
-        return NoteSequence(tuple(out), end_qn - start_qn)
+        division = math.lcm(self.division, start_qn.denominator, end_qn.denominator)
+        scale = division // self.division
+        start, stop = int(start_qn * division), int(end_qn * division)
+        _check_ticks(self.total * scale, start, stop)
+        onsets, ends = self.onsets * scale, self.ends * scale
+        lo, hi = np.searchsorted(ends, start, "right"), np.searchsorted(onsets, stop)
+        on, end = np.maximum(onsets[lo:hi], start), np.minimum(ends[lo:hi], stop)
+        return NoteSequence(on - start, end - start, self.pitches[lo:hi], division, stop - start)
 
 
 class _Reader:
@@ -299,47 +361,29 @@ def first_track_selector(score: ScoreModel, source: str) -> str:
 def extract_voice(score: ScoreModel, selector: int | str, source: str) -> NoteSequence:
     """Select one voice by track or channel and reduce it to monophony;
     ``source`` names the file in the error raised when the voice has no
-    note.
-
-    A note still sounding at the next onset is truncated at that onset;
-    notes sharing an onset keep only the last one (the truncation rule
-    would leave the earlier ones with zero duration).
-    """
+    note."""
     kind, index = parse_voice_selector(selector)
-    if kind == "track":
-        raw = [n for n in score.notes if n.track == index]
-    else:
-        raw = [n for n in score.notes if n.channel == index]
+    raw = [(n.onset_ticks, n.onset_ticks + n.duration_ticks, n.pitch_midi)
+           for n in score.notes if getattr(n, kind) == index]
     if not raw:
         raise MidiError(f"{source}: {kind} {index} contains no notes")
-    events = [
-        NoteEvent(
-            Fraction(n.onset_ticks, score.division),
-            Fraction(n.duration_ticks, score.division),
-            n.pitch_midi,
-        )
-        for n in raw
-    ]
-    reduced = reduce_monophonic(events)
-    return NoteSequence(reduced, reduced[-1].end_qn)
+    onsets, ends, pitches = reduce_monophonic(*np.array(raw, np.int64).T)
+    return NoteSequence(onsets, ends, pitches, score.division, int(ends[-1]))
 
 
-def reduce_monophonic(events: list[NoteEvent] | tuple[NoteEvent, ...]) -> tuple[NoteEvent, ...]:
-    """Truncate overlapping notes at the next onset. Idempotent."""
-    ordered = sorted(events, key=lambda ev: ev.onset_qn)
-    out: list[NoteEvent] = []
-    for ev in ordered:
-        if out:
-            prev = out[-1]
-            if ev.onset_qn == prev.onset_qn:
-                out[-1] = ev
-                continue
-            if prev.end_qn > ev.onset_qn:
-                out[-1] = NoteEvent(
-                    prev.onset_qn, ev.onset_qn - prev.onset_qn, prev.pitch_midi
-                )
-        out.append(ev)
-    return tuple(out)
+def reduce_monophonic(
+    onsets: np.ndarray, ends: np.ndarray, pitches: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order notes by onset stably, keep the last of the notes that share an
+    onset (truncation would leave the others no duration) and truncate a
+    note still sounding at the next onset there. Idempotent."""
+    order = np.argsort(onsets, kind="stable")
+    onsets, ends, pitches = onsets[order], ends[order], pitches[order]
+    last = np.ones(onsets.size, bool)
+    last[:-1] = onsets[1:] != onsets[:-1]
+    onsets, ends, pitches = onsets[last], ends[last], pitches[last]
+    ends[:-1] = np.minimum(ends[:-1], onsets[1:])
+    return onsets, ends, pitches
 
 
 def _encode_vlq(value: int) -> bytes:
@@ -353,11 +397,10 @@ def _encode_vlq(value: int) -> bytes:
 
 def minimal_division(sequences: list[NoteSequence]) -> int:
     """Smallest ticks-per-quarter grid holding every onset and offset exactly."""
-    div = 1
-    for seq in sequences:
-        for ev in seq.events:
-            div = math.lcm(div, ev.onset_qn.denominator, ev.end_qn.denominator)
-    return div
+    return math.lcm(1, *(
+        seq.division // math.gcd(seq.division, *seq.onsets.tolist(), *seq.ends.tolist())
+        for seq in sequences
+    ))
 
 
 def write_standard_midi(
@@ -372,14 +415,16 @@ def write_standard_midi(
         division = minimal_division(seqs)
     tracks = []
     for seq in seqs:
+        _check_ticks(seq.total * division)
+        ticks = np.stack((seq.onsets, seq.ends)) * division
+        bad = np.flatnonzero((ticks % seq.division).any(axis=0))
+        if bad.size:
+            onset = seq.events[bad[0]].onset_qn
+            raise ValueError(f"division {division} cannot represent onset {onset}")
         msgs: list[tuple[int, int, bytes]] = []
-        for ev in seq.events:
-            on_tick = ev.onset_qn * division
-            off_tick = ev.end_qn * division
-            if on_tick.denominator != 1 or off_tick.denominator != 1:
-                raise ValueError(f"division {division} cannot represent onset {ev.onset_qn}")
-            msgs.append((int(on_tick), 1, bytes((0x90, ev.pitch_midi, 64))))
-            msgs.append((int(off_tick), 0, bytes((0x80, ev.pitch_midi, 0))))
+        for a, b, pitch in zip(*(ticks // seq.division).tolist(), seq.pitches.tolist()):
+            msgs.append((a, 1, bytes((0x90, pitch, 64))))
+            msgs.append((b, 0, bytes((0x80, pitch, 0))))
         msgs.sort(key=lambda m: (m[0], m[1]))
         body = bytearray()
         now = 0

@@ -9,7 +9,6 @@ zero-padding or nearest-neighbor resizing, into labeled rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -83,19 +82,11 @@ def local_maxima_boundaries(coeffs: np.ndarray) -> BoundarySet:
     first index. Negative-valued maxima count.
     """
     w = _coeff_values(coeffs)
-    interior = []
-    i = 1
-    while i < w.size - 1:
-        if w[i] > w[i - 1]:
-            j = i
-            while j + 1 < w.size and w[j + 1] == w[i]:
-                j += 1
-            if j < w.size - 1 and w[j + 1] < w[i]:
-                interior.append(i)
-            i = j + 1
-        else:
-            i += 1
-    return BoundarySet.from_interior(interior, w.size)
+    starts = np.flatnonzero(np.diff(w)) + 1  # every run of equal values but the first
+    after = np.append(starts[1:], w.size)  # the index after each run
+    rising = w[starts] > w[starts - 1]
+    falling = (after < w.size) & (w[np.minimum(after, w.size - 1)] < w[starts])
+    return BoundarySet.from_interior(starts[rising & falling], w.size)
 
 
 def constant_boundaries(
@@ -116,16 +107,11 @@ def lbdm_profile(seq: NoteSequence) -> np.ndarray:
     x_i * (r_{i-1} + r_i); profiles are max-normalized and combined with
     weights 0.25/0.5/0.25, then max-normalized again.
     """
-    events = seq.events
-    if len(events) < 2:
+    if len(seq) < 2:
         return np.zeros(0)
-    pitch = np.array(
-        [abs(b.pitch_midi - a.pitch_midi) for a, b in zip(events, events[1:])], float
-    )
-    ioi = np.array([float(b.onset_qn - a.onset_qn) for a, b in zip(events, events[1:])])
-    rest = np.array(
-        [max(0.0, float(b.onset_qn - a.end_qn)) for a, b in zip(events, events[1:])]
-    )
+    pitch = np.abs(np.diff(seq.pitches)).astype(float)
+    ioi = np.diff(seq.onsets) / seq.division  # as float(Fraction): ticks are below 2**53
+    rest = (seq.onsets[1:] - seq.ends[:-1]) / seq.division
     combined = (
         0.25 * _strength_profile(pitch)
         + 0.5 * _strength_profile(ioi)
@@ -153,14 +139,9 @@ def lbdm_boundaries(
     if not 0 <= threshold <= 1:
         raise ValueError(f"LBDM threshold must be in [0, 1], got {threshold}")
     rate = Fraction(rate)
-    length = math.ceil(seq.total_duration_qn * rate)
     strengths = lbdm_profile(seq)
-    interior = [
-        math.ceil(seq.events[i + 1].onset_qn * rate)
-        for i in range(strengths.size)
-        if strengths[i] > threshold
-    ]
-    return BoundarySet.from_interior(interior, length)
+    interior = seq.sample_index(seq.onsets[1:][strengths > threshold], rate)
+    return BoundarySet.from_interior(interior, seq.sample_index(seq.total, rate))
 
 
 def cut_segments(values: np.ndarray, boundaries: BoundarySet) -> list[np.ndarray]:

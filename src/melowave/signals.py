@@ -9,7 +9,6 @@ a read-only 1-D float array; its rate is whatever the caller sampled at.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 
@@ -24,30 +23,23 @@ class RestPolicy(Enum):
 
 
 def _sample(seq: NoteSequence, rate: Fraction, length: int, policy: RestPolicy) -> np.ndarray:
-    """Piecewise-constant fill with rest regions resolved per the policy,
-    returned read-only: one song's signal may be shared by many callers.
-
-    Under REMOVE each rest region takes the pitch of the note event that
-    immediately precedes it (the first pitch for a leading rest), even when
-    that note is too short to own a sample of its own.
-    """
-    if policy is RestPolicy.REMOVE and not seq.events:
+    """Piecewise-constant fill, read-only: one song's signal may be shared
+    by many callers. A note owns the samples from the ceiling of its onset
+    to the ceiling of its end. Under REMOVE each rest region takes the pitch
+    of the note event that immediately precedes it (the first pitch for a
+    leading rest), even when that note is too short to own a sample."""
+    if policy is RestPolicy.REMOVE and not len(seq):
         raise ValueError("cannot remove rests from a sequence with no notes")
-    values = np.zeros(length)
-    if policy is RestPolicy.REMOVE:
-        values[:] = seq.events[0].pitch_midi  # leading rest region
-    for i, ev in enumerate(seq.events):
-        a = max(math.ceil(ev.onset_qn * rate), 0)
-        b = min(math.ceil(ev.end_qn * rate), length)
-        if b > a:
-            values[a:b] = ev.pitch_midi
-        if policy is RestPolicy.REMOVE:
-            gap_end = (
-                seq.events[i + 1].onset_qn if i + 1 < len(seq.events) else seq.total_duration_qn
-            )
-            g = min(math.ceil(gap_end * rate), length)
-            if g > b:
-                values[b:g] = ev.pitch_midi
+    starts = seq.sample_index(seq.onsets, rate)
+    if policy is RestPolicy.REMOVE:  # runs of the leading rest, then of each note
+        edges = np.concatenate(([0], starts, [length]))
+        pitches = np.concatenate((seq.pitches[:1], seq.pitches))
+    else:  # runs of rest, note, rest, ..., note, rest
+        note_runs = np.column_stack((starts, seq.sample_index(seq.ends, rate))).ravel()
+        edges = np.concatenate(([0], note_runs, [length]))
+        pitches = np.zeros(2 * len(seq) + 1)
+        pitches[1::2] = seq.pitches
+    values = np.repeat(pitches.astype(float), np.diff(edges))
     values.setflags(write=False)
     return values
 
@@ -63,7 +55,7 @@ def sample_pitch_signal(
     rate = Fraction(rate)
     if rate <= 0:
         raise ValueError("sample rate must be positive")
-    length = math.ceil(seq.total_duration_qn * rate)
+    length = seq.sample_index(seq.total, rate)
     if length < 1:
         raise ValueError("sequence has zero duration, nothing to sample")
     return _sample(seq, rate, length, rest_policy)
@@ -73,9 +65,9 @@ def resample_to_length(seq: NoteSequence, n: int, rest_policy: RestPolicy) -> np
     """Sample the piecewise-constant pitch function to exactly n points."""
     if n < 1:
         raise ValueError("target length must be at least 1")
-    if seq.total_duration_qn <= 0:
+    if seq.total <= 0:
         raise ValueError("sequence has zero duration, nothing to resample")
-    return _sample(seq, Fraction(n) / seq.total_duration_qn, n, rest_policy)
+    return _sample(seq, Fraction(n * seq.division, seq.total), n, rest_policy)
 
 
 def mean_normalize(values: np.ndarray) -> np.ndarray:

@@ -63,7 +63,7 @@ def make_sequence(notes, total=None) -> NoteSequence:
     )
     if total is None:
         total = events[-1].end_qn if events else Fraction(0)
-    return NoteSequence(events, Fraction(total))
+    return NoteSequence.from_events(events, Fraction(total))
 
 
 def random_sequence(rng: np.random.Generator, n_notes: int = 12, with_rests: bool = True):
@@ -77,7 +77,7 @@ def random_sequence(rng: np.random.Generator, n_notes: int = 12, with_rests: boo
         events.append(NoteEvent(onset, duration, int(rng.integers(36, 96))))
         onset += duration
     total = onset + (Fraction(int(rng.integers(0, 3)), 4) if with_rests else 0)
-    return NoteSequence(tuple(events), total)
+    return NoteSequence.from_events(events, total)
 
 
 def mirror_extended(values, pad: int):

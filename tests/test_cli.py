@@ -437,6 +437,25 @@ class TestErrors:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config, flag", [
+        (["--jobs", "0"], "", "jobs"),
+        (["--unsegmented", "--rep", "vr", "--jobs", "-3", "--scales", "9", "--ks", "7"], "",
+         "scales"),
+        (["--thresholds", "0.4"], "", "thresholds"),
+        (["--ks", "1,2"], "", "ks"),
+        ([], "jobs = 2\n", "jobs"),
+        (["--unsegmented", "--rep", "vr"], "scales=1,2\n", "scales"),
+    ], ids=["jobs", "unsegmented", "thresholds", "ks", "jobs-config", "unsegmented-config"])
+    def test_grid_flag_outside_grid_one_line_error(self, flags, config, flag, tmp_path, capsys):
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            flags = [*flags, "--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out.csv"
+        assert main(["exp", "folk", "--synthetic-seed", "0", "--synthetic-families", "2",
+                     *flags, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"melowave: error: only the grid reads --{flag}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_grid_jobs_below_one_one_line_error(self, jobs, tmp_path, capsys):
         out = tmp_path / "grid.csv"

@@ -178,37 +178,28 @@ class TestExtractVoice:
             extract_voice(score, "part:1", "test.mid")
 
 
+def reduced(onsets, ends, pitches) -> list[tuple[int, int, int]]:
+    """reduce_monophonic on tick lists, as (onset, end, pitch) rows."""
+    arrays = (np.array(values, np.int64) for values in (onsets, ends, pitches))
+    return list(zip(*(values.tolist() for values in reduce_monophonic(*arrays))))
+
+
 class TestMonophonicReduction:
     def test_same_onset_keeps_last(self):
-        events = [
-            NoteEvent(Fraction(0), Fraction(1), 60),
-            NoteEvent(Fraction(0), Fraction(1), 64),
-        ]
-        assert reduce_monophonic(events) == (NoteEvent(Fraction(0), Fraction(1), 64),)
+        assert reduced([0, 0], [1, 1], [60, 64]) == [(0, 1, 64)]
 
     def test_idempotent(self, rng):
         for _ in range(40):
-            events = []
-            onset = Fraction(0)
-            for _ in range(10):
-                duration = Fraction(int(rng.integers(1, 9)), 2)
-                events.append(NoteEvent(onset, duration, int(rng.integers(40, 90))))
-                # next onset may fall inside the previous note
-                onset += Fraction(int(rng.integers(1, 9)), 4)
-            once = reduce_monophonic(events)
-            assert reduce_monophonic(once) == once
-            NoteSequence(once, once[-1].end_qn)  # monophonic invariant holds
+            durations = rng.integers(1, 9, size=10) * 2
+            # next onset may fall inside the previous note
+            onsets = np.concatenate(([0], np.cumsum(rng.integers(1, 9, size=9))))
+            once = reduce_monophonic(onsets, onsets + durations, rng.integers(40, 90, size=10))
+            twice = reduce_monophonic(*once)
+            assert all(np.array_equal(a, b) for a, b in zip(once, twice))
+            NoteSequence(*once, 4, int(once[1][-1]))  # monophonic invariant holds
 
     def test_contained_note_chain(self):
-        events = [
-            NoteEvent(Fraction(0), Fraction(4), 60),
-            NoteEvent(Fraction(1), Fraction(4), 62),
-            NoteEvent(Fraction(2), Fraction(1), 64),
-        ]
-        reduced = reduce_monophonic(events)
-        assert [(e.onset_qn, e.duration_qn) for e in reduced] == [
-            (0, 1), (1, 1), (2, 1),
-        ]
+        assert reduced([0, 1, 2], [4, 5, 3], [60, 62, 64]) == [(0, 1, 60), (1, 2, 62), (2, 3, 64)]
 
 
 class TestNoteSequence:

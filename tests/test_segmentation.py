@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melowave.segmentation import (
     BoundarySet,
@@ -63,7 +65,33 @@ class TestZeroCrossings:
         assert found > 10  # the property was actually exercised
 
 
+def oracle_local_maxima(w) -> list[int]:
+    """Walk the coefficients: a plateau that rises from its left neighbor
+    and falls to its right one marks its first index."""
+    interior = []
+    i = 1
+    while i < w.size - 1:
+        if w[i] > w[i - 1]:
+            j = i
+            while j + 1 < w.size and w[j + 1] == w[i]:
+                j += 1
+            if j < w.size - 1 and w[j + 1] < w[i]:
+                interior.append(i)
+            i = j + 1
+        else:
+            i += 1
+    return [0, *interior, w.size]
+
+
 class TestLocalMaxima:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3), min_size=1,
+                    max_size=30))
+    def test_matches_oracle(self, values):
+        # few distinct values, so plateaus and edge runs are common
+        w = np.array(values)
+        assert list(local_maxima_boundaries(w).indices) == oracle_local_maxima(w)
+
     def test_two_peaks(self):
         assert local_maxima_boundaries(np.array([0.0, 2.0, 0.0, 3.0, 0.0])).indices == (0, 1, 3, 5)
 
