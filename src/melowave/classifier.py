@@ -50,52 +50,81 @@ class LabeledCorpus:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    def __len__(self) -> int:
-        return self.rows.shape[0]
+
+@dataclass(frozen=True)
+class DistinctRows:
+    """A matrix's distinct ``rows`` in first-occurrence order, each matrix
+    row's distinct id (``ids``), and the copies of distinct row d: matrix
+    rows ``copies[starts[d]:starts[d + 1]]``, ascending."""
+
+    rows: np.ndarray
+    ids: np.ndarray
+    copies: np.ndarray
+    starts: np.ndarray
+
+
+def distinct_rows(matrix: np.ndarray) -> DistinctRows:
+    """The rows of a matrix grouped by equal bytes."""
+    seen: dict = {}
+    ids = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in matrix], dtype=np.intp)
+    copies = np.argsort(ids, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=len(seen)))))
+    return DistinctRows(matrix[copies[starts[:-1]]], ids, copies, starts)
 
 
 def predict_from_distances(
-    block: np.ndarray, labels: Sequence, ks: Sequence[int]
-) -> dict[int, list]:
-    """kNN decision of every row of a distance block, for each k in ks.
+    block: np.ndarray, labels: Sequence, ks: Sequence[int],
+    groups: DistinctRows | None = None, excluded: tuple | None = None,
+) -> tuple[dict[int, list], np.ndarray]:
+    """kNN decision of every query of a distance block for each k in ks,
+    and each query's nearest distance.
 
-    Returns one label per row for each k. Each row's first max(ks)
-    neighbors are found once, in (distance, insertion index) order, and
-    shared by every k; non-finite entries (fold masking) never become
-    neighbors. The decision is the modal label of the first k neighbors; a
-    modal tie goes to the tied label that comes first. Every tied label has
-    a vote among the first k, so neighbors beyond the first k never decide.
+    ``block[q, d]`` is query q's distance to every copy of distinct corpus
+    row d of ``groups`` (to corpus row d without groups); ``labels`` label
+    the corpus rows. Corpus rows lo[q]:hi[q] of ``excluded = (lo, hi)`` are
+    no neighbors of query q, nor are non-finite entries. The first max(ks)
+    neighbors in (distance, corpus row) order serve every k: the decision
+    is the modal label of the first k, and a modal tie goes to the tied
+    label that comes first, so neighbors beyond the first k never decide.
     """
     if min(ks) < 1:
         raise ValueError("k must be at least 1")
-    block = np.atleast_2d(np.asarray(block, dtype=float))
-    n_rows, n_cols = block.shape
+    dist = np.array(block, dtype=float, ndmin=2)  # a copy, masked below
+    n_rows, n_groups = dist.shape
+    starts = np.arange(n_groups + 1) if groups is None else groups.starts  # one row a group
+    copies = starts[:-1] if groups is None else groups.copies
+    n_cols = copies.size
+    lo, hi = (np.zeros(n_rows, dtype=int),) * 2 if excluded is None else excluded
+    # a distinct row with every copy excluded is no neighbor; it first
+    # occurs in some lo:hi, and distinct rows are in first-occurrence order
+    first, last = copies[starts[:-1]], copies[starts[1:] - 1]
+    win = slice(*np.searchsorted(first, [lo.min(initial=n_cols), hi.max(initial=0)]))
+    dist[:, win][(first[win] >= lo[:, None]) & (last[win] < hi[:, None])] = np.inf
+    # every finite distinct row left has a usable copy, so the first
+    # `width` neighbors are copies of the distinct rows at or below the
+    # width-th smallest distance: of each, its first `width` copies outside
+    # lo:hi, those below lo, then those from hi on
     width = min(max(ks), n_cols)
-    # each row's first `width` entries in (distance, column) order: those
-    # below its width-th smallest distance, then its ties at that distance
-    # in column order, so a row of thousands of equal distances costs no
-    # sort (a row with fewer non-NaN entries takes them all)
-    kth = np.partition(block, width - 1, axis=1)[:, width - 1 : width]
-    kth[np.isnan(kth)] = np.inf
-    less = np.flatnonzero(block < kth)
-    tied = np.flatnonzero(block == kth)
-    tied_start = np.searchsorted(tied, np.arange(n_rows + 1) * n_cols)  # per row, in order
-    n_less = np.bincount(less // n_cols, minlength=n_rows)
-    n_tied = np.minimum(width - n_less, np.diff(tied_start))
-    slot = np.arange(width)
-    flat = np.concatenate((less, tied[(tied_start[:-1, None] + slot)[slot < n_tied[:, None]]]))
-    rows, cols = np.divmod(flat, n_cols)
-    dist = block.ravel()[flat]
-    order = np.lexsort((cols, dist, rows))
-    rows, cols, dist = rows[order], cols[order], dist[order]
-    count = n_less + n_tied
+    last = min(width, n_groups) - 1
+    kth = np.partition(dist, last, axis=1)[:, last : last + 1]
+    q, d = np.divmod(np.flatnonzero(dist <= np.fmin(kth, np.finfo(float).max)), n_groups)
+    key = np.repeat(np.arange(n_groups), np.diff(starts)) * n_cols + copies  # ascending
+    below = np.searchsorted(key, d * n_cols + lo[q]) - starts[d]
+    above = np.searchsorted(key, d * n_cols + hi[q])
+    pair, slot = np.nonzero(np.arange(width) < (below + starts[d + 1] - above)[:, None])
+    rows, dists = q[pair], dist[q, d][pair]
+    cols = copies[np.where(slot < below[pair], starts[d][pair], (above - below)[pair]) + slot]
+    order = np.lexsort((cols, dists, rows))
+    rows, cols, dists = rows[order], cols[order], dists[order]
+    count = np.bincount(rows, minlength=n_rows)
     rank = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
+    kept = rank < width
     nearest = np.zeros((n_rows, width), dtype=int)
     nearest_dist = np.full((n_rows, width), np.inf)
-    nearest[rows, rank] = cols
-    nearest_dist[rows, rank] = dist
-    valid = np.isfinite(nearest_dist)  # a row may have fewer finite entries than k
-    if not valid.any(axis=1).all():
+    nearest[rows[kept], rank[kept]] = cols[kept]
+    nearest_dist[rows[kept], rank[kept]] = dists[kept]
+    valid = np.isfinite(nearest_dist)  # a row may have fewer finite neighbors than k
+    if not valid[:, 0].all():
         raise ValueError("no finite distances to classify against")
     codes: dict = {}  # the neighbors' labels as integers, compared as arrays below
     code = np.array([codes.setdefault(labels[c], len(codes)) for c in nearest.ravel().tolist()])
@@ -107,11 +136,13 @@ def predict_from_distances(
     votes = np.cumsum(same, axis=2).transpose(0, 2, 1)
     winner = np.argmax(votes == votes.max(axis=2, keepdims=True), axis=2)
     chosen = nearest[np.arange(n_rows)[:, None], winner].T.tolist()
-    return {k: [labels[c] for c in chosen[min(k, width) - 1]] for k in ks}
+    by_k = {k: [labels[c] for c in chosen[min(k, width) - 1]] for k in ks}
+    return by_k, nearest_dist[:, 0]
 
 
-def vote(row_labels: Sequence, block: np.ndarray) -> Hashable:
-    """Modal class of the per-row predictions of one item.
+def vote(row_labels: Sequence, block) -> Hashable:
+    """Modal class of the per-row predictions of one item, whose distance
+    rows ``block`` holds (or returns when called, which it is on a tie).
 
     A tie is broken by the globally smallest finite distance pooled over
     each tied class's rows of the block, extending outward through the
@@ -125,6 +156,8 @@ def vote(row_labels: Sequence, block: np.ndarray) -> Hashable:
     tied = [label for label in votes if votes[label] == top]
     if len(tied) == 1:
         return tied[0]
+    if callable(block):
+        block = block()
 
     def pooled(label) -> list[float]:
         # sorted finite distances, then +inf: a label with a finite next-nearest

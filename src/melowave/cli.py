@@ -216,10 +216,9 @@ def cmd_classify(args) -> int:
             f"corpus CSV {args.corpus} has {width}"
         )
     block = pairwise_distances(queries, corpus.rows, Metric(args.metric))
-    labels = predict_from_distances(block, corpus.labels, (args.k,))[args.k]
-    nearest = np.where(np.isfinite(block), block, np.inf).min(axis=1)
+    by_k, nearest = predict_from_distances(block, corpus.labels, (args.k,))
     rows = [("query_index", "predicted_label", "nearest_distance")]
-    rows += [(i, label, d) for i, (label, d) in enumerate(zip(labels, nearest))]
+    rows += [(i, label, d) for i, (label, d) in enumerate(zip(by_k[args.k], nearest))]
     _write_rows(args.output, rows)
     return 0
 
@@ -287,6 +286,11 @@ def cmd_exp_folk(args) -> int:
     sweep = {name: getattr(args, name) for name in _GRID_FLAGS if getattr(args, name) is not None}
     if sweep and not args.grid:
         raise ValueError(f"only the grid reads --{next(iter(sweep))}")
+    # the flags that only the unsegmented run reads (None when not given)
+    whole = {name: getattr(args, name) for name in ("rep_support", "length")
+             if getattr(args, name) is not None}
+    if whole and not args.unsegmented:
+        raise ValueError(f"only --unsegmented reads --{next(iter(whole)).replace('_', '-')}")
     corpus = _folk_corpus(args)
     if args.grid:
         reports = experiments.grid_search(
@@ -297,9 +301,9 @@ def cmd_exp_folk(args) -> int:
                for name, value in sweep.items()},
         )
     elif args.unsegmented:
-        reports = experiments.run_folk_unsegmented(
-            corpus, _config(args), _parse_list(args.rep_support, int), args.length
-        )
+        if "rep_support" in whole:
+            whole["supports"] = _parse_list(whole.pop("rep_support"), int)
+        reports = experiments.run_folk_unsegmented(corpus, _config(args), **whole)
     else:
         k = 1 if args.k is None else args.k
         reports = experiments.run_folk_segmented(corpus, _config(args), (k,))
@@ -442,13 +446,13 @@ def _add_folk_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rep", choices=("wr", "vr"), default="wr")
     p.add_argument("--rep-scale-qn", default="1",
                    help="wavelet representation scale (segmented runs)")
-    p.add_argument("--rep-support", default="2,4,8,16,32,64,128,256",
-                   help="comma list of wavelet supports in samples for --unsegmented wr")
+    p.add_argument("--rep-support", help="comma list of wavelet supports in samples for "
+                   "--unsegmented wr (default 2,4,8,16,32,64,128,256)")
     p.add_argument("--seg", choices=("ws-max", "lbdm"), default="ws-max")
     p.add_argument("--seg-scale-qn", default="1", help="local-maxima segmentation scale")
     p.add_argument("--threshold", type=float, default=0.4, help="LBDM threshold")
-    p.add_argument("--length", type=int, default=1024,
-                   help="fixed signal length for --unsegmented (default 2^10)")
+    p.add_argument("--length", type=int,
+                   help="fixed signal length for --unsegmented (default 1024)")
     p.add_argument("--k", type=int, default=None,
                    help="neighbors, 1..5, for a single cell (default 1)")
     p.add_argument("--metric", choices=("euclidean", "cityblock"), default="cityblock")

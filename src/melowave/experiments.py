@@ -14,13 +14,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cache, partial
 from typing import Hashable, Sequence
 
 import numpy as np
 
 from .classifier import (
+    DistinctRows,
     LabeledCorpus,
     Metric,
+    distinct_rows,
     pairwise_distances,
     predict_from_distances,
     vote,
@@ -69,6 +72,7 @@ class SegMethod(Enum):
 DYADIC_SCALES_QN: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 LBDM_THRESHOLDS: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 ALL_KS: tuple[int, ...] = (1, 2, 3, 4, 5)
+WHOLE_MELODY_SUPPORTS: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256)
 EXPOSITION_QN = 16
 
 _WS_METHODS = (SegMethod.WS_ZERO_CROSS, SegMethod.WS_LOCAL_MAX)
@@ -178,15 +182,16 @@ def find_boundaries(
     span_seq: NoteSequence | None,
     segmentation: Segmentation,
     rate: Fraction,
+    filt=None,
 ) -> BoundarySet:
-    """Boundaries of a pitch-signal span sampled at ``rate``; LBDM reads the
-    span's note stream instead of its samples."""
+    """Boundaries of a pitch-signal span sampled at ``rate``, filtered by
+    ``filt`` if given; LBDM reads the span's note stream instead."""
     length = pitch_span.size
     method, param = segmentation.method, segmentation.param
     if method is SegMethod.NONE:
         return BoundarySet((0, length), length)
     if method in _WS_METHODS:
-        coeffs = haar_filter(pitch_span, support_samples(param, rate))
+        coeffs = (filt or haar_filter)(pitch_span, support_samples(param, rate))
         if method is SegMethod.WS_ZERO_CROSS:
             return zero_crossing_boundaries(coeffs)
         return local_maxima_boundaries(coeffs)
@@ -197,10 +202,11 @@ def find_boundaries(
     return lbdm_boundaries(span_seq, param, rate)
 
 
-def _representation(pitch_span: np.ndarray, config: ExperimentConfig) -> np.ndarray:
-    """The span in the config's representation, before segmentation."""
+def _representation(pitch_span: np.ndarray, config: ExperimentConfig, filt=None) -> np.ndarray:
+    """The span in the config's representation, filtered by ``filt`` if given."""
     if config.representation is Representation.WAVELET:
-        return haar_filter(pitch_span, support_samples(config.wavelet_rep_scale_qn, config.rate))
+        support = support_samples(config.wavelet_rep_scale_qn, config.rate)
+        return (filt or haar_filter)(pitch_span, support)
     return np.asarray(pitch_span, dtype=float)
 
 
@@ -225,30 +231,57 @@ def _equalize(
     return equalize_interpolate(segments, labels, target_len)
 
 
+# distance entries (query rows x distinct corpus rows) that one chunk of items measures
+_CHUNK_ENTRIES = 2**16
+
+
 def _classify(
     items: Sequence[tuple[str, str]],
-    queries: np.ndarray,
+    queries: DistinctRows,
     offsets: np.ndarray,
-    corpus: LabeledCorpus,
+    corpus: DistinctRows,
+    labels: Sequence,
     metric: Metric,
     ks: Sequence[int],
     held_out: bool,
 ) -> dict[int, tuple[TraceRow, ...]]:
     """Traces of the kNN/vote decision of every item, for several k at once.
     Item i is (item id, true label); the kNN decisions of its query rows
-    offsets[i]:offsets[i + 1] vote for its prediction. Distances are computed
-    one item at a time; neighbor orderings are shared across k. With
-    ``held_out`` the queries are the corpus rows and each item's own columns
-    are masked (leave-one-out)."""
+    offsets[i]:offsets[i + 1] vote for its prediction. ``labels`` label the
+    corpus rows. With ``held_out`` the queries are the corpus rows and an
+    item's own rows are no neighbors of its queries (leave-one-out). Items
+    run in chunks: a chunk measures each distinct query row of each of its
+    items against the distinct corpus rows, once."""
+    n_queries = queries.rows.shape[0]
+    # each query row's (item, distinct query row) pair, as one integer
+    pair_of = np.repeat(np.arange(len(items)), np.diff(offsets)) * n_queries + queries.ids
+    bounds = offsets if held_out else np.zeros_like(offsets)  # the corpus rows each item excludes
+    step = max(1, _CHUNK_ENTRIES // corpus.rows.shape[0])  # query rows per chunk
     traces: dict[int, list[TraceRow]] = {k: [] for k in ks}
-    for (item_id, true_label), a, b in zip(items, offsets, offsets[1:]):
-        block = pairwise_distances(queries[a:b], corpus.rows, metric)
-        if held_out:
-            block[:, a:b] = np.inf
-        by_k = predict_from_distances(block, corpus.labels, ks)
-        nearest = float(block.min())
-        for k in ks:
-            traces[k].append(TraceRow(item_id, true_label, vote(by_k[k], block), nearest))
+    start = 0
+    while start < len(items):
+        stop = max(start + 1, int(np.searchsorted(offsets, offsets[start] + step, "right")) - 1)
+        a = offsets[start]
+        pairs, row_query = np.unique(pair_of[a : offsets[stop]], return_inverse=True)
+        item_of, distinct_of = np.divmod(pairs, n_queries)
+        block = pairwise_distances(queries.rows[distinct_of], corpus.rows, metric)
+        excluded = (bounds[item_of], bounds[item_of + 1])
+        by_k, nearest = predict_from_distances(block, labels, ks, corpus, excluded)
+        for i in range(start, stop):
+            mine = row_query[offsets[i] - a : offsets[i + 1] - a]
+
+            @cache
+            def item_block():  # the item's rows against every corpus row, for a vote tie
+                full = block[np.ix_(mine, corpus.ids)]
+                full[:, bounds[i] : bounds[i + 1]] = np.inf
+                return full
+
+            item_id, true_label = items[i]
+            distance = float(nearest[mine].min())
+            for k, labels_k in by_k.items():
+                predicted = vote([labels_k[q] for q in mine.tolist()], item_block)
+                traces[k].append(TraceRow(item_id, true_label, predicted, distance))
+        start = stop
     return {k: tuple(rows) for k, rows in traces.items()}
 
 
@@ -360,7 +393,8 @@ def run_bach_experiment(
     target = max(len(s) for s in cls_segments + test_segments)
     corpus = _equalize(cls_segments, cls_labels, config.equalization, target)
     queries = _equalize(test_segments, [None] * len(test_segments), config.equalization, target)
-    traces = _classify(items, queries.rows, offsets, corpus, config.metric, (1,), False)[1]
+    queries, corpus = distinct_rows(queries.rows), distinct_rows(corpus.rows)
+    traces = _classify(items, queries, offsets, corpus, cls_labels, config.metric, (1,), False)[1]
     if contrapuntal:  # a (work, variation) class counts for its work
         traces = tuple(replace(t, predicted_label=t.predicted_label[0]) for t in traces)
     # split_section_spans gives every work three sections, in order
@@ -395,21 +429,34 @@ def _signals(corpus: FolkCorpus, sample, *args) -> list[np.ndarray]:
     return [sample(song.seq, *args) for song in corpus.songs]
 
 
+def _song_filter(filtered: dict, song: int, values: np.ndarray, support: int) -> np.ndarray:
+    """Song ``song``'s Haar coefficients at ``support``; ``filtered`` keeps
+    the coefficients of the last support asked for."""
+    if support not in filtered:
+        filtered.clear()
+    return _cached(filtered.setdefault(support, {}), song, haar_filter, values, support)
+
+
 def _cut_corpus(
-    corpus: FolkCorpus, signals: list[np.ndarray], memo: dict, config: ExperimentConfig
+    corpus: FolkCorpus, signals: list[np.ndarray], memo: dict, filtered: dict,
+    config: ExperimentConfig,
 ) -> tuple[list[np.ndarray], list, np.ndarray]:
     """Segments of every song in corpus order, their families, and the row
     offsets of each song's segments. A song's boundaries are found once per
-    ``memo``, keyed by the song's index. A failure raises the first failing
-    song's first error, in the order representation, boundaries, cut."""
+    ``memo`` and its coefficients through ``filtered``. A failure raises the
+    first failing song's first error, in the order representation,
+    boundaries, cut."""
     segmentation = config.segmentation
     segments: list[np.ndarray] = []
     labels: list = []
     offsets = [0]
     for i, (song, signal) in enumerate(zip(corpus.songs, signals)):
-        rep = _representation(signal, config)
+        filt = partial(_song_filter, filtered, i)
+        rep = _representation(signal, config, filt)
         notes = song.seq if segmentation.method is SegMethod.LBDM else None
-        boundaries = _cached(memo, i, find_boundaries, signal, notes, segmentation, config.rate)
+        boundaries = _cached(
+            memo, i, find_boundaries, signal, notes, segmentation, config.rate, filt
+        )
         cut = _cut(rep, boundaries, config)
         assert cut, "default boundaries guarantee at least one segment"
         segments += cut
@@ -425,10 +472,11 @@ def _segmentation_group(args) -> list:
 
     Each stage runs once for every cell that shares its inputs: boundaries
     per song, representation and cut per representation, equalization per
-    representation and equalization (shared by the metrics). A stage that
-    fails runs again, and fails again, in each cell that needs it.
+    representation and equalization (shared by the metrics, which read only
+    its distinct rows). A stage that fails runs again, and fails again, in
+    each cell that needs it.
     """
-    corpus, signals, configs, ks, record_traces = args
+    corpus, signals, filtered, configs, ks, record_traces = args
     items = [(song.song_id, song.family) for song in corpus.songs]
     memo: dict = {}
     results = []
@@ -438,12 +486,13 @@ def _segmentation_group(args) -> list:
             if len(corpus) < 2:
                 raise ValueError("leave-one-out needs at least two songs")
             segments, labels, offsets = _cached(
-                memo, rep, _cut_corpus, corpus, signals, memo, config
+                memo, rep, _cut_corpus, corpus, signals, memo, filtered, config
             )
-            matrix = _cached(
-                memo, (rep, config.equalization), _equalize, segments, labels, config.equalization
+            matrix = _cached(  # only the equalized matrix's distinct rows are kept
+                memo, (rep, config.equalization),
+                lambda: distinct_rows(_equalize(segments, labels, config.equalization).rows),
             )
-            traces = _classify(items, matrix.rows, offsets, matrix, config.metric, ks, True)
+            traces = _classify(items, matrix, offsets, matrix, labels, config.metric, ks, True)
             results.append(
                 {k: (_accuracy(t), t if record_traces else ()) for k, t in traces.items()}
             )
@@ -460,12 +509,14 @@ def _run_cells(
     """Per config, in order, the k -> (accuracy, traces) results of its cell
     over the songs' signals, or the cell's error. Cells run in segmentation
     groups, the units of work that at most ``jobs`` worker processes share;
-    evaluation is pure, so any job count assembles identical results."""
+    evaluation is pure, so any job count assembles identical results. The
+    groups of one process share the songs' Haar coefficients."""
     groups: dict[Segmentation, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(config.segmentation, []).append(i)
+    filtered: dict = {}  # support -> song index -> coefficients
     tasks = [
-        (corpus, signals, [configs[i] for i in cells], tuple(ks), record_traces)
+        (corpus, signals, filtered, [configs[i] for i in cells], tuple(ks), record_traces)
         for cells in groups.values()
     ]
     workers = min(jobs, len(tasks))  # a group is the smallest unit of work
@@ -525,7 +576,8 @@ def run_folk_segmented(
 
 
 def run_folk_unsegmented(
-    corpus: FolkCorpus, config: ExperimentConfig, supports: Sequence[int], length: int = 1024
+    corpus: FolkCorpus, config: ExperimentConfig,
+    supports: Sequence[int] = WHOLE_MELODY_SUPPORTS, length: int = 1024,
 ) -> list[FolkCellReport]:
     """1-NN leave-one-out over whole melodies resampled to ``length``
     samples: one report for the pitch signal, or one per wavelet support in

@@ -1,13 +1,26 @@
 """Shared test helpers: hand-built SMF bytes (independent of the package's
-writer), random note sequences, and a reference mirror-extension used by the
-wavelet oracles."""
+writer), random note sequences, a reference mirror-extension used by the
+wavelet oracles, and the example count of the oracle tests."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from melowave.ingest import NoteEvent, NoteSequence
+
+
+# pytest --hypothesis-profile=deep runs the oracle tests at this depth
+settings.register_profile("deep", max_examples=3000, deadline=None)
+
+
+def oracle_examples(examples: int) -> int:
+    """An oracle test's example count: ``examples``, or the deep profile's
+    when that profile is loaded."""
+    if settings.get_current_profile_name() == "deep":
+        return settings.get_profile("deep").max_examples
+    return examples
 
 
 def vlq(value: int) -> bytes:

@@ -167,7 +167,7 @@ def test_criterion_4_knn_oracle_equivalence():
             for metric in Metric:
                 expected = oracle_knn_all_k(query, rows, labels, metric)
                 block = pairwise_distances(query[None, :], rows, metric)
-                got = predict_from_distances(block, labels, range(1, 6))
+                got, _ = predict_from_distances(block, labels, range(1, 6))
                 for k in range(1, 6):
                     queries_run += 1
                     if got[k][0] != expected[k]:

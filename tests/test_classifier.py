@@ -9,13 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melowave import experiments
 from melowave.classifier import (
     LabeledCorpus,
     Metric,
+    distinct_rows,
     pairwise_distances,
     predict_from_distances,
     vote,
 )
+
+from conftest import oracle_examples
 
 
 def oracle_metric(metric):
@@ -39,6 +43,48 @@ def oracle_decide(distances, labels, k):
         if labels[i] in tied:
             return labels[i]
     raise AssertionError
+
+
+def expanded_predict(block, labels, ks):
+    """The kNN decision over an expanded block, one column per corpus row:
+    each row's first max(ks) finite entries in (distance, column) order,
+    then the modal label of the first k, a modal tie going to the tied
+    label that comes first."""
+    block = np.atleast_2d(np.asarray(block, dtype=float))
+    n_rows, n_cols = block.shape
+    width = min(max(ks), n_cols)
+    # each row's first `width` entries in (distance, column) order: those
+    # below its width-th smallest distance, then its ties at that distance
+    # in column order (a row with fewer non-NaN entries takes them all)
+    kth = np.partition(block, width - 1, axis=1)[:, width - 1 : width]
+    kth[np.isnan(kth)] = np.inf
+    less = np.flatnonzero(block < kth)
+    tied = np.flatnonzero(block == kth)
+    tied_start = np.searchsorted(tied, np.arange(n_rows + 1) * n_cols)  # per row, in order
+    n_less = np.bincount(less // n_cols, minlength=n_rows)
+    n_tied = np.minimum(width - n_less, np.diff(tied_start))
+    slot = np.arange(width)
+    flat = np.concatenate((less, tied[(tied_start[:-1, None] + slot)[slot < n_tied[:, None]]]))
+    rows, cols = np.divmod(flat, n_cols)
+    dist = block.ravel()[flat]
+    order = np.lexsort((cols, dist, rows))
+    rows, cols, dist = rows[order], cols[order], dist[order]
+    count = n_less + n_tied
+    rank = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
+    nearest = np.zeros((n_rows, width), dtype=int)
+    nearest_dist = np.full((n_rows, width), np.inf)
+    nearest[rows, rank] = cols
+    nearest_dist[rows, rank] = dist
+    valid = np.isfinite(nearest_dist)
+    codes: dict = {}
+    code = np.array([codes.setdefault(labels[c], len(codes)) for c in nearest.ravel().tolist()])
+    code = code.reshape(n_rows, width)
+    # votes[r, k - 1, i]: votes of neighbor i's label among row r's first k finite neighbors
+    same = (code[:, :, None] == code[:, None, :]) & valid[:, None, :]
+    votes = np.cumsum(same, axis=2).transpose(0, 2, 1)
+    winner = np.argmax(votes == votes.max(axis=2, keepdims=True), axis=2)
+    chosen = nearest[np.arange(n_rows)[:, None], winner].T.tolist()
+    return {k: [labels[c] for c in chosen[min(k, width) - 1]] for k in ks}
 
 
 def oracle_knn(query, rows, labels, k, metric):
@@ -70,7 +116,7 @@ def oracle_vote(row_labels, distance_rows):
 def knn(query, rows, labels, k, metric):
     """One query's label through the public path."""
     block = pairwise_distances(np.asarray(query, float)[None, :], rows, metric)
-    return predict_from_distances(block, labels, (k,))[k][0]
+    return predict_from_distances(block, labels, (k,))[0][k][0]
 
 
 def distance(a, b, metric):
@@ -136,7 +182,7 @@ class TestKnnPredict:
     def test_equal_distance_tie_extends_to_next_nearest(self):
         rows = np.array([[-1.0], [1.0], [1.5]])
         block = pairwise_distances(np.array([[0.0]]), rows, Metric.EUCLIDEAN)
-        assert predict_from_distances(block, ("A", "B", "A"), (1,))[1] == ["A"]
+        assert predict_from_distances(block, ("A", "B", "A"), (1,))[0][1] == ["A"]
         assert block.min() == 1.0
 
     def test_majority(self):
@@ -150,7 +196,7 @@ class TestKnnPredict:
 
     def test_masked_entries_never_neighbors(self):
         block = np.array([[0.0, np.inf, 2.0], [np.inf, 5.0, 1.0]])
-        assert predict_from_distances(block, ("A", "B", "C"), (1, 3)) == {
+        assert predict_from_distances(block, ("A", "B", "C"), (1, 3))[0] == {
             1: ["A", "C"],
             3: ["A", "C"],
         }
@@ -186,7 +232,7 @@ class TestKnnPredict:
             queries = rng.integers(0, 4, size=(5, 3)).astype(float)
             for metric in Metric:
                 block = pairwise_distances(queries, rows, metric)
-                by_k = predict_from_distances(block, labels, (1, 2))
+                by_k, _ = predict_from_distances(block, labels, (1, 2))
                 assert by_k[1] == by_k[2]
 
     def test_scaling_invariance(self, rng):
@@ -201,8 +247,8 @@ class TestKnnPredict:
         rows = rng.normal(size=(25, 3))
         labels = tuple(f"c{int(i)}" for i in rng.integers(0, 4, size=25))
         block = pairwise_distances(rng.normal(size=(6, 3)), rows, Metric.CITYBLOCK)
-        first = predict_from_distances(block, labels, (1, 3))
-        assert predict_from_distances(block, labels, (3, 1)) == first
+        first = predict_from_distances(block, labels, (1, 3))[0]
+        assert predict_from_distances(block, labels, (3, 1))[0] == first
 
 
 class TestVote:
@@ -254,15 +300,102 @@ def tie_heavy_blocks(draw):
     return block, labels
 
 
+@st.composite
+def duplicate_heavy_corpora(draw):
+    """Corpora whose rows repeat: every row is one of 1-4 distinct
+    small-integer vectors (exact distance ties), items own consecutive row
+    ranges, and an item may repeat another item's rows outright. With few
+    rows, a held-out item's queries have fewer usable rows than k."""
+    dim = draw(st.integers(1, 3))
+    vectors = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=dim, max_size=dim), min_size=1, max_size=4
+    ))
+    items, labels, offsets = [], [], [0]
+    for _ in range(draw(st.integers(2, 8))):
+        if items and draw(st.booleans()):
+            rows = draw(st.sampled_from(items))  # a repeat of an earlier item's rows
+        else:
+            rows = draw(st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=4))
+        items.append(rows)
+        labels += draw(st.lists(st.sampled_from("abc"), min_size=len(rows), max_size=len(rows)))
+        offsets.append(offsets[-1] + len(rows))
+    matrix = np.array([vectors[v] for rows in items for v in rows], dtype=float)
+    return matrix, tuple(labels), np.array(offsets)
+
+
+def expanded_blocks(matrix, offsets, metric, held_out):
+    """Each item's block against every corpus row, its own rows masked when held out."""
+    blocks = []
+    for a, b in zip(offsets, offsets[1:]):
+        block = pairwise_distances(matrix[a:b], matrix, metric)
+        if held_out:
+            block[:, a:b] = np.inf
+        blocks.append(block)
+    return blocks
+
+
 class TestKernelProperties:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=oracle_examples(300), deadline=None)
     @given(tie_heavy_blocks())
     def test_matches_oracles(self, case):
         block, labels = case
         ks = (1, 2, 3, 4, 5)
-        by_k = predict_from_distances(block, labels, ks)
+        by_k, nearest = predict_from_distances(block, labels, ks)
+        assert expanded_predict(block, labels, ks) == by_k
         rows = block.tolist()
         for k in ks:
             expected = [oracle_decide(row, labels, k) for row in rows]
             assert by_k[k] == expected
             assert vote(by_k[k], block) == oracle_vote(expected, rows)
+        assert nearest.tolist() == [min(d for d in row if math.isfinite(d)) for row in rows]
+
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(duplicate_heavy_corpora(), st.sampled_from(list(Metric)), st.booleans())
+    def test_distinct_rows_match_expanded_block(self, corpus, metric, held_out):
+        # every corpus row's decision from distances to the distinct rows
+        # only, its own item's rows excluded when held out, against the
+        # expanded-block kernel and the exhaustive oracle
+        matrix, labels, offsets = corpus
+        ks = (1, 2, 3, 4, 5)
+        groups = distinct_rows(matrix)
+        owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        bounds = offsets if held_out else np.zeros_like(offsets)
+        block = pairwise_distances(matrix, groups.rows, metric)
+        by_k, nearest = predict_from_distances(
+            block, labels, ks, groups, (bounds[owner], bounds[owner + 1])
+        )
+        expanded = np.concatenate(expanded_blocks(matrix, offsets, metric, held_out))
+        assert np.array_equal(block[:, groups.ids], pairwise_distances(matrix, matrix, metric))
+        assert by_k == expanded_predict(expanded, labels, ks)
+        rows = expanded.tolist()
+        for k in ks:
+            assert by_k[k] == [oracle_decide(row, labels, k) for row in rows]
+        assert nearest.tolist() == [min(d for d in row if math.isfinite(d)) for row in rows]
+
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(
+        duplicate_heavy_corpora(), st.sampled_from(list(Metric)), st.booleans(),
+        st.integers(1, 40),
+    )
+    def test_item_decisions_match_oracles(self, corpus, metric, held_out, chunk_entries):
+        # the experiments' decision loop, in chunks of any size: each item's
+        # vote and nearest distance against the oracles on its expanded block
+        matrix, labels, offsets = corpus
+        ks = (1, 2, 3, 4, 5)
+        items = [(f"i{i}", labels[a]) for i, a in enumerate(offsets[:-1])]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_CHUNK_ENTRIES", chunk_entries)
+            groups = distinct_rows(matrix)
+            traces = experiments._classify(
+                items, groups, offsets, groups, labels, metric, ks, held_out
+            )
+        blocks = expanded_blocks(matrix, offsets, metric, held_out)
+        for k in ks:
+            expected = []
+            for (item_id, label), block in zip(items, blocks):
+                rows = block.tolist()
+                predictions = [oracle_decide(row, labels, k) for row in rows]
+                nearest = min(d for row in rows for d in row if math.isfinite(d))
+                expected.append((item_id, label, oracle_vote(predictions, rows), nearest))
+            got = [(t.item_id, t.true_label, t.predicted_label, t.nearest_distance) for t in traces[k]]
+            assert got == expected

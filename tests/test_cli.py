@@ -456,6 +456,25 @@ class TestErrors:
         assert capsys.readouterr().err == f"melowave: error: only the grid reads --{flag}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config, flag", [
+        (["exp", "folk", "--length", "0"], "", "length"),
+        (["exp", "folk", "--rep-support", "abc"], "", "rep-support"),
+        (["grid", "--scales", "1", "--length", "64"], "", "length"),
+        (["exp", "folk"], "length = 64\n", "length"),
+        (["grid", "--scales", "1"], "rep_support = 2,4\n", "rep-support"),
+    ], ids=["length", "rep-support", "grid-length", "length-config", "rep-support-config"])
+    def test_unsegmented_flag_outside_unsegmented_one_line_error(
+        self, command, config, flag, tmp_path, capsys
+    ):
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            command = [*command, "--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out.csv"
+        assert main([*command, "--synthetic-seed", "0", "--synthetic-families", "2",
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"melowave: error: only --unsegmented reads --{flag}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_grid_jobs_below_one_one_line_error(self, jobs, tmp_path, capsys):
         out = tmp_path / "grid.csv"

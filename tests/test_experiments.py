@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melowave import experiments
 from melowave.classifier import Metric, pairwise_distances
@@ -43,7 +45,7 @@ from melowave.ingest import MidiError, write_standard_midi
 from melowave.segmentation import equalize_zero_pad
 from melowave.signals import RestPolicy, resample_to_length, sample_pitch_signal
 
-from conftest import make_sequence, smf, track_chunk
+from conftest import make_sequence, oracle_examples, smf, track_chunk
 from test_classifier import oracle_decide, oracle_vote
 
 NO_SEGMENTATION = Segmentation(SegMethod.NONE)
@@ -255,37 +257,56 @@ class TestBachExperiment:
         ), False),
     ], ids=["nc-pad", "cp-interp", "vr-lbdm"])
     def test_matches_naive_per_section_route(self, works, config, contrapuntal):
-        # each section equalized on its own at the run's target length, then
-        # decided row by row and voted on by the oracles
         few = works[:5]
-        parts = work_parts(few, config)
-        cls_segments, cls_labels = classifier_segments(
-            few, parts, config, contrapuntal=contrapuntal
-        )
-        sections = []
-        for work, (upper, lower) in zip(few, parts):
-            for j, (a, b) in enumerate(split_section_spans(upper[0].size, config.rate)):
-                segments = []
-                for signal, seq in (upper, lower):
-                    span_seq = seq.slice(Fraction(a) / config.rate, Fraction(b) / config.rate)
-                    segments += _part_segments(signal[a:b], span_seq, VariationKind.PRIME, config)
-                sections.append((f"{work.work_id}/s{j}", work.work_id, segments))
-        target = max(len(s) for s in cls_segments + [s for *_, segs in sections for s in segs])
-        corpus = _equalize(cls_segments, cls_labels, config.equalization, target)
-        expected = []
-        for item_id, work_id, segments in sections:
-            rows = _equalize(segments, [work_id] * len(segments), config.equalization, target)
-            distances = pairwise_distances(rows.rows, corpus.rows, config.metric).tolist()
-            predictions = [oracle_decide(row, corpus.labels, 1) for row in distances]
-            predicted = oracle_vote(predictions, distances)
-            if contrapuntal:
-                predicted = predicted[0]
-            expected.append((item_id, work_id, predicted, min(map(min, distances))))
         report = run_bach_experiment(few, config, contrapuntal=contrapuntal)
-        assert [
-            (t.item_id, t.true_label, t.predicted_label, t.nearest_distance)
-            for t in report.traces
-        ] == expected
+        assert trace_tuples(report.traces) == bach_reference(few, config, contrapuntal)
+
+    @settings(max_examples=oracle_examples(6), deadline=None)
+    @given(
+        st.integers(0, 2**16), st.integers(2, 3), st.booleans(), st.booleans(),
+        st.sampled_from(["vr", "wr"]), st.sampled_from(list(Metric)),
+    )
+    def test_traces_match_reference(self, seed, n_works, copy, contrapuntal, rep, metric):
+        # a few works, the first one again under another id when ``copy``
+        # (every classifier row of the pair then ties exactly)
+        few = synthetic_inventions(seed, n_works)
+        if copy:
+            few.append(BachWork("copy", few[0].upper, few[0].lower))
+        config = ExperimentConfig(representation=Representation(rep), metric=metric)
+        report = run_bach_experiment(few, config, contrapuntal=contrapuntal)
+        assert trace_tuples(report.traces) == bach_reference(few, config, contrapuntal)
+
+
+def trace_tuples(traces):
+    return [(t.item_id, t.true_label, t.predicted_label, t.nearest_distance) for t in traces]
+
+
+def bach_reference(works, config, contrapuntal):
+    """Per-section traces of the invention protocol by the oracles: each
+    section equalized on its own at the run's target length, then decided
+    row by row and voted on."""
+    parts = work_parts(works, config)
+    cls_segments, cls_labels = classifier_segments(works, parts, config, contrapuntal=contrapuntal)
+    sections = []
+    for work, (upper, lower) in zip(works, parts):
+        for j, (a, b) in enumerate(split_section_spans(upper[0].size, config.rate)):
+            segments = []
+            for signal, seq in (upper, lower):
+                span_seq = seq.slice(Fraction(a) / config.rate, Fraction(b) / config.rate)
+                segments += _part_segments(signal[a:b], span_seq, VariationKind.PRIME, config)
+            sections.append((f"{work.work_id}/s{j}", work.work_id, segments))
+    target = max(len(s) for s in cls_segments + [s for *_, segs in sections for s in segs])
+    corpus = _equalize(cls_segments, cls_labels, config.equalization, target)
+    expected = []
+    for item_id, work_id, segments in sections:
+        rows = _equalize(segments, [work_id] * len(segments), config.equalization, target)
+        distances = pairwise_distances(rows.rows, corpus.rows, config.metric).tolist()
+        predictions = [oracle_decide(row, corpus.labels, 1) for row in distances]
+        predicted = oracle_vote(predictions, distances)
+        if contrapuntal:
+            predicted = predicted[0]
+        expected.append((item_id, work_id, predicted, min(map(min, distances))))
+    return expected
 
 
 def uniform_family_corpus():
@@ -512,6 +533,82 @@ class TestFolkSegmented:
         (report,) = run_folk_segmented(corpus, ws_config(1))
         rescored = np.mean([t.true_label == t.predicted_label for t in report.traces])
         assert report.accuracy == pytest.approx(rescored)
+
+
+def folk_reference(corpus, config, ks):
+    """k -> the leave-one-out traces of one folk cell by the oracles: the
+    cell's equalized matrix, then per song the distances of its rows to
+    every other song's rows, decided row by row and voted on. A failing
+    stage raises the first failing song's error, as the cell reports it."""
+    segments, owners = [], []
+    for i, song in enumerate(corpus.songs):
+        signal = sample_pitch_signal(song.seq, config.rate, config.rest_policy)
+        cut = _part_segments(signal, song.seq, VariationKind.PRIME, config)
+        segments += cut
+        owners += [i] * len(cut)
+    matrix = _equalize(segments, [corpus.songs[i].family for i in owners], config.equalization)
+    traces = {k: [] for k in ks}
+    for i, song in enumerate(corpus.songs):
+        mine = [r for r, owner in enumerate(owners) if owner == i]
+        keep = [r for r, owner in enumerate(owners) if owner != i]
+        labels = tuple(matrix.labels[r] for r in keep)
+        rows = pairwise_distances(matrix.rows[mine], matrix.rows[keep], config.metric).tolist()
+        for k in ks:
+            predicted = oracle_vote([oracle_decide(row, labels, k) for row in rows], rows)
+            traces[k].append((song.song_id, song.family, predicted, min(map(min, rows))))
+    return traces
+
+
+@st.composite
+def tiny_tune_families(draw):
+    """2-4 families of 2-4 songs. A song repeats its family's motif
+    outright or transposed, or is a single note (all-zero vr rows); notes
+    may be separated by rests."""
+    songs = []
+    for f in range(draw(st.integers(2, 4))):
+        motif = draw(st.lists(
+            st.tuples(st.integers(1, 4), st.integers(55, 70), st.integers(0, 1)),
+            min_size=2, max_size=5,
+        ))
+        for v in range(draw(st.integers(2, 4))):
+            kind = draw(st.sampled_from(["repeat", "transpose", "single"]))
+            if kind == "single":
+                notes = [(0, Fraction(draw(st.integers(1, 8)), 2), draw(st.integers(50, 70)))]
+            else:
+                shift = draw(st.integers(-5, 5)) if kind == "transpose" else 0
+                notes, onset = [], Fraction(0)
+                for duration, pitch, rest in motif * 2:
+                    onset += Fraction(rest, 2)
+                    notes.append((onset, Fraction(duration, 2), pitch + shift))
+                    onset += Fraction(duration, 2)
+            songs.append(FolkSong(f"f{f}v{v}", f"fam{f}", make_sequence(notes)))
+    return FolkCorpus(tuple(songs))
+
+
+class TestReferenceRoute:
+    @settings(max_examples=oracle_examples(8), deadline=None)
+    @given(
+        tiny_tune_families(), st.sampled_from(list(RestPolicy)),
+        st.sampled_from([1, 2]), st.sampled_from([0.1, 0.4]),
+    )
+    def test_grid_traces_match_per_fold_oracles(self, corpus, rests, scale, threshold):
+        base = ExperimentConfig(rest_policy=rests)
+        reports = grid_search(
+            corpus, base, scales=(scale,), thresholds=(threshold,), ks=ALL_KS,
+            record_traces=True,
+        )
+        configs = _grid_configs(base, (scale,), (threshold,))
+        assert len(reports) == len(configs) * len(ALL_KS)
+        for c, config in enumerate(configs):
+            cell = reports[c * len(ALL_KS) : (c + 1) * len(ALL_KS)]
+            try:
+                expected = folk_reference(corpus, config, ALL_KS)
+            except ValueError as exc:
+                assert [r.error for r in cell] == [str(exc)] * len(ALL_KS)
+                continue
+            for report, k in zip(cell, ALL_KS):
+                assert report.k == k and report.error is None
+                assert trace_tuples(report.traces) == expected[k]
 
 
 class TestGridSearch:
