@@ -39,6 +39,8 @@ _SEG_PARAM = {
 
 
 def _fmt(value) -> str:
+    if type(value) in (float, int, str):  # the common exact types before the slower ABC checks
+        return repr(value) if type(value) is float else str(value)
     if value is None:
         return ""
     if isinstance(value, Fraction):

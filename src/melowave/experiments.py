@@ -23,9 +23,11 @@ from .classifier import (
     DistinctRows,
     LabeledCorpus,
     Metric,
+    decide,
     distinct_rows,
+    merge_nearest,
     pairwise_distances,
-    predict_from_distances,
+    predict_from_distances,  # noqa: F401 (a name that perfbench/tracer.py wraps)
     vote,
 )
 from .contrapuntal import VariationKind, apply_variation, transform_sequence
@@ -231,7 +233,7 @@ def _equalize(
     return equalize_interpolate(segments, labels, target_len)
 
 
-# distance entries (query rows x distinct corpus rows) that one chunk of items measures
+# distance entries (distinct query rows x distinct corpus rows) that one tile measures
 _CHUNK_ENTRIES = 2**16
 
 
@@ -249,39 +251,57 @@ def _classify(
     Item i is (item id, true label); the kNN decisions of its query rows
     offsets[i]:offsets[i + 1] vote for its prediction. ``labels`` label the
     corpus rows. With ``held_out`` the queries are the corpus rows and an
-    item's own rows are no neighbors of its queries (leave-one-out). Items
-    run in chunks: a chunk measures each distinct query row of each of its
-    items against the distinct corpus rows, once."""
-    n_queries = queries.rows.shape[0]
-    # each query row's (item, distinct query row) pair, as one integer
-    pair_of = np.repeat(np.arange(len(items)), np.diff(offsets)) * n_queries + queries.ids
+    item's own rows are no neighbors of its queries (leave-one-out).
+
+    Distances run in square tiles of distinct query rows x distinct corpus
+    rows, none kept: a tile's neighbors merge into the first max(ks) of
+    each (item, distinct query row) pair of its rows. With the queries the
+    corpus, only tiles on and above the diagonal are measured, and a tile's
+    transpose serves its columns' pairs (distances are symmetric bit for bit)."""
+    n_items, width = len(items), max(ks)
+    # each query row's (distinct query row, item) pair, as one integer
+    pair_of = queries.ids * n_items + np.repeat(np.arange(n_items), np.diff(offsets))
+    pairs, row_pair = np.unique(pair_of, return_inverse=True)
+    distinct_of, item_of = np.divmod(pairs, n_items)  # pairs run by distinct query row
     bounds = offsets if held_out else np.zeros_like(offsets)  # the corpus rows each item excludes
-    step = max(1, _CHUNK_ENTRIES // corpus.rows.shape[0])  # query rows per chunk
+    best = np.zeros((pairs.size, width), dtype=int), np.full((pairs.size, width), np.inf)
+    side = max(1, math.isqrt(_CHUNK_ENTRIES))
+    q_cuts, c_cuts = (np.arange(0, len(d.rows) + side, side) for d in (queries, corpus))
+    p_cuts = np.searchsorted(pairs, q_cuts * n_items)
+    symmetric = queries is corpus
+    for i in range(len(q_cuts) - 1):
+        for j in range(i if symmetric else 0, len(c_cuts) - 1):
+            q_band, c_band = slice(*q_cuts[i : i + 2]), slice(*c_cuts[j : j + 2])
+            tile = pairwise_distances(queries.rows[q_band], corpus.rows[c_band], metric)
+            parts = [(i, tile, c_band.start)] + [(j, tile.T, q_band.start)] * (symmetric and j > i)
+            for band, part, first in parts:  # a band's pairs, about _CHUNK_ENTRIES entries at once
+                step = max(1, _CHUNK_ENTRIES // part.shape[1])
+                for a in range(p_cuts[band], p_cuts[band + 1], step):
+                    mine = slice(a, min(a + step, p_cuts[band + 1]))
+                    merge_nearest(
+                        part[distinct_of[mine] - q_cuts[band]], (best[0][mine], best[1][mine]),
+                        corpus, (bounds[item_of[mine]], bounds[item_of[mine] + 1]), first,
+                    )
+    by_k = decide(*best, labels, ks)
     traces: dict[int, list[TraceRow]] = {k: [] for k in ks}
-    start = 0
-    while start < len(items):
-        stop = max(start + 1, int(np.searchsorted(offsets, offsets[start] + step, "right")) - 1)
-        a = offsets[start]
-        pairs, row_query = np.unique(pair_of[a : offsets[stop]], return_inverse=True)
-        item_of, distinct_of = np.divmod(pairs, n_queries)
-        block = pairwise_distances(queries.rows[distinct_of], corpus.rows, metric)
-        excluded = (bounds[item_of], bounds[item_of + 1])
-        by_k, nearest = predict_from_distances(block, labels, ks, corpus, excluded)
-        for i in range(start, stop):
-            mine = row_query[offsets[i] - a : offsets[i + 1] - a]
+    for i, (item_id, true_label) in enumerate(items):
+        mine = row_pair[offsets[i] : offsets[i + 1]]
 
-            @cache
-            def item_block():  # the item's rows against every corpus row, for a vote tie
-                full = block[np.ix_(mine, corpus.ids)]
-                full[:, bounds[i] : bounds[i + 1]] = np.inf
-                return full
+        @cache
+        def item_block():  # the item's rows against every corpus row, for a vote tie
+            own, inverse = np.unique(mine, return_inverse=True)
+            full = pairwise_distances(queries.rows[distinct_of[own]], corpus.rows, metric)
+            full = full[np.ix_(inverse, corpus.ids)]
+            full[:, bounds[i] : bounds[i + 1]] = np.inf
+            return full
 
-            item_id, true_label = items[i]
-            distance = float(nearest[mine].min())
-            for k, labels_k in by_k.items():
-                predicted = vote([labels_k[q] for q in mine.tolist()], item_block)
-                traces[k].append(TraceRow(item_id, true_label, predicted, distance))
-        start = stop
+        distance = float(best[1][mine, 0].min())
+        votes: dict[tuple, Hashable] = {}  # k = 2 repeats k = 1's row labels
+        for k, labels_k in by_k.items():
+            row_labels = tuple(labels_k[q] for q in mine.tolist())
+            if row_labels not in votes:
+                votes[row_labels] = vote(row_labels, item_block, best[1][mine])
+            traces[k].append(TraceRow(item_id, true_label, votes[row_labels], distance))
     return {k: tuple(rows) for k, rows in traces.items()}
 
 

@@ -13,7 +13,9 @@ from melowave import experiments
 from melowave.classifier import (
     LabeledCorpus,
     Metric,
+    decide,
     distinct_rows,
+    merge_nearest,
     pairwise_distances,
     predict_from_distances,
     vote,
@@ -124,6 +126,19 @@ def distance(a, b, metric):
     return float(pairwise_distances(np.asarray(a, float), np.asarray(b, float), metric)[0, 0])
 
 
+@st.composite
+def distance_matrices(draw):
+    """Matrices of 1-12 rows of one length (1-40): tie-heavy small
+    integers, all-zero rows and arbitrary floats, so sums of differences
+    round."""
+    dim = draw(st.integers(1, 40))
+    value = st.one_of(st.integers(0, 3).map(float), st.floats(-1e3, 1e3))
+    row = st.one_of(
+        st.just([0.0] * dim), st.lists(value, min_size=dim, max_size=dim)
+    )
+    return np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=float)
+
+
 class TestDistances:
     def test_euclidean_345(self):
         assert distance([0.0, 0.0], [3.0, 4.0], Metric.EUCLIDEAN) == 5.0
@@ -162,6 +177,27 @@ class TestDistances:
             for i in range(4):
                 for j in range(7):
                     assert matrix[i, j] == pytest.approx(fn(queries[i], rows[j]), abs=1e-9)
+
+
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(distance_matrices(), st.sampled_from(list(Metric)), st.data())
+    def test_blocks_are_slices_of_one_symmetric_matrix(self, matrix, metric, data):
+        # what the held-out tiles rely on: the matrix is symmetric bit for
+        # bit, and any block of rows and columns (a tile, or its transpose)
+        # is the same slice of it
+        full = pairwise_distances(matrix, matrix, metric)
+        assert np.array_equal(full, full.T)
+        n = len(matrix)
+        indices = st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)
+        rows, cols = data.draw(indices), data.draw(indices)
+        block = pairwise_distances(matrix[rows], matrix[cols], metric)
+        assert np.array_equal(block, full[np.ix_(rows, cols)])
+        a, b = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+        c, d = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+        if a < b and c < d:
+            tile = pairwise_distances(matrix[a:b], matrix[c:d], metric)
+            assert np.array_equal(tile, full[a:b, c:d])
+            assert np.array_equal(tile.T, pairwise_distances(matrix[c:d], matrix[a:b], metric))
 
 
 class TestCorpus:
@@ -323,6 +359,21 @@ def duplicate_heavy_corpora(draw):
     return matrix, tuple(labels), np.array(offsets)
 
 
+@st.composite
+def streamed_corpora(draw):
+    """Duplicate-heavy corpora in which items may own a row that no other
+    item has (with the item held out, a distinct row with every copy
+    excluded), and, one case in four, with rows of +inf: a query row with
+    no finite distance to classify against."""
+    matrix, labels, offsets = draw(duplicate_heavy_corpora())
+    matrix = matrix.copy()
+    for i in draw(st.sets(st.integers(0, len(offsets) - 2))):
+        matrix[offsets[i]] = 10.0 + i
+    if draw(st.integers(0, 3)) == 0:
+        matrix[sorted(draw(st.sets(st.integers(0, len(matrix) - 1), min_size=1, max_size=2)))] = np.inf
+    return matrix, labels, offsets
+
+
 def expanded_blocks(matrix, offsets, metric, held_out):
     """Each item's block against every corpus row, its own rows masked when held out."""
     blocks = []
@@ -361,9 +412,9 @@ class TestKernelProperties:
         owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
         bounds = offsets if held_out else np.zeros_like(offsets)
         block = pairwise_distances(matrix, groups.rows, metric)
-        by_k, nearest = predict_from_distances(
-            block, labels, ks, groups, (bounds[owner], bounds[owner + 1])
-        )
+        best = np.zeros((len(matrix), 5), dtype=int), np.full((len(matrix), 5), np.inf)
+        merge_nearest(block.copy(), best, groups, (bounds[owner], bounds[owner + 1]))
+        by_k, nearest = decide(*best, labels, ks), best[1][:, 0]
         expanded = np.concatenate(expanded_blocks(matrix, offsets, metric, held_out))
         assert np.array_equal(block[:, groups.ids], pairwise_distances(matrix, matrix, metric))
         assert by_k == expanded_predict(expanded, labels, ks)
@@ -374,28 +425,48 @@ class TestKernelProperties:
 
     @settings(max_examples=oracle_examples(300), deadline=None)
     @given(
-        duplicate_heavy_corpora(), st.sampled_from(list(Metric)), st.booleans(),
-        st.integers(1, 40),
+        streamed_corpora(), st.sampled_from(list(Metric)), st.booleans(), st.booleans(),
+        st.integers(1, 40), st.sets(st.integers(1, 5), min_size=1),
     )
-    def test_item_decisions_match_oracles(self, corpus, metric, held_out, chunk_entries):
-        # the experiments' decision loop, in chunks of any size: each item's
-        # vote and nearest distance against the oracles on its expanded block
+    def test_item_decisions_match_oracles(self, corpus, metric, held_out, apart, tile_entries, ks):
+        # the experiments' decision loop in tiles of 1-40 entries: with the
+        # queries the corpus it measures the tiles on and above the diagonal
+        # and reads their transposes; with the queries apart, every tile.
+        # Each item's rows against the oracles on their expanded block, and
+        # the "no finite distances" error exactly where a row has none.
         matrix, labels, offsets = corpus
-        ks = (1, 2, 3, 4, 5)
+        ks = sorted(ks)  # max(ks) neighbors a pair: with k = 1 alone, one
         items = [(f"i{i}", labels[a]) for i, a in enumerate(offsets[:-1])]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiments, "_CHUNK_ENTRIES", chunk_entries)
-            groups = distinct_rows(matrix)
-            traces = experiments._classify(
-                items, groups, offsets, groups, labels, metric, ks, held_out
-            )
         blocks = expanded_blocks(matrix, offsets, metric, held_out)
+        groups = distinct_rows(matrix)
+        queries = distinct_rows(matrix) if apart else groups
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_CHUNK_ENTRIES", tile_entries)
+            if any(not np.isfinite(row).any() for block in blocks for row in block):
+                with pytest.raises(ValueError, match="no finite distances to classify against"):
+                    experiments._classify(items, queries, offsets, groups, labels, metric, ks, held_out)
+                return
+            traces = experiments._classify(
+                items, queries, offsets, groups, labels, metric, ks, held_out
+            )
         for k in ks:
             expected = []
             for (item_id, label), block in zip(items, blocks):
                 rows = block.tolist()
-                predictions = [oracle_decide(row, labels, k) for row in rows]
+                predictions = expanded_predict(block, labels, (k,))[k]
+                assert predictions == [oracle_decide(row, labels, k) for row in rows]
                 nearest = min(d for row in rows for d in row if math.isfinite(d))
                 expected.append((item_id, label, oracle_vote(predictions, rows), nearest))
             got = [(t.item_id, t.true_label, t.predicted_label, t.nearest_distance) for t in traces[k]]
             assert got == expected
+
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(tie_heavy_blocks(), st.integers(1, 5), st.data())
+    def test_vote_with_heads_matches_oracle(self, case, width, data):
+        # each row's first `width` finite distances settle a tie where they
+        # can; the block is read for the rest
+        block, _ = case
+        labels = st.sampled_from("ab")  # two classes: ties are common
+        row_labels = data.draw(st.lists(labels, min_size=len(block), max_size=len(block)))
+        heads = np.sort(np.where(np.isfinite(block), block, np.inf), axis=1)[:, :width]
+        assert vote(row_labels, lambda: block, heads) == oracle_vote(row_labels, block.tolist())
