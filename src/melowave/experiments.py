@@ -36,6 +36,7 @@ from .ingest import NoteSequence
 from .segmentation import (
     BoundarySet,
     Equalization,
+    Segments,
     constant_boundaries,
     cut_segments,
     equalize_interpolate,
@@ -212,18 +213,32 @@ def _representation(pitch_span: np.ndarray, config: ExperimentConfig, filt=None)
     return np.asarray(pitch_span, dtype=float)
 
 
-def _cut(rep: np.ndarray, boundaries: BoundarySet, config: ExperimentConfig) -> list[np.ndarray]:
-    """Cut a represented span; pitch-signal segments are mean-normalized
-    after the cut, wavelet segments are transposition-invariant already."""
-    segments = cut_segments(rep, boundaries)
+def _cut(
+    spans: Sequence[tuple[np.ndarray, BoundarySet]], config: ExperimentConfig
+) -> tuple[Segments, list[int]]:
+    """Cut represented spans at their boundaries, and count each span's
+    segments. The spans are cut in one call, laid end to end, so the
+    segments of one length form one block. Pitch-signal segments are
+    mean-normalized after the cut, a block at a time; wavelet segments are
+    transposition-invariant already."""
+    edges, counts, start = [], [], 0
+    for _, boundaries in spans:
+        edges += [b + start for b in boundaries.indices[:-1]]
+        counts.append(len(boundaries) - 1)
+        start += boundaries.length
+    values = np.concatenate([rep for rep, _ in spans])
+    segments = cut_segments(values, BoundarySet((*edges, start), start))
     if config.representation is Representation.PITCH:
         norm = _normalizer(config)
-        segments = [norm(s) for s in segments]
-    return segments
+        if norm is mean_normalize:  # along each row of a block
+            segments = segments.map(mean_normalize)
+        else:
+            segments = segments.map(lambda block: np.apply_along_axis(norm, 1, block))
+    return segments, counts
 
 
 def _equalize(
-    segments: Sequence[np.ndarray],
+    segments: Segments,
     labels: Sequence,
     equalization: Equalization,
     target_len: int | None = None,
@@ -337,65 +352,61 @@ def _work_signals(work: BachWork, config: ExperimentConfig):
     return [(sample_pitch_signal(seq, config.rate, config.rest_policy), seq) for seq in parts]
 
 
-def _part_segments(
+def _part_span(
     values: np.ndarray,
     span_seq: NoteSequence | None,
     variation: VariationKind,
     config: ExperimentConfig,
-) -> list[np.ndarray]:
-    """Segments of one span of a part under a contrapuntal variation: the
-    span is varied, represented per the config, segmented and cut."""
+) -> tuple[np.ndarray, BoundarySet]:
+    """One span of a part under a contrapuntal variation, represented per
+    the config, and its boundaries."""
     if variation is not VariationKind.PRIME:
         values = apply_variation(values, variation)
         if span_seq is not None and len(span_seq):
             span_seq = transform_sequence(span_seq, variation)
     rep = _representation(values, config)
-    boundaries = find_boundaries(values, span_seq, config.segmentation, config.rate)
-    return _cut(rep, boundaries, config)
+    return rep, find_boundaries(values, span_seq, config.segmentation, config.rate)
 
 
 def classifier_segments(
     works: Sequence[BachWork], parts: Sequence[list], config: ExperimentConfig,
     prefix_qn: int = 16, contrapuntal: bool = False,
-) -> tuple[list[np.ndarray], list]:
+) -> tuple[Segments, list]:
     """Segments of the exposition prefixes of every part (``parts[i]`` holds
     work i's sampled parts) and their labels, with contrapuntal variants
     added as extra classes when ``contrapuntal`` is set."""
     prefix_samples = math.ceil(prefix_qn * config.rate)
     variations = tuple(VariationKind) if contrapuntal else (VariationKind.PRIME,)
     lbdm = config.segmentation.method is SegMethod.LBDM  # only LBDM reads a span's notes
-    segments: list[np.ndarray] = []
-    labels: list = []
+    spans, span_labels = [], []
     for work, work_parts in zip(works, parts):
         for signal, seq in work_parts:
             span = signal[:prefix_samples]
             span_seq = seq.slice(0, prefix_qn) if lbdm else None
             for variation in variations:
-                label = (work.work_id, variation.value) if contrapuntal else work.work_id
-                cut = _part_segments(span, span_seq, variation, config)
-                segments += cut
-                labels += [label] * len(cut)
-    return segments, labels
+                spans.append(_part_span(span, span_seq, variation, config))
+                span_labels.append((work.work_id, variation.value) if contrapuntal else work.work_id)
+    segments, counts = _cut(spans, config)
+    return segments, [label for label, n in zip(span_labels, counts) for _ in range(n)]
 
 
 def _section_segments(
     works: Sequence[BachWork], parts: Sequence[list], config: ExperimentConfig
-) -> tuple[list[np.ndarray], list[tuple[str, str]], np.ndarray]:
+) -> tuple[Segments, list[tuple[str, str]], np.ndarray]:
     """Segments of both parts of every section, the sections as (item id,
     work id) items, and the row offsets of each section's segments."""
     lbdm = config.segmentation.method is SegMethod.LBDM  # only LBDM reads a span's notes
-    segments: list[np.ndarray] = []
+    spans = []
     items = []
-    offsets = [0]
     for work, work_parts in zip(works, parts):
-        spans = split_section_spans(work_parts[0][0].size, config.rate)
-        for j, (a, b) in enumerate(spans):
+        for j, (a, b) in enumerate(split_section_spans(work_parts[0][0].size, config.rate)):
             for signal, seq in work_parts:
                 span_seq = seq.slice(a / config.rate, b / config.rate) if lbdm else None
-                segments += _part_segments(signal[a:b], span_seq, VariationKind.PRIME, config)
+                spans.append(_part_span(signal[a:b], span_seq, VariationKind.PRIME, config))
             items.append((f"{work.work_id}/s{j}", work.work_id))
-            offsets.append(len(segments))
-    return segments, items, np.array(offsets)
+    segments, counts = _cut(spans, config)
+    per_item = np.reshape(counts, (len(items), -1)).sum(axis=1)  # the spans of both parts
+    return segments, items, np.concatenate(([0], np.cumsum(per_item)))
 
 
 def run_bach_experiment(
@@ -410,7 +421,7 @@ def run_bach_experiment(
     parts = [_work_signals(work, config) for work in works]
     cls_segments, cls_labels = classifier_segments(works, parts, config, prefix_qn, contrapuntal)
     test_segments, items, offsets = _section_segments(works, parts, config)
-    target = max(len(s) for s in cls_segments + test_segments)
+    target = max(cls_segments.longest, test_segments.longest)
     corpus = _equalize(cls_segments, cls_labels, config.equalization, target)
     queries = _equalize(test_segments, [None] * len(test_segments), config.equalization, target)
     queries, corpus = distinct_rows(queries.rows), distinct_rows(corpus.rows)
@@ -460,16 +471,14 @@ def _song_filter(filtered: dict, song: int, values: np.ndarray, support: int) ->
 def _cut_corpus(
     corpus: FolkCorpus, signals: list[np.ndarray], memo: dict, filtered: dict,
     config: ExperimentConfig,
-) -> tuple[list[np.ndarray], list, np.ndarray]:
+) -> tuple[Segments, list, np.ndarray]:
     """Segments of every song in corpus order, their families, and the row
     offsets of each song's segments. A song's boundaries are found once per
     ``memo`` and its coefficients through ``filtered``. A failure raises the
     first failing song's first error, in the order representation,
     boundaries, cut."""
     segmentation = config.segmentation
-    segments: list[np.ndarray] = []
-    labels: list = []
-    offsets = [0]
+    spans = []
     for i, (song, signal) in enumerate(zip(corpus.songs, signals)):
         filt = partial(_song_filter, filtered, i)
         rep = _representation(signal, config, filt)
@@ -477,12 +486,10 @@ def _cut_corpus(
         boundaries = _cached(
             memo, i, find_boundaries, signal, notes, segmentation, config.rate, filt
         )
-        cut = _cut(rep, boundaries, config)
-        assert cut, "default boundaries guarantee at least one segment"
-        segments += cut
-        labels += [song.family] * len(cut)
-        offsets.append(len(segments))
-    return segments, labels, np.array(offsets)
+        spans.append((rep, boundaries))
+    segments, counts = _cut(spans, config)
+    labels = [song.family for song, n in zip(corpus.songs, counts) for _ in range(n)]
+    return segments, labels, np.concatenate(([0], np.cumsum(counts)))
 
 
 def _segmentation_group(args) -> list:

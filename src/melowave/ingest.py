@@ -22,43 +22,49 @@ class MidiError(ValueError):
     """Malformed or unsupported MIDI input."""
 
 
-@dataclass(frozen=True)
-class RawNote:
-    """A matched note-on/note-off pair in tick time."""
-
-    onset_ticks: int
-    duration_ticks: int
-    pitch_midi: int
-    channel: int
-    track: int
+_COLUMNS = ("onsets", "durations", "pitches", "channels", "tracks")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreModel:
-    """All raw note events of a parsed file plus its metrical division.
+    """All matched notes of a parsed file plus its metrical division. The
+    notes are read-only int64 columns, one entry per note in the order the
+    notes closed: onset and duration in ticks, pitch, channel and track.
 
     ``dropped`` records one message per event the parser had to discard
     (unmatched note-ons at end of track, zero-duration notes).
     """
 
-    notes: tuple[RawNote, ...]
+    onsets: np.ndarray
+    durations: np.ndarray
+    pitches: np.ndarray
+    channels: np.ndarray
+    tracks: np.ndarray
     division: int
     dropped: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.division <= 0:
             raise MidiError("division must be a positive integer")
-        for n in self.notes:
-            if n.duration_ticks <= 0:
-                raise MidiError(f"raw note has non-positive duration: {n}")
-            if not 0 <= n.pitch_midi <= 127:
-                raise MidiError(f"raw note pitch out of range: {n}")
+        columns = [np.asarray(getattr(self, name), np.int64) for name in _COLUMNS]
+        if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
+            raise MidiError("note columns must be 1-D and of one length")
+        for name, values in zip(_COLUMNS, columns):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        on, duration, pitch, channel, track = columns
+        for i in np.flatnonzero((duration <= 0) | (pitch < 0) | (pitch > 127))[:1]:
+            note = (f"track {track[i]} channel {channel[i]} pitch {pitch[i]} "
+                    f"at tick {on[i]} for {duration[i]} ticks")
+            if duration[i] <= 0:
+                raise MidiError(f"raw note has non-positive duration: {note}")
+            raise MidiError(f"raw note pitch out of range: {note}")
 
     def track_numbers(self) -> tuple[int, ...]:
-        return tuple(sorted({n.track for n in self.notes}))
+        return tuple(np.unique(self.tracks).tolist())
 
     def channel_numbers(self) -> tuple[int, ...]:
-        return tuple(sorted({n.channel for n in self.notes}))
+        return tuple(np.unique(self.channels).tolist())
 
 
 @dataclass(frozen=True)
@@ -182,47 +188,6 @@ class NoteSequence:
         return NoteSequence(on - start, end - start, self.pitches[lo:hi], division, stop - start)
 
 
-class _Reader:
-    __slots__ = ("data", "pos", "end")
-
-    def __init__(self, data: bytes, start: int = 0, end: int | None = None):
-        self.data = data
-        self.pos = start
-        self.end = len(data) if end is None else end
-
-    def remaining(self) -> int:
-        return self.end - self.pos
-
-    def u8(self) -> int:
-        if self.pos >= self.end:
-            raise MidiError("unexpected end of data")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def u16(self) -> int:
-        return (self.u8() << 8) | self.u8()
-
-    def u32(self) -> int:
-        return (self.u16() << 16) | self.u16()
-
-    def take(self, n: int) -> bytes:
-        if self.remaining() < n:
-            raise MidiError("unexpected end of data")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def vlq(self) -> int:
-        value = 0
-        for _ in range(4):
-            b = self.u8()
-            value = (value << 7) | (b & 0x7F)
-            if not b & 0x80:
-                return value
-        raise MidiError("variable-length quantity longer than 4 bytes")
-
-
 def parse_standard_midi(data: bytes) -> ScoreModel:
     """Decode an SMF format 0/1 byte string into raw note events.
 
@@ -230,19 +195,15 @@ def parse_standard_midi(data: bytes) -> ScoreModel:
     Unmatched note-ons at end of track and zero-duration notes are dropped
     and reported in ``ScoreModel.dropped``.
     """
-    r = _Reader(data)
-    if r.remaining() < 8 or r.take(4) != _HEADER_MAGIC:
+    if len(data) < 8 or data[:4] != _HEADER_MAGIC:
         raise MidiError("not a standard MIDI file (missing MThd header)")
-    header_len = r.u32()
+    header_len = int.from_bytes(data[4:8], "big")
     if header_len < 6:
         raise MidiError("MThd chunk too short")
-    if r.remaining() < header_len:
+    if len(data) - 8 < header_len:
         raise MidiError("truncated MThd chunk")
-    header = _Reader(data, r.pos, r.pos + header_len)
-    fmt = header.u16()
-    header.u16()  # declared track count; the chunk walk below is authoritative
-    division = header.u16()
-    r.pos += header_len
+    # the declared track count (bytes 10-11) is not read: the chunk walk is authoritative
+    fmt, division = int.from_bytes(data[8:10], "big"), int.from_bytes(data[12:14], "big")
     if fmt not in (0, 1):
         raise MidiError(f"unsupported SMF format {fmt} (only 0 and 1)")
     if division & 0x8000:
@@ -250,86 +211,136 @@ def parse_standard_midi(data: bytes) -> ScoreModel:
     if division == 0:
         raise MidiError("division must be a positive integer")
 
-    notes: list[RawNote] = []
+    columns: tuple[list[int], ...] = ([], [], [], [])  # onset, duration, pitch, channel
+    counts: list[int] = []  # notes per track
     dropped: list[str] = []
-    track_index = 0
-    while r.remaining() >= 8:
-        magic = r.take(4)
-        length = r.u32()
-        if r.remaining() < length:
+    pos = 8 + header_len
+    while len(data) - pos >= 8:
+        magic, length = data[pos : pos + 4], int.from_bytes(data[pos + 4 : pos + 8], "big")
+        pos += 8
+        if len(data) - pos < length:
             raise MidiError("truncated chunk")
-        if magic == _TRACK_MAGIC:
-            _parse_track(_Reader(data, r.pos, r.pos + length), track_index, notes, dropped)
-            track_index += 1
-        # other chunk types are skipped per the SMF spec
-        r.pos += length
-    if track_index == 0:
+        if magic == _TRACK_MAGIC:  # other chunk types are skipped per the SMF spec
+            before = len(columns[0])
+            _parse_track(data[pos : pos + length], len(counts), columns, dropped)
+            counts.append(len(columns[0]) - before)
+        pos += length
+    if not counts:
         raise MidiError("file contains no MTrk chunk")
-    return ScoreModel(tuple(notes), division, tuple(dropped))
+    tracks = np.repeat(np.arange(len(counts)), counts)
+    return ScoreModel(*(np.array(c, np.int64) for c in columns), tracks, division,
+                      tuple(dropped))
+
+
+def _vlq(data: bytes, pos: int) -> tuple[int, int]:
+    """The variable-length quantity at ``pos`` and the position after it."""
+    value = 0
+    for _ in range(4):
+        b = data[pos]
+        pos += 1
+        value = (value << 7) | (b & 0x7F)
+        if b < 0x80:
+            return value, pos
+    raise MidiError("variable-length quantity longer than 4 bytes")
 
 
 def _parse_track(
-    r: _Reader, track: int, notes: list[RawNote], dropped: list[str]
+    data: bytes, track: int, columns: tuple[list[int], ...], dropped: list[str]
 ) -> None:
-    time = 0
-    running: int | None = None
-    open_notes: dict[tuple[int, int], list[int]] = {}
-    while r.remaining() > 0:
-        time += r.vlq()
-        first = r.u8()
-        if first < 0x80:
-            if running is None:
-                raise MidiError("data byte without running status")
-            status = running
-            data1 = first
-        else:
-            status = first
-            data1 = None
-        if status == 0xFF:
-            meta_type = r.u8()
-            r.take(r.vlq())
-            running = None
-            if meta_type == 0x2F:  # end of track
-                break
-            continue
-        if status in (0xF0, 0xF7):
-            r.take(r.vlq())
-            running = None
-            continue
-        if status >= 0xF0:
-            raise MidiError(f"unexpected status byte 0x{status:02X}")
-        running = status
-        kind = status & 0xF0
-        channel = status & 0x0F
-        if data1 is None:
-            data1 = r.u8()
-        if kind in (0xC0, 0xD0):
-            continue
-        data2 = r.u8()
-        if kind == 0x90 and data2 > 0:
-            open_notes.setdefault((channel, data1), []).append(time)
-        elif kind == 0x80 or (kind == 0x90 and data2 == 0):
-            onsets = open_notes.get((channel, data1))
-            if not onsets:
+    """Append the notes of one MTrk chunk body to the columns. A read past
+    its end (an IndexError) is the error ``unexpected end of data``."""
+    onsets, durations, pitches, channels = columns
+    end = len(data)
+    pos = time = 0
+    running = 0  # the running status; 0 when there is none
+    open_notes: dict[int, list[int]] = {}  # channel * 128 + pitch -> onsets
+    try:
+        while pos < end:
+            b = data[pos]  # the delta time: one or two bytes inline, longer in _vlq
+            if b < 0x80:
+                time += b
+                pos += 1
+            elif data[pos + 1] < 0x80:
+                time += (b & 0x7F) << 7 | data[pos + 1]
+                pos += 2
+            else:
+                delta, pos = _vlq(data, pos)
+                time += delta
+            status = data[pos]
+            pos += 1
+            if status < 0x80:
+                if not running:
+                    raise MidiError("data byte without running status")
+                status, data1 = running, status
+            elif status >= 0xF0:
+                if status == 0xFF:
+                    meta_type = data[pos]
+                    length, pos = _vlq(data, pos + 1)
+                elif status in (0xF0, 0xF7):
+                    meta_type = None
+                    length, pos = _vlq(data, pos)
+                else:
+                    raise MidiError(f"unexpected status byte 0x{status:02X}")
+                if end - pos < length:
+                    raise MidiError("unexpected end of data")
+                pos += length
+                running = 0
+                if meta_type == 0x2F:  # end of track
+                    break
+                continue
+            else:
+                data1 = data[pos]
+                pos += 1
+                if data1 >= 0x80:
+                    raise _data_byte_error(track, data1, time)
+            running = status
+            kind = status & 0xF0
+            if kind == 0xC0 or kind == 0xD0:
+                continue
+            data2 = data[pos]
+            pos += 1
+            if data2 >= 0x80:
+                raise _data_byte_error(track, data2, time)
+            if kind != 0x90 and kind != 0x80:
+                continue
+            channel = status & 0x0F
+            key = channel << 7 | data1
+            if kind == 0x90 and data2:
+                open_notes.setdefault(key, []).append(time)
+                continue
+            sounding = open_notes.get(key)
+            if not sounding:
                 dropped.append(
                     f"track {track}: unmatched note-off pitch {data1} "
                     f"channel {channel} at tick {time}"
                 )
                 continue
-            onset = onsets.pop(0)
+            onset = sounding.pop(0)
             if time - onset <= 0:
                 dropped.append(
                     f"track {track}: zero-duration note pitch {data1} "
                     f"channel {channel} at tick {onset}"
                 )
                 continue
-            notes.append(RawNote(onset, time - onset, data1, channel, track))
-    for (channel, pitch), onsets in sorted(open_notes.items()):
-        for onset in onsets:
+            onsets.append(onset)
+            durations.append(time - onset)
+            pitches.append(data1)
+            channels.append(channel)
+    except IndexError:
+        raise MidiError("unexpected end of data") from None
+    for key in sorted(open_notes):  # by channel, then pitch
+        channel, pitch = divmod(key, 128)
+        for onset in open_notes[key]:
             dropped.append(
                 f"track {track}: unmatched note-on pitch {pitch} "
                 f"channel {channel} at tick {onset} (dropped)"
             )
+
+
+def _data_byte_error(track: int, value: int, time: int) -> MidiError:
+    return MidiError(
+        f"track {track}: status byte 0x{value:02X} where a data byte belongs at tick {time}"
+    )
 
 
 def parse_voice_selector(selector: int | str) -> tuple[str, int]:
@@ -363,11 +374,11 @@ def extract_voice(score: ScoreModel, selector: int | str, source: str) -> NoteSe
     ``source`` names the file in the error raised when the voice has no
     note."""
     kind, index = parse_voice_selector(selector)
-    raw = [(n.onset_ticks, n.onset_ticks + n.duration_ticks, n.pitch_midi)
-           for n in score.notes if getattr(n, kind) == index]
-    if not raw:
+    mine = (score.tracks if kind == "track" else score.channels) == index
+    if not mine.any():
         raise MidiError(f"{source}: {kind} {index} contains no notes")
-    onsets, ends, pitches = reduce_monophonic(*np.array(raw, np.int64).T)
+    on = score.onsets[mine]
+    onsets, ends, pitches = reduce_monophonic(on, on + score.durations[mine], score.pitches[mine])
     return NoteSequence(onsets, ends, pitches, score.division, int(ends[-1]))
 
 

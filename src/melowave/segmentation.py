@@ -144,46 +144,104 @@ def lbdm_boundaries(
     return BoundarySet.from_interior(interior, seq.sample_index(seq.total, rate))
 
 
-def cut_segments(values: np.ndarray, boundaries: BoundarySet) -> list[np.ndarray]:
-    """Cut a vector at the boundaries; concatenation reconstructs it exactly."""
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """Segments in cut order, grouped by length: ``blocks[j]`` holds, as the
+    rows of one C-contiguous array, the segments of one length, which sit at
+    positions ``at[j]`` (ascending) of the order. Iteration yields the
+    segments in order as 1-D rows."""
+
+    blocks: tuple[np.ndarray, ...]
+    at: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return sum(at.size for at in self.at)
+
+    def __iter__(self):
+        order = [None] * len(self)
+        for block, at in zip(self.blocks, self.at):
+            for i, row in zip(at.tolist(), block):
+                order[i] = row
+        return iter(order)
+
+    @property
+    def longest(self) -> int:
+        return max(block.shape[1] for block in self.blocks)
+
+    def map(self, func) -> Segments:
+        """``func`` applied to every block."""
+        return Segments(tuple(func(block) for block in self.blocks), self.at)
+
+
+def _grouped(values: np.ndarray, edges: np.ndarray) -> Segments:
+    """The segments ``values[edges[i]:edges[i + 1]]`` grouped by length; the
+    edges run from 0 to the end of ``values``. One gather copies every
+    sample, segment by segment in order of length, so each length's block is
+    a reshaped slice of one array."""
+    lengths = np.diff(edges)
+    order = np.argsort(lengths, kind="stable")
+    sizes = lengths[order]
+    ends = np.cumsum(sizes)
+    samples = values[np.arange(values.size) + np.repeat(edges[:-1][order] - ends + sizes, sizes)]
+    # the first sorted segment of each length, then the segment count
+    firsts = np.flatnonzero(np.diff(sizes, prepend=-1, append=-1)).tolist()
+    offsets, sizes = (ends - sizes).tolist(), sizes.tolist()
+    blocks, at = [], []
+    for a, b in zip(firsts, firsts[1:]):
+        start = offsets[a]
+        blocks.append(samples[start : start + (b - a) * sizes[a]].reshape(b - a, sizes[a]))
+        at.append(order[a:b])
+    return Segments(tuple(blocks), tuple(at))
+
+
+def cut_segments(values: np.ndarray, boundaries: BoundarySet) -> Segments:
+    """Cut a vector at the boundaries; concatenation reconstructs it exactly.
+    The segments of one length are copied out as one block."""
     values = np.asarray(values, dtype=float)
     if values.size != boundaries.length:
         raise ValueError(
             f"boundaries are for length {boundaries.length}, vector has {values.size}"
         )
-    return [values[a:b] for a, b in zip(boundaries.indices, boundaries.indices[1:])]
+    return _grouped(values, np.array(boundaries.indices))
+
+
+def _equalize_input(segments, target_len: int | None) -> tuple[Segments, int]:
+    """The segments grouped by length, and the target length: the longest
+    segment's unless given."""
+    if not isinstance(segments, Segments):
+        segments = [np.asarray(s, dtype=float) for s in segments]
+        edges = np.cumsum([0] + [s.size for s in segments])
+        segments = _grouped(np.concatenate(segments) if segments else np.zeros(0), edges)
+    if not len(segments):
+        raise ValueError("no segments to equalize")
+    return segments, segments.longest if target_len is None else int(target_len)
 
 
 def equalize_zero_pad(
-    segments: Sequence[np.ndarray], labels: Sequence, target_len: int | None = None
+    segments: Segments | Sequence[np.ndarray], labels: Sequence, target_len: int | None = None
 ) -> LabeledCorpus:
     """Pad shorter segments with trailing zeros up to the target length."""
-    if not segments:
-        raise ValueError("no segments to equalize")
-    longest = max(len(s) for s in segments)
-    target = longest if target_len is None else int(target_len)
-    if longest > target:
-        raise ValueError(f"segment of length {longest} exceeds target length {target}")
+    segments, target = _equalize_input(segments, target_len)
+    if segments.longest > target:
+        raise ValueError(f"segment of length {segments.longest} exceeds target length {target}")
     rows = np.zeros((len(segments), target))
-    for i, seg in enumerate(segments):
-        rows[i, : len(seg)] = seg
+    for block, at in zip(segments.blocks, segments.at):
+        rows[at, : block.shape[1]] = block
     return LabeledCorpus(rows, labels)
 
 
-def nearest_resize(values: np.ndarray, target: int) -> np.ndarray:
-    """Nearest-neighbor resize of a vector's index grid to a target length."""
-    values = np.asarray(values, dtype=float)
+def equalize_interpolate(
+    segments: Segments | Sequence[np.ndarray], labels: Sequence, target_len: int | None = None
+) -> LabeledCorpus:
+    """Resize every segment to the target length by nearest-neighbor
+    interpolation of its index grid: output sample j reads input sample
+    floor((j + 0.5) * length / target)."""
+    segments, target = _equalize_input(segments, target_len)
     if target < 1:
         raise ValueError("target length must be at least 1")
-    idx = np.floor((np.arange(target) + 0.5) * values.size / target).astype(int)
-    return values[np.minimum(idx, values.size - 1)]
-
-
-def equalize_interpolate(
-    segments: Sequence[np.ndarray], labels: Sequence, target_len: int | None = None
-) -> LabeledCorpus:
-    """Resize every segment to the target length by nearest-neighbor interpolation."""
-    if not segments:
-        raise ValueError("no segments to equalize")
-    target = max(len(s) for s in segments) if target_len is None else int(target_len)
-    return LabeledCorpus(np.vstack([nearest_resize(s, target) for s in segments]), labels)
+    rows = np.empty((len(segments), target))
+    for block, at in zip(segments.blocks, segments.at):
+        length = block.shape[1]
+        idx = np.floor((np.arange(target) + 0.5) * length / target).astype(int)
+        rows[at] = block[:, np.minimum(idx, length - 1)]
+    return LabeledCorpus(rows, labels)

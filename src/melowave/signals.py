@@ -71,14 +71,17 @@ def resample_to_length(seq: NoteSequence, n: int, rest_policy: RestPolicy) -> np
 
 
 def mean_normalize(values: np.ndarray) -> np.ndarray:
-    """Subtract the mean, making the vector transposition-invariant.
+    """Subtract the mean, making the vector transposition-invariant; a 2-D
+    block of same-length segments is normalized row by row. A row's mean is
+    the 1-D mean bit for bit: both sum the row's contiguous samples in the
+    same pairwise order.
 
     Applied to segments only after segmentation.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot normalize an empty vector")
-    return values - values.mean()
+    return values - values.mean(axis=-1, keepdims=True)
 
 
 def mean_normalize_nonrest(values: np.ndarray) -> np.ndarray:

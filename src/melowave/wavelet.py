@@ -56,7 +56,10 @@ def haar_filter(values: np.ndarray, support: int) -> np.ndarray:
     # the wavelet annihilates constants, so centering changes nothing
     # mathematically but keeps float error flat across scales
     centered = values - values.mean()
-    padded = np.pad(centered, pad, mode="reflect") if length > 1 else np.zeros(1 + 2 * pad)
+    if pad < length:  # one reflection per side, excluding the edge sample
+        padded = np.concatenate((centered[pad:0:-1], centered, centered[-2 : -pad - 2 : -1]))
+    else:  # np.pad reflects more than once when the padding is the whole signal
+        padded = np.pad(centered, pad, mode="reflect") if length > 1 else np.zeros(1 + 2 * pad)
     full = np.convolve(padded, psi[::-1], mode="valid")
     # window of coefficient u starts at source sample u whenever the right
     # padding can support it; for support > L+1 the windows are clamped so

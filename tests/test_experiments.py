@@ -1,5 +1,7 @@
 """Experiment harnesses: invention sections, tune families, grid search."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -29,9 +31,9 @@ from melowave.experiments import (
     Representation,
     SegMethod,
     Segmentation,
-    _equalize,
     _grid_configs,
-    _part_segments,
+    _normalizer,
+    _part_span,
     _section_segments,
     _work_signals,
     classifier_segments,
@@ -43,8 +45,14 @@ from melowave.experiments import (
 )
 from melowave.ingest import MidiError, write_standard_midi
 from melowave.segmentation import equalize_zero_pad
-from melowave.signals import RestPolicy, resample_to_length, sample_pitch_signal
+from melowave.signals import (
+    RestPolicy,
+    mean_normalize,
+    resample_to_length,
+    sample_pitch_signal,
+)
 
+import segment_reference as seg_ref
 from conftest import make_sequence, oracle_examples, smf, track_chunk
 from test_classifier import oracle_decide, oracle_vote
 
@@ -63,6 +71,26 @@ def ws_config(scale, **kwargs):
 
 def work_parts(works, config):
     return [_work_signals(work, config) for work in works]
+
+
+def reference_segments(values, span_seq, variation, config):
+    """One span's segments by the segment-by-segment reference: the engine
+    varies, represents and segments the span; the reference cuts it and
+    normalizes each pitch-signal segment on its own."""
+    rep, boundaries = _part_span(values, span_seq, variation, config)
+    segments = seg_ref.cut_segments(rep, boundaries)
+    if config.representation is Representation.PITCH:
+        norm = _normalizer(config)
+        segments = [(seg_ref.mean_normalize if norm is mean_normalize else norm)(s)
+                    for s in segments]
+    return segments
+
+
+def reference_equalize(segments, labels, equalization, target=None):
+    """The segment-by-segment equalizer of ``equalization``."""
+    if equalization is Equalization.ZERO_PAD:
+        return seg_ref.equalize_zero_pad(segments, labels, target)
+    return seg_ref.equalize_interpolate(segments, labels, target)
 
 
 class TestConfigValidation:
@@ -286,20 +314,28 @@ def bach_reference(works, config, contrapuntal):
     section equalized on its own at the run's target length, then decided
     row by row and voted on."""
     parts = work_parts(works, config)
-    cls_segments, cls_labels = classifier_segments(works, parts, config, contrapuntal=contrapuntal)
+    variations = list(VariationKind) if contrapuntal else [VariationKind.PRIME]
+    prefix = math.ceil(16 * config.rate)  # the default classifier prefix of 16 qn, in samples
+    cls_segments, cls_labels = [], []
+    for work, (upper, lower) in zip(works, parts):
+        for (signal, seq), variation in itertools.product((upper, lower), variations):
+            cut = reference_segments(signal[:prefix], seq.slice(0, 16), variation, config)
+            label = (work.work_id, variation.value) if contrapuntal else work.work_id
+            cls_segments += cut
+            cls_labels += [label] * len(cut)
     sections = []
     for work, (upper, lower) in zip(works, parts):
         for j, (a, b) in enumerate(split_section_spans(upper[0].size, config.rate)):
             segments = []
             for signal, seq in (upper, lower):
                 span_seq = seq.slice(Fraction(a) / config.rate, Fraction(b) / config.rate)
-                segments += _part_segments(signal[a:b], span_seq, VariationKind.PRIME, config)
+                segments += reference_segments(signal[a:b], span_seq, VariationKind.PRIME, config)
             sections.append((f"{work.work_id}/s{j}", work.work_id, segments))
     target = max(len(s) for s in cls_segments + [s for *_, segs in sections for s in segs])
-    corpus = _equalize(cls_segments, cls_labels, config.equalization, target)
+    corpus = reference_equalize(cls_segments, cls_labels, config.equalization, target)
     expected = []
     for item_id, work_id, segments in sections:
-        rows = _equalize(segments, [work_id] * len(segments), config.equalization, target)
+        rows = reference_equalize(segments, [work_id] * len(segments), config.equalization, target)
         distances = pairwise_distances(rows.rows, corpus.rows, config.metric).tolist()
         predictions = [oracle_decide(row, corpus.labels, 1) for row in distances]
         predicted = oracle_vote(predictions, distances)
@@ -442,10 +478,12 @@ class TestFolkSegmented:
             segments, owners = [], []
             for song in corpus.songs:
                 signal = sample_pitch_signal(song.seq, config.rate, config.rest_policy)
-                cut = _part_segments(signal, None, VariationKind.PRIME, config)
+                cut = reference_segments(signal, None, VariationKind.PRIME, config)
                 segments += cut
                 owners += [song] * len(cut)
-            matrix = _equalize(segments, [song.family for song in owners], config.equalization)
+            matrix = reference_equalize(
+                segments, [song.family for song in owners], config.equalization
+            )
             (fast,) = run_folk_segmented(corpus, config, (k,))
             correct = 0
             for song in corpus.songs:
@@ -498,7 +536,7 @@ class TestFolkSegmented:
         )
         for song in corpus.songs:
             signal = sample_pitch_signal(song.seq, config.rate, config.rest_policy)
-            segments = _part_segments(signal, None, VariationKind.PRIME, config)
+            segments = reference_segments(signal, None, VariationKind.PRIME, config)
             assert not any(segment.any() for segment in segments)
         reports = run_folk_segmented(corpus, config, ALL_KS)
         first_other = [corpus.songs[1 if i == 0 else 0].family for i in range(len(corpus))]
@@ -543,10 +581,12 @@ def folk_reference(corpus, config, ks):
     segments, owners = [], []
     for i, song in enumerate(corpus.songs):
         signal = sample_pitch_signal(song.seq, config.rate, config.rest_policy)
-        cut = _part_segments(signal, song.seq, VariationKind.PRIME, config)
+        cut = reference_segments(signal, song.seq, VariationKind.PRIME, config)
         segments += cut
         owners += [i] * len(cut)
-    matrix = _equalize(segments, [corpus.songs[i].family for i in owners], config.equalization)
+    matrix = reference_equalize(
+        segments, [corpus.songs[i].family for i in owners], config.equalization
+    )
     traces = {k: [] for k in ks}
     for i, song in enumerate(corpus.songs):
         mine = [r for r, owner in enumerate(owners) if owner == i]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import segment_reference as ref
 from melowave.segmentation import (
     BoundarySet,
     constant_boundaries,
@@ -17,12 +18,12 @@ from melowave.segmentation import (
     lbdm_boundaries,
     lbdm_profile,
     local_maxima_boundaries,
-    nearest_resize,
     zero_crossing_boundaries,
 )
+from melowave.signals import mean_normalize
 from melowave.wavelet import haar_filter
 
-from conftest import make_sequence, random_sequence
+from conftest import make_sequence, oracle_examples, random_sequence
 from test_wavelet import window_means
 
 
@@ -215,8 +216,8 @@ class TestCutSegments:
 
     def test_whole_vector(self):
         values = np.arange(5.0)
-        segs = cut_segments(values, BoundarySet((0, 5), 5))
-        assert len(segs) == 1 and np.array_equal(segs[0], values)
+        (seg,) = cut_segments(values, BoundarySet((0, 5), 5))
+        assert np.array_equal(seg, values)
 
     def test_unit_segments(self):
         values = np.arange(4.0)
@@ -229,11 +230,16 @@ class TestCutSegments:
             interior = rng.choice(np.arange(1, values.size), size=min(5, values.size - 1), replace=False)
             bounds = BoundarySet.from_interior(interior.tolist(), values.size)
             segs = cut_segments(values, bounds)
-            assert np.array_equal(np.concatenate(segs), values)
+            assert np.array_equal(np.concatenate(list(segs)), values)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             cut_segments(np.arange(3.0), BoundarySet((0, 4), 4))
+
+
+def resized(values, target):
+    """``values`` resized to ``target`` samples by ``equalize_interpolate``."""
+    return equalize_interpolate([values], [None], target).rows[0]
 
 
 class TestEqualize:
@@ -264,7 +270,7 @@ class TestEqualize:
             equalize_zero_pad([np.arange(5.0)], ["a"], target_len=4)
 
     def test_interpolate_example(self):
-        assert list(nearest_resize(np.array([1.0, 2.0]), 4)) == [1, 1, 2, 2]
+        assert list(resized(np.array([1.0, 2.0]), 4)) == [1, 1, 2, 2]
         matrix = equalize_interpolate([np.array([1.0, 2.0]), np.arange(4.0)], ["a", "b"])
         assert list(matrix.rows[0]) == [1, 1, 2, 2]
         assert matrix.labels == ("a", "b")
@@ -276,7 +282,7 @@ class TestEqualize:
             n = int(rng.integers(1, 12))
             target = int(rng.integers(1, 20))
             values = rng.normal(size=n)
-            got = nearest_resize(values, target)
+            got = resized(values, target)
             for j in range(target):
                 out_center = (j + 0.5) / target
                 dists = [abs(out_center - (i + 0.5) / n) for i in range(n)]
@@ -286,18 +292,18 @@ class TestEqualize:
 
     def test_interpolate_identity(self, rng):
         values = rng.normal(size=7)
-        assert np.array_equal(nearest_resize(values, 7), values)
+        assert np.array_equal(resized(values, 7), values)
 
     def test_interpolate_preserves_ends_when_upsampling(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 10))
             target = n + int(rng.integers(0, 15))
             values = rng.normal(size=n)
-            out = nearest_resize(values, target)
+            out = resized(values, target)
             assert out[0] == values[0] and out[-1] == values[-1]
 
     def test_interpolate_constant(self):
-        out = nearest_resize(np.full(3, 2.5), 11)
+        out = resized(np.full(3, 2.5), 11)
         assert (out == 2.5).all()
 
     def test_empty_list_rejected(self):
@@ -319,3 +325,71 @@ class TestSegmenterDecoupling:
         b = equalize_zero_pad(cut_segments(values, from_hand), "abcd")
         assert np.array_equal(a.rows, b.rows)
         assert a.labels == b.labels
+
+
+@st.composite
+def ragged_segments(draw):
+    """1-40 segments. Lengths repeat from a small pool or are drawn anew, so
+    blocks hold one segment or many; 1-sample segments are common. A
+    segment is all zero, integer pitches, or floats at one drawn magnitude
+    from tiny to large."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]))
+    pool = draw(st.lists(st.integers(1, 9) | st.integers(1, 600), min_size=1, max_size=3))
+    segments = []
+    for _ in range(draw(st.integers(1, 40))):
+        length = draw(st.sampled_from(pool) | st.integers(1, 70))
+        kind = draw(st.sampled_from(["zero", "pitch", "float"]))
+        if kind == "zero":
+            segments.append(np.zeros(length))
+        elif kind == "pitch":
+            segments.append(rng.integers(0, 128, length).astype(float))
+        else:
+            segments.append(rng.uniform(-1, 1, length) * scale)
+    return segments
+
+
+def cut_of(segments):
+    """The segments laid end to end and cut again by ``cut_segments``."""
+    edges = np.cumsum([0] + [s.size for s in segments]).tolist()
+    return np.concatenate(segments), BoundarySet(tuple(edges), edges[-1])
+
+
+def assert_rows_equal(got, expected):
+    """Equal row by row, bit for bit."""
+    got, expected = list(got), list(expected)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBlocksMatchReference:
+    """Cut, mean normalization and both equalizers a block per length
+    against the segment-by-segment code of ``segment_reference``."""
+
+    @settings(max_examples=oracle_examples(150), deadline=None)
+    @given(ragged_segments())
+    def test_cut_and_normalize(self, segments):
+        values, bounds = cut_of(segments)
+        cut = cut_segments(values, bounds)
+        expected = ref.cut_segments(values, bounds)
+        assert_rows_equal(cut, expected)
+        assert all(block.flags.c_contiguous for block in cut.blocks)
+        assert len({block.shape[1] for block in cut.blocks}) == len(cut.blocks)
+        assert_rows_equal(cut.map(mean_normalize), map(ref.mean_normalize, expected))
+        assert_rows_equal(map(mean_normalize, segments), map(ref.mean_normalize, segments))
+
+    @settings(max_examples=oracle_examples(150), deadline=None)
+    @given(ragged_segments(), st.sampled_from([None, 0, 1, 7]))
+    def test_equalizers(self, segments, above):
+        # a target of None is the longest segment's length
+        target = None if above is None else max(s.size for s in segments) + above
+        labels = list(range(len(segments)))
+        cut = cut_segments(*cut_of(segments))
+        for equalize, expected in ((equalize_zero_pad, ref.equalize_zero_pad),
+                                   (equalize_interpolate, ref.equalize_interpolate)):
+            want = expected(segments, labels, target)
+            for given_segments in (segments, cut):
+                got = equalize(given_segments, labels, target)
+                assert got.rows.tobytes() == want.rows.tobytes()
+                assert got.rows.shape == want.rows.shape and got.labels == want.labels

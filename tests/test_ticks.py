@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
+import midi_reference
 from melowave.contrapuntal import VariationKind, transform_sequence
 from melowave.ingest import (
     NoteEvent,
     NoteSequence,
-    RawNote,
     ScoreModel,
     extract_voice,
     minimal_division,
@@ -186,13 +186,17 @@ def test_lbdm_matches_reference(notes, rate, threshold):
     DIVISIONS,
 )
 def test_extraction_matches_reference(raw, division):
-    # notes often share an onset or sound on into the next one
-    notes = tuple(RawNote(a * division // 4, d * division, p, ch, ch) for a, d, p, ch in raw)
+    # notes often share an onset or sound on into the next one; the
+    # reference reads RawNote tuples, the array code the same notes as columns
+    notes = tuple(
+        midi_reference.RawNote(a * division // 4, d * division, p, ch, ch) for a, d, p, ch in raw
+    )
     notes = tuple(n for n in notes if n.duration_ticks > 0)
-    score = ScoreModel(notes, division)
+    expected = midi_reference.ScoreModel(notes, division)
+    score = ScoreModel(*expected.columns(), division)
     for selector in ("track:0", "channel:1"):
         got = outcome(extract_voice, score, selector, "x.mid")
-        want = outcome(ref.extract_voice, score, selector, "x.mid")
+        want = outcome(ref.extract_voice, expected, selector, "x.mid")
         if isinstance(want, tuple):
             assert got == want
         else:

@@ -125,6 +125,22 @@ class TestHaarFilter:
             expected = oracle_haar(values, support)
             assert np.abs(got - np.array(expected)).max() <= 1e-9
 
+    def test_slice_padding_equals_np_pad(self, rng):
+        # the filter pads by slicing where the padding is shorter than the
+        # signal; np.pad's reflect mode gives the same padded signal, so the
+        # coefficients match bit for bit
+        for _ in range(200):
+            length = int(rng.integers(2, 300))
+            values = rng.normal(size=length) * 10.0 ** int(rng.integers(-3, 4))
+            support = 2 * int(rng.integers(1, length + 1))
+            pad = min(length, support)
+            psi = np.full(support, 1.0 / math.sqrt(support))
+            psi[support // 2 :] *= -1
+            padded = np.pad(values - values.mean(), pad, mode="reflect")
+            full = np.convolve(padded, psi[::-1], mode="valid")
+            offset = min(pad, 2 * pad - support + 1)
+            assert haar_filter(values, support).tobytes() == full[offset : offset + length].tobytes()
+
     def test_too_large_support_errors(self):
         with pytest.raises(ValueError, match="too short"):
             haar_filter(np.arange(4.0), 10)
