@@ -27,6 +27,7 @@ from .signals import RestPolicy, resample_to_length, sample_pitch_signal
 from .wavelet import haar_filter, scalogram, support_samples
 
 _BOOLEAN_KEYS = {"scalogram", "unsegmented", "grid", "zero-rest-renormalize"}
+_parser: argparse.ArgumentParser | None = None  # built by the first main call, then reused
 
 # segmentation method -> the destination of its parameter flag, and the flag;
 # only `segment` leaves these flags unset by default
@@ -514,8 +515,9 @@ def _expand_config_file(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    global _parser
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser = _parser or build_parser()
     try:
         argv = _expand_config_file(argv)
         args = parser.parse_args(argv)

@@ -181,60 +181,55 @@ def _normalizer(config: ExperimentConfig):
 
 
 def find_boundaries(
-    pitch_span: np.ndarray,
-    span_seq: NoteSequence | None,
+    values: np.ndarray,
+    notes: NoteSequence | None,
     segmentation: Segmentation,
     rate: Fraction,
-    filt=None,
+    filtered=None,
+    joins: Sequence[int] = (),
 ) -> BoundarySet:
-    """Boundaries of a pitch-signal span sampled at ``rate``, filtered by
-    ``filt`` if given; LBDM reads the span's note stream instead."""
-    length = pitch_span.size
+    """Boundaries of the spans of a pitch signal at ``rate`` laid end to end
+    in ``values`` and meeting at ``joins``, filtered at support m by
+    ``filtered(m)`` if given; LBDM reads their notes, laid out alike."""
+    length = values.size
     method, param = segmentation.method, segmentation.param
     if method is SegMethod.NONE:
-        return BoundarySet((0, length), length)
+        return BoundarySet.from_interior(joins, length)
     if method in _WS_METHODS:
-        coeffs = (filt or haar_filter)(pitch_span, support_samples(param, rate))
+        coeffs = (filtered or partial(haar_filter, values))(support_samples(param, rate))
         if method is SegMethod.WS_ZERO_CROSS:
-            return zero_crossing_boundaries(coeffs)
-        return local_maxima_boundaries(coeffs)
+            return zero_crossing_boundaries(coeffs, joins)
+        return local_maxima_boundaries(coeffs, joins)
     if method is SegMethod.CONSTANT:
-        return constant_boundaries(length, rate, param)
-    if span_seq is None:
+        return constant_boundaries(length, rate, param, joins)
+    if notes is None:
         raise ValueError("LBDM segmentation needs the note stream of the span")
-    return lbdm_boundaries(span_seq, param, rate)
+    return lbdm_boundaries(notes, param, rate, joins)
 
 
-def _representation(pitch_span: np.ndarray, config: ExperimentConfig, filt=None) -> np.ndarray:
-    """The span in the config's representation, filtered by ``filt`` if given."""
+def _representation(values: np.ndarray, config: ExperimentConfig, filtered=None) -> np.ndarray:
+    """The signal in the config's representation, filtered by ``filtered`` if given."""
     if config.representation is Representation.WAVELET:
         support = support_samples(config.wavelet_rep_scale_qn, config.rate)
-        return (filt or haar_filter)(pitch_span, support)
-    return np.asarray(pitch_span, dtype=float)
+        return (filtered or partial(haar_filter, values))(support)
+    return np.asarray(values, dtype=float)
 
 
 def _cut(
-    spans: Sequence[tuple[np.ndarray, BoundarySet]], config: ExperimentConfig
-) -> tuple[Segments, list[int]]:
-    """Cut represented spans at their boundaries, and count each span's
-    segments. The spans are cut in one call, laid end to end, so the
-    segments of one length form one block. Pitch-signal segments are
-    mean-normalized after the cut, a block at a time; wavelet segments are
-    transposition-invariant already."""
-    edges, counts, start = [], [], 0
-    for _, boundaries in spans:
-        edges += [b + start for b in boundaries.indices[:-1]]
-        counts.append(len(boundaries) - 1)
-        start += boundaries.length
-    values = np.concatenate([rep for rep, _ in spans])
-    segments = cut_segments(values, BoundarySet((*edges, start), start))
+    rep: np.ndarray, boundaries: BoundarySet, edges: np.ndarray, config: ExperimentConfig
+) -> tuple[Segments, np.ndarray]:
+    """Cut represented spans, laid end to end in ``rep`` between ``edges``,
+    at ``boundaries``, which hold every edge, in one call, so the segments
+    of one length form one block; and count each span's segments.
+    Pitch-signal segments are mean-normalized after the cut, a block at a
+    time; wavelet segments are transposition-invariant already."""
+    segments = cut_segments(rep, boundaries)
     if config.representation is Representation.PITCH:
-        norm = _normalizer(config)
-        if norm is mean_normalize:  # along each row of a block
-            segments = segments.map(mean_normalize)
-        else:
-            segments = segments.map(lambda block: np.apply_along_axis(norm, 1, block))
-    return segments, counts
+        norm = _normalizer(config)  # mean_normalize reads a block row by row
+        segments = segments.map(
+            norm if norm is mean_normalize else partial(np.apply_along_axis, norm, 1)
+        )
+    return segments, np.diff(np.searchsorted(boundaries.indices, edges))
 
 
 def _equalize(
@@ -352,20 +347,59 @@ def _work_signals(work: BachWork, config: ExperimentConfig):
     return [(sample_pitch_signal(seq, config.rate, config.rest_policy), seq) for seq in parts]
 
 
-def _part_span(
-    values: np.ndarray,
-    span_seq: NoteSequence | None,
-    variation: VariationKind,
-    config: ExperimentConfig,
-) -> tuple[np.ndarray, BoundarySet]:
-    """One span of a part under a contrapuntal variation, represented per
-    the config, and its boundaries."""
-    if variation is not VariationKind.PRIME:
-        values = apply_variation(values, variation)
-        if span_seq is not None and len(span_seq):
-            span_seq = transform_sequence(span_seq, variation)
-    rep = _representation(values, config)
-    return rep, find_boundaries(values, span_seq, config.segmentation, config.rate)
+def _span_segments(
+    values: np.ndarray, parts: Sequence[tuple], spans: Sequence[tuple], config: ExperimentConfig
+) -> tuple[Segments, np.ndarray]:
+    """Segments of spans of sampled parts, laid end to end in ``values``,
+    and each span's segment count. Span i is (index in ``parts``, window
+    start and stop in quarter notes, variation, length in samples). Each
+    span is Haar-filtered once per support that the representation or the
+    boundaries need; the boundaries and the cut run once for all spans."""
+    edges = np.cumsum([0, *(span[-1] for span in spans)])
+    scales = [config.wavelet_rep_scale_qn] * (config.representation is Representation.WAVELET)
+    scales += [config.segmentation.param] * (config.segmentation.method in _WS_METHODS)
+    supports = dict.fromkeys(support_samples(scale, config.rate) for scale in scales)
+    coeffs = [[haar_filter(values[a:b], m) for m in supports] for a, b in zip(edges, edges[1:])]
+    filtered = dict(zip(supports, map(np.concatenate, zip(*coeffs))))
+    lbdm = config.segmentation.method is SegMethod.LBDM  # only LBDM reads a span's notes
+    notes = _span_notes(parts, spans, config.rate) if lbdm else None
+    rep = _representation(values, config, filtered.__getitem__)
+    boundaries = find_boundaries(
+        values, notes, config.segmentation, config.rate, filtered.__getitem__, edges[1:-1]
+    )
+    return _cut(rep, boundaries, edges, config)
+
+
+def _span_notes(parts: Sequence[tuple], spans: Sequence[tuple], rate: Fraction) -> NoteSequence:
+    """The notes of the spans of ``_span_segments`` laid out like their
+    samples: span i holds, from its first sample on, the notes of its part
+    that overlap its window, clipped, rebased and varied, over a division
+    that holds every tick and window edge exactly."""
+    part, begin, end, kinds, lengths = (np.array(column) for column in zip(*spans))
+    division = math.lcm(rate.numerator, *(seq.division for _, seq in parts))
+    per_sample = division * rate.denominator // rate.numerator  # ticks
+    # the parts end to end, each over its sampled length, so that one search finds every window
+    shifts = np.cumsum([0] + [signal.size * per_sample for signal, _ in parts])
+    onsets, ends = (
+        np.concatenate([getattr(seq, name) * (division // seq.division) + shift
+                        for (_, seq), shift in zip(parts, shifts.tolist())])
+        for name in ("onsets", "ends")
+    )
+    start, stop = (shifts[part] + [int(t * division) for t in ts] for ts in (begin, end))
+    lo = np.searchsorted(ends, start, "right")
+    counts = np.searchsorted(onsets, stop) - lo
+    span = np.repeat(np.arange(len(spans)), counts)
+    notes = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    slot = lengths * per_sample
+    first = np.cumsum(slot) - slot  # each span's first sample, in ticks
+    laid = NoteSequence(
+        np.maximum(onsets[notes], start[span]) - start[span] + first[span],
+        np.minimum(ends[notes], stop[span]) - start[span] + first[span],
+        np.concatenate([seq.pitches for _, seq in parts])[notes], division, int(slot.sum()),
+    )
+    if not len(laid) or (kinds == VariationKind.PRIME).all():
+        return laid
+    return transform_sequence(laid, kinds, (first, first + stop - start))
 
 
 def classifier_segments(
@@ -374,20 +408,20 @@ def classifier_segments(
 ) -> tuple[Segments, list]:
     """Segments of the exposition prefixes of every part (``parts[i]`` holds
     work i's sampled parts) and their labels, with contrapuntal variants
-    added as extra classes when ``contrapuntal`` is set."""
+    added as extra classes when ``contrapuntal`` is set: each prefix
+    followed by its variants, those of one kind varied as one block."""
     prefix_samples = math.ceil(prefix_qn * config.rate)
     variations = tuple(VariationKind) if contrapuntal else (VariationKind.PRIME,)
-    lbdm = config.segmentation.method is SegMethod.LBDM  # only LBDM reads a span's notes
-    spans, span_labels = [], []
-    for work, work_parts in zip(works, parts):
-        for signal, seq in work_parts:
-            span = signal[:prefix_samples]
-            span_seq = seq.slice(0, prefix_qn) if lbdm else None
-            for variation in variations:
-                spans.append(_part_span(span, span_seq, variation, config))
-                span_labels.append((work.work_id, variation.value) if contrapuntal else work.work_id)
-    segments, counts = _cut(spans, config)
-    return segments, [label for label, n in zip(span_labels, counts) for _ in range(n)]
+    all_parts = [part for work_parts in parts for part in work_parts]
+    prime = np.stack([signal[:prefix_samples] for signal, _ in all_parts])
+    blocks = [prime if v is VariationKind.PRIME else apply_variation(prime, v) for v in variations]
+    spans = [(i, 0, prefix_qn, v, prefix_samples) for i in range(len(prime)) for v in variations]
+    segments, counts = _span_segments(np.stack(blocks, axis=1).ravel(), all_parts, spans, config)
+    span_labels = [
+        (work.work_id, variation.value) if contrapuntal else work.work_id
+        for work, work_parts in zip(works, parts) for _ in work_parts for variation in variations
+    ]
+    return segments, [label for label, n in zip(span_labels, counts.tolist()) for _ in range(n)]
 
 
 def _section_segments(
@@ -395,16 +429,15 @@ def _section_segments(
 ) -> tuple[Segments, list[tuple[str, str]], np.ndarray]:
     """Segments of both parts of every section, the sections as (item id,
     work id) items, and the row offsets of each section's segments."""
-    lbdm = config.segmentation.method is SegMethod.LBDM  # only LBDM reads a span's notes
-    spans = []
-    items = []
+    all_parts, slices, spans, items = [], [], [], []
     for work, work_parts in zip(works, parts):
         for j, (a, b) in enumerate(split_section_spans(work_parts[0][0].size, config.rate)):
-            for signal, seq in work_parts:
-                span_seq = seq.slice(a / config.rate, b / config.rate) if lbdm else None
-                spans.append(_part_span(signal[a:b], span_seq, VariationKind.PRIME, config))
+            for i, (signal, _) in enumerate(work_parts, len(all_parts)):
+                slices.append(signal[a:b])
+                spans.append((i, a / config.rate, b / config.rate, VariationKind.PRIME, b - a))
             items.append((f"{work.work_id}/s{j}", work.work_id))
-    segments, counts = _cut(spans, config)
+        all_parts += work_parts
+    segments, counts = _span_segments(np.concatenate(slices), all_parts, spans, config)
     per_item = np.reshape(counts, (len(items), -1)).sum(axis=1)  # the spans of both parts
     return segments, items, np.concatenate(([0], np.cumsum(per_item)))
 
@@ -478,17 +511,19 @@ def _cut_corpus(
     first failing song's first error, in the order representation,
     boundaries, cut."""
     segmentation = config.segmentation
-    spans = []
+    reps, boundaries = [], []
     for i, (song, signal) in enumerate(zip(corpus.songs, signals)):
-        filt = partial(_song_filter, filtered, i)
-        rep = _representation(signal, config, filt)
+        filt = partial(_song_filter, filtered, i, signal)
+        reps.append(_representation(signal, config, filt))
         notes = song.seq if segmentation.method is SegMethod.LBDM else None
-        boundaries = _cached(
+        boundaries.append(_cached(
             memo, i, find_boundaries, signal, notes, segmentation, config.rate, filt
-        )
-        spans.append((rep, boundaries))
-    segments, counts = _cut(spans, config)
-    labels = [song.family for song, n in zip(corpus.songs, counts) for _ in range(n)]
+        ))
+    edges = np.cumsum([0, *(b.length for b in boundaries)])
+    shifted = [np.add(b.indices, edge) for b, edge in zip(boundaries, edges.tolist())]
+    cut = BoundarySet.from_interior(np.concatenate(shifted), int(edges[-1]))
+    segments, counts = _cut(np.concatenate(reps), cut, edges, config)
+    labels = [song.family for song, n in zip(corpus.songs, counts.tolist()) for _ in range(n)]
     return segments, labels, np.concatenate(([0], np.cumsum(counts)))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from melowave.contrapuntal import VariationKind
 from melowave.ingest import MidiError, NoteEvent, parse_voice_selector
-from melowave.segmentation import BoundarySet, _strength_profile
+from melowave.segmentation import BoundarySet
 from melowave.signals import RestPolicy
 
 
@@ -158,6 +158,15 @@ def lbdm_intervals(seq: RefSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ioi = np.array([float(b.onset_qn - a.onset_qn) for a, b in pairs])
     rest = np.array([max(0.0, float(b.onset_qn - a.end_qn)) for a, b in pairs])
     return pitch, ioi, rest
+
+
+def _strength_profile(x: np.ndarray) -> np.ndarray:
+    total = x[:-1] + x[1:]
+    change = np.divide(np.abs(np.diff(x)), total, out=np.zeros(x.size - 1), where=total != 0)
+    padded = np.concatenate(([0.0], change, [0.0]))
+    strength = x * (padded[:-1] + padded[1:])
+    top = strength.max()
+    return strength / top if top > 0 else strength
 
 
 def lbdm_profile(seq: RefSequence) -> np.ndarray:

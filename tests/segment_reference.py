@@ -1,15 +1,30 @@
-"""The segment-by-segment reference for the block cut, normalizer and
-equalizers.
+"""The span-by-span and segment-by-segment references for the block
+stages of the invention path: variation, representation, boundaries, cut,
+normalizer and equalizers.
 
-This is how melowave cut, normalized and equalized segments before the
-segments of one length became one block: a list of 1-D slices, each
+This is how melowave handled spans and segments before they became
+blocks: each span of a part varied, represented and segmented on its own
+(``part_span``), and its segments a list of 1-D slices, each
 mean-normalized on its own, then padded or resized one segment at a time.
 The tests compare the block code with it bit for bit.
 """
 
 import numpy as np
 
+from melowave import experiments
 from melowave.classifier import LabeledCorpus
+from melowave.contrapuntal import VariationKind, apply_variation, transform_sequence
+
+
+def part_span(values, span_seq, variation, config):
+    """One span of a part under a contrapuntal variation, represented per
+    the config, and its boundaries, found with the span as the only one."""
+    if variation is not VariationKind.PRIME:
+        values = apply_variation(values, variation)
+        if span_seq is not None and len(span_seq):
+            span_seq = transform_sequence(span_seq, variation)
+    rep = experiments._representation(values, config)
+    return rep, experiments.find_boundaries(values, span_seq, config.segmentation, config.rate)
 
 
 def cut_segments(values, boundaries) -> list[np.ndarray]:

@@ -386,6 +386,19 @@ def expanded_blocks(matrix, offsets, metric, held_out):
 
 
 class TestKernelProperties:
+    def test_equal_distance_in_a_later_tile_displaces_a_later_row(self):
+        # corpus rows A, C, B, A: the first tile holds distinct rows A (copies
+        # 0 and 3) and C (copy 1), the second B (copy 2). B's distance equals
+        # the running second-nearest distance, that of copy 3 of A, and B's
+        # row is smaller: (2.0, row 2) precedes (2.0, row 3), so it displaces it.
+        groups = distinct_rows(np.array([[0.0], [5.0], [1.0], [0.0]]))
+        best = np.zeros((1, 2), dtype=int), np.full((1, 2), np.inf)
+        nothing = np.zeros(1, dtype=int), np.zeros(1, dtype=int)
+        merge_nearest(np.array([[2.0, 5.0]]), best, groups, nothing, first=0)
+        assert best[0].tolist() == [[0, 3]] and best[1].tolist() == [[2.0, 2.0]]
+        merge_nearest(np.array([[2.0]]), best, groups, nothing, first=2)
+        assert best[0].tolist() == [[0, 2]] and best[1].tolist() == [[2.0, 2.0]]
+
     @settings(max_examples=oracle_examples(300), deadline=None)
     @given(tie_heavy_blocks())
     def test_matches_oracles(self, case):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from melowave import experiments
 from melowave.classifier import Metric, pairwise_distances
-from melowave.contrapuntal import VariationKind
+from melowave.contrapuntal import VariationKind, apply_variation
 from melowave.corpora import (
     BachWork,
     FolkCorpus,
@@ -33,7 +33,6 @@ from melowave.experiments import (
     Segmentation,
     _grid_configs,
     _normalizer,
-    _part_span,
     _section_segments,
     _work_signals,
     classifier_segments,
@@ -77,7 +76,7 @@ def reference_segments(values, span_seq, variation, config):
     """One span's segments by the segment-by-segment reference: the engine
     varies, represents and segments the span; the reference cuts it and
     normalizes each pitch-signal segment on its own."""
-    rep, boundaries = _part_span(values, span_seq, variation, config)
+    rep, boundaries = seg_ref.part_span(values, span_seq, variation, config)
     segments = seg_ref.cut_segments(rep, boundaries)
     if config.representation is Representation.PITCH:
         norm = _normalizer(config)
@@ -293,16 +292,123 @@ class TestBachExperiment:
     @given(
         st.integers(0, 2**16), st.integers(2, 3), st.booleans(), st.booleans(),
         st.sampled_from(["vr", "wr"]), st.sampled_from(list(Metric)),
+        st.sampled_from([(Fraction(8), "ws-zc"), (Fraction(5, 2), "ws-zc"),
+                         (Fraction(5, 2), "lbdm")]),
     )
-    def test_traces_match_reference(self, seed, n_works, copy, contrapuntal, rep, metric):
+    def test_traces_match_reference(self, seed, n_works, copy, contrapuntal, rep, metric, cell):
         # a few works, the first one again under another id when ``copy``
-        # (every classifier row of the pair then ties exactly)
+        # (every classifier row of the pair then ties exactly); at rate 5/2
+        # the section edges fall between the ticks of the parts
         few = synthetic_inventions(seed, n_works)
         if copy:
             few.append(BachWork("copy", few[0].upper, few[0].lower))
-        config = ExperimentConfig(representation=Representation(rep), metric=metric)
+        rate, method = cell
+        scale = 4 / rate  # a support of 4 samples
+        segmentation = Segmentation(SegMethod(method), scale if method == "ws-zc" else 0.3)
+        config = ExperimentConfig(
+            representation=Representation(rep), metric=metric, rate=rate,
+            wavelet_rep_scale_qn=scale, segmentation=segmentation,
+        )
         report = run_bach_experiment(few, config, contrapuntal=contrapuntal)
         assert trace_tuples(report.traces) == bach_reference(few, config, contrapuntal)
+
+
+def note_parts(draw, rate):
+    """One or two random parts sampled at ``rate``: note lists on a quarter
+    of a quarter note, with rests, long notes and silent parts."""
+    parts = []
+    for _ in range(draw(st.integers(1, 2))):
+        onset, notes = Fraction(0), []
+        for _ in range(draw(st.integers(0, 8))):
+            onset += draw(st.sampled_from([0, 0, Fraction(1, 4), 1]))
+            duration = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), 1, 3]))
+            notes.append((onset, duration, draw(st.integers(48, 72))))
+            onset += duration
+        total = onset + draw(st.sampled_from([0, Fraction(1, 4), 2])) or Fraction(1)
+        seq = make_sequence(notes, total)
+        parts.append((sample_pitch_signal(seq, rate, RestPolicy.REPRESENT_ZERO), seq))
+    return parts
+
+
+def draw_spans(draw, parts, rate, kinds):
+    """Spans of the parts in the layout of ``experiments._span_segments``:
+    sample windows, which start or end between ticks at rate 5/2, and
+    prefixes of whole quarter notes, whose samples may run past the window."""
+    spans = []
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(parts) - 1))
+        signal, seq = parts[i]
+        kind = draw(st.sampled_from(kinds))
+        if seq.total_duration_qn >= 1 and draw(st.booleans()):
+            whole = draw(st.integers(1, int(seq.total_duration_qn)))
+            spans.append((i, 0, whole, kind, math.ceil(whole * rate)))
+        else:
+            a = draw(st.integers(0, signal.size - 1))
+            b = draw(st.integers(a + 1, min(signal.size, a + 12)))
+            spans.append((i, a / rate, b / rate, kind, b - a))
+    return spans
+
+
+def span_samples(parts, span, rate):
+    """A span's samples of its part, before its variation."""
+    i, begin, _, _, length = span
+    start = int(begin * rate)
+    return parts[i][0][start : start + length]
+
+
+class TestSpansMatchReference:
+    """The block stages of the invention path (every span varied, filtered,
+    segmented and cut at once, LBDM on the spans' notes laid out like their
+    samples) against ``part_span``, each span on its own."""
+
+    @pytest.mark.parametrize("method", list(SegMethod), ids=lambda m: m.value)
+    @settings(max_examples=oracle_examples(80), deadline=None)
+    @given(data=st.data())
+    def test_block_segments_match_each_span(self, method, data):
+        draw = data.draw
+        rate = draw(st.sampled_from([Fraction(8), Fraction(5, 2), Fraction(2)]))
+        parts = note_parts(draw, rate)
+        spans = draw_spans(draw, parts, rate, list(VariationKind))
+        support, rep_support = draw(st.sampled_from([2, 4])), draw(st.sampled_from([2, 4]))
+        param = {SegMethod.NONE: None, SegMethod.LBDM: draw(st.sampled_from([0.0, 0.2, 0.5]))}
+        segmentation = Segmentation(method, param.get(method, support / rate))
+        config = ExperimentConfig(
+            representation=draw(st.sampled_from(list(Representation))),
+            wavelet_rep_scale_qn=rep_support / rate, segmentation=segmentation, rate=rate,
+            zero_rest_renormalize=draw(st.booleans()),
+        )
+        lbdm = segmentation.method is SegMethod.LBDM
+        expected, counts, error = [], [], None
+        try:
+            for span in spans:
+                part_seq = parts[span[0]][1]
+                span_seq = part_seq.slice(span[1], span[2]) if lbdm else None
+                rep, boundaries = seg_ref.part_span(
+                    span_samples(parts, span, rate), span_seq, span[3], config
+                )
+                cut = seg_ref.cut_segments(rep, boundaries)
+                if config.representation is Representation.PITCH:
+                    norm = _normalizer(config)
+                    cut = [(seg_ref.mean_normalize if norm is mean_normalize else norm)(s)
+                           for s in cut]
+                expected += cut
+                counts.append(len(cut))
+        except ValueError as exc:  # a span too short for a support
+            error = str(exc)
+        values = np.concatenate([
+            apply_variation(span_samples(parts, span, rate), span[3]) for span in spans
+        ])
+        if error is not None:
+            with pytest.raises(ValueError) as raised:
+                experiments._span_segments(values, parts, spans, config)
+            assert str(raised.value) == error
+            return
+        segments, got_counts = experiments._span_segments(values, parts, spans, config)
+        assert got_counts.tolist() == counts
+        assert [s.tobytes() for s in segments] == [s.tobytes() for s in expected]
+        # so the boundaries are the same, span by span
+        edges = np.cumsum([0, *(s.size for s in segments)])
+        assert edges.tobytes() == np.cumsum([0, *(s.size for s in expected)]).tobytes()
 
 
 def trace_tuples(traces):

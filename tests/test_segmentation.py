@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import segment_reference as ref
 from melowave.segmentation import (
+    ZERO_TOLERANCE,
     BoundarySet,
     constant_boundaries,
     cut_segments,
@@ -40,6 +41,21 @@ class TestBoundarySet:
             BoundarySet((0, 2, 2, 5), 5)
         with pytest.raises(ValueError):
             BoundarySet((1, 5), 5)
+
+    def test_long_invalid_sets_keep_their_messages(self):
+        # thousands of edges, as one cut over every span of a corpus makes
+        edges = tuple(range(0, 20_001, 2))
+        BoundarySet(edges, 20_000)
+        with pytest.raises(ValueError, match="^boundaries must be strictly increasing$"):
+            BoundarySet(edges[:5_000] + edges[4_999:], 20_000)
+        with pytest.raises(ValueError, match="^boundaries must be strictly increasing$"):
+            BoundarySet(edges[:7_000] + (edges[7_001], edges[7_000]) + edges[7_002:], 20_000)
+        with pytest.raises(ValueError, match="^boundaries must start at 0 and end at the signal "):
+            BoundarySet(edges[1:], 20_000)
+        with pytest.raises(ValueError, match="^boundaries must start at 0 and end at the signal "):
+            BoundarySet(edges, 20_002)
+        inside = BoundarySet.from_interior(np.arange(19_999, -3, -3), 20_000)
+        assert inside.indices == (0, *range(1, 20_000, 3), 20_000)
 
 
 class TestZeroCrossings:
@@ -206,6 +222,67 @@ class TestLBDM:
         seq = make_sequence([(0, 1, 60), (1, 1, 62)])
         with pytest.raises(ValueError, match="threshold"):
             lbdm_boundaries(seq, 1.5, 2)
+
+
+# coefficients with exact zeros, values at and just past the zero tolerance,
+# and few distinct values, so that plateaus and sign changes meet the joins
+JOINED_COEFFICIENTS = st.lists(
+    st.lists(
+        st.sampled_from([0.0, ZERO_TOLERANCE, -ZERO_TOLERANCE, 2e-12, -2e-12, 1.0, -1.0, 2.5]),
+        min_size=1, max_size=7,
+    ),
+    min_size=1, max_size=6,
+)
+
+
+def joined(spans):
+    """Spans laid end to end, the joins between them, and each span's first index."""
+    edges = np.cumsum([0, *map(len, spans)])
+    return np.concatenate([np.array(s, dtype=float) for s in spans]), edges[1:-1], edges[:-1]
+
+
+def each_span(finder, spans, firsts, *args):
+    """The union of ``finder``'s boundaries of each span on its own, shifted
+    to where the span lies, as bytes."""
+    parts = [np.add(finder(np.array(s, dtype=float), *args).indices, first)
+             for s, first in zip(spans, firsts)]
+    return np.unique(np.concatenate(parts)).tobytes()
+
+
+class TestJoinedSpansMatchEachSpan:
+    """A finder given spans laid end to end finds each span's boundaries as
+    if it were alone: every join is a boundary, and no boundary rule reads
+    across one."""
+
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(JOINED_COEFFICIENTS)
+    def test_signal_finders(self, spans):
+        coeffs, joins, firsts = joined(spans)
+        for finder in (zero_crossing_boundaries, local_maxima_boundaries):
+            got = np.array(finder(coeffs, joins).indices)
+            assert got.tobytes() == each_span(finder, spans, firsts), finder.__name__
+
+    @settings(max_examples=oracle_examples(100), deadline=None)
+    @given(st.lists(st.integers(1, 20), min_size=1, max_size=6), st.integers(1, 6),
+           st.sampled_from([1, 2, Fraction(5, 2)]))
+    def test_constant_grid_starts_again_at_each_join(self, lengths, step, rate):
+        spans = [[0.0] * n for n in lengths]
+        _, joins, firsts = joined(spans)
+        got = np.array(constant_boundaries(sum(lengths), rate, step / rate, joins).indices)
+
+        def grid(coeffs, step_qn):
+            return constant_boundaries(coeffs.size, rate, step_qn)
+
+        assert got.tobytes() == each_span(grid, spans, firsts, step / rate)
+
+    def test_plateau_and_sign_change_across_a_join(self):
+        coeffs = np.array([0.0, 2.0, 2.0, 1.0, -1.0, 0.5, 0.0])
+        # the plateau 2, 2 is a maximum at 1; cut by the join at 2, neither half is one
+        assert local_maxima_boundaries(coeffs).indices == (0, 1, 5, 7)
+        assert local_maxima_boundaries(coeffs, [2, 4]).indices == (0, 2, 4, 5, 7)
+        # the sign change 1 | -1 across the join at 4 marks the join itself
+        assert zero_crossing_boundaries(coeffs).indices == (0, 4, 5, 6, 7)
+        assert zero_crossing_boundaries(coeffs, [4]).indices == (0, 4, 5, 6, 7)
 
 
 class TestCutSegments:
