@@ -14,7 +14,6 @@ from enum import Enum
 from typing import Hashable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 class Metric(Enum):
@@ -24,6 +23,8 @@ class Metric(Enum):
 
 def pairwise_distances(queries: np.ndarray, rows: np.ndarray, metric: Metric) -> np.ndarray:
     """Distance matrix between query rows and corpus rows."""
+    # imported here, so that commands that measure no distance never load scipy
+    from scipy.spatial.distance import cdist
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if queries.shape[1] != rows.shape[1]:

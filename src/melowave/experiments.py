@@ -286,8 +286,10 @@ def _classify(
             parts = [(i, tile, c_band.start)] + [(j, tile.T, q_band.start)] * (symmetric and j > i)
             for band, part, first in parts:  # a band's pairs, about _CHUNK_ENTRIES entries at once
                 step = max(1, _CHUNK_ENTRIES // part.shape[1])
-                for a in range(p_cuts[band], p_cuts[band + 1], step):
-                    mine = slice(a, min(a + step, p_cuts[band + 1]))
+                a, b = p_cuts[band], p_cuts[band + 1]
+                n = max(1, (b - a) // step)  # equal chunks, each under 2 * step pairs
+                cuts = (a + (b - a) * np.arange(n + 1) // n).tolist()
+                for mine in map(slice, cuts[:-1], cuts[1:]):
                     merge_nearest(
                         part[distinct_of[mine] - q_cuts[band]], (best[0][mine], best[1][mine]),
                         corpus, (bounds[item_of[mine]], bounds[item_of[mine] + 1]), first,

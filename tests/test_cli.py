@@ -83,6 +83,12 @@ def read_csv(path):
         return list(csv.reader(handle))
 
 
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestBasicCommands:
     def test_ingest(self, melody_mid, tmp_path):
         out = tmp_path / "notes.csv"
@@ -165,6 +171,68 @@ class TestBasicCommands:
         assert rows[0] == ["query_index", "predicted_label", "nearest_distance"]
         assert [r[1] for r in rows[1:]] == ["A", "B"]
         assert float(rows[1][2]) == 2.0
+
+
+# imports the CLI, runs main() on its arguments (if any) and prints the exit
+# status and whether scipy was imported
+_IMPORT_PROBE = """
+import sys
+from melowave.cli import main
+code = 0
+if sys.argv[1:]:
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as stop:
+        code = stop.code
+print(code, "scipy" in sys.modules)
+"""
+
+
+class TestImportGuard:
+    """scipy holds only the distance kernel: a process imports it at its
+    first distance, and a command that measures none never does."""
+
+    @staticmethod
+    def probe(argv: list) -> list:
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()[-2:]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param([], id="import"),
+        pytest.param(["--help"], id="help"),
+        pytest.param(["ingest", "{mid}"], id="ingest"),
+        pytest.param(["signal", "{mid}", "--rate", "2"], id="signal"),
+        pytest.param(["cwt", "{mid}", "--scale-qn", "1"], id="cwt"),
+        pytest.param(["cwt", "{mid}", "--scalogram", "--scales", "0.5,1"], id="cwt-scalogram"),
+        pytest.param(["segment", "{mid}", "--method", "ws-zc", "--scale-qn", "1",
+                      "--segments-dir", "{dir}"], id="segment-ws-zc"),
+        pytest.param(["segment", "{mid}", "--method", "ws-max", "--scale-qn", "1"],
+                     id="segment-ws-max"),
+        pytest.param(["segment", "{mid}", "--method", "const", "--step-qn", "2"],
+                     id="segment-const"),
+        pytest.param(["segment", "{mid}", "--method", "lbdm", "--threshold", "0.1"],
+                     id="segment-lbdm"),
+        pytest.param(["variations", "{mid}", "--rate", "1"], id="variations"),
+    ])
+    def test_commands_without_distances_leave_scipy_unloaded(self, argv, melody_mid, tmp_path):
+        argv = [a.format(mid=melody_mid, dir=tmp_path / "segs") for a in argv]
+        if len(argv) > 1:  # a command, which writes a CSV
+            argv += ["-o", str(tmp_path / "out.csv")]
+        assert self.probe(argv) == ["0", "False"]
+
+    def test_classify_loads_scipy(self, tmp_path):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("label,v0,v1\nA,0,0\nB,10,10\n")
+        queries = tmp_path / "queries.csv"
+        queries.write_text("1,1\n9,9\n")
+        out = tmp_path / "pred.csv"
+        assert self.probe(["classify", "--corpus", str(corpus), "--queries", str(queries),
+                           "--k", "1", "--metric", "cityblock", "-o", str(out)]) == ["0", "True"]
+        assert out.read_bytes() == (
+            b"query_index,predicted_label,nearest_distance\n0,A,2.0\n1,B,2.0\n"
+        )
 
 
 class TestExperimentCommands:
@@ -537,13 +605,11 @@ class TestErrors:
     def test_closed_stdout_exits_quietly(self, tmp_path):
         # the reader of stdout is gone before the trace is written: the
         # command stops with status 1 and reports nothing
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         command = [sys.executable, "-m", "melowave.cli", "exp", "folk", "--synthetic-seed", "0",
                    "--synthetic-families", "2", "--unsegmented", "--rep", "vr",
                    "--trace", "-", "-o", str(tmp_path / "out.csv")]
         with open(tmp_path / "err.txt", "wb") as err:
-            proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=err, env=env)
+            proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=err, env=src_env())
             proc.stdout.close()
             assert proc.wait(timeout=300) == 1
         assert (tmp_path / "err.txt").read_bytes() == b""
