@@ -22,16 +22,21 @@ class Metric(Enum):
 
 
 def pairwise_distances(queries: np.ndarray, rows: np.ndarray, metric: Metric) -> np.ndarray:
-    """Distance matrix between query rows and corpus rows."""
+    """Distance matrix between query rows and corpus rows; given one array
+    twice, each pair once, and the diagonal as ``cdist`` gives it."""
     # imported here, so that commands that measure no distance never load scipy
-    from scipy.spatial.distance import cdist
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    from scipy.spatial.distance import cdist, pdist, squareform
+    same = rows is queries
+    queries, rows = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (queries, rows))
     if queries.shape[1] != rows.shape[1]:
         raise ValueError(
             f"query length {queries.shape[1]} does not match corpus row length {rows.shape[1]}"
         )
-    return cdist(queries, rows, metric.value)
+    if not same:
+        return cdist(queries, rows, metric.value)
+    square = squareform(pdist(queries, metric.value))
+    np.fill_diagonal(square, np.where(np.isfinite(queries).all(axis=1), 0.0, np.nan))
+    return square
 
 
 @dataclass(frozen=True)
@@ -54,89 +59,113 @@ class LabeledCorpus:
 
 @dataclass(frozen=True)
 class DistinctRows:
-    """A matrix's distinct ``rows`` in first-occurrence order, each matrix
-    row's distinct id (``ids``), and the copies of distinct row d: matrix
-    rows ``copies[starts[d]:starts[d + 1]]``, ascending."""
+    """A matrix's distinct ``rows`` by effective length (``lengths``: the
+    index of the last entry other than 0.0 or -0.0, plus one), then by first
+    occurrence; each matrix row's distinct id (``ids``), and the copies of
+    distinct row d: matrix rows ``copies[starts[d]:starts[d + 1]]``, ascending."""
 
     rows: np.ndarray
     ids: np.ndarray
     copies: np.ndarray
     starts: np.ndarray
+    lengths: np.ndarray
 
 
 def distinct_rows(matrix: np.ndarray) -> DistinctRows:
     """The rows of a matrix grouped by equal bytes."""
     seen: dict = {}
-    ids = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in matrix], dtype=np.intp)
+    first = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in matrix], dtype=np.intp)
+    nonzero = matrix[np.unique(first, return_index=True)[1]] != 0
+    lengths = (nonzero * np.arange(1, nonzero.shape[1] + 1)).max(axis=1, initial=0)
+    ids = np.argsort(np.argsort(lengths, kind="stable"))[first]
     copies = np.argsort(ids, kind="stable")
     starts = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=len(seen)))))
-    return DistinctRows(matrix[copies[starts[:-1]]], ids, copies, starts)
+    return DistinctRows(matrix[copies[starts[:-1]]], ids, copies, starts, np.sort(lengths))
 
 
-def merge_nearest(
-    dist: np.ndarray, best: tuple[np.ndarray, np.ndarray], groups: DistinctRows,
-    excluded: tuple, first: int = 0,
-) -> None:
-    """Merges a distance block ``dist`` (masked in place) into ``best``: each
-    query's first corpus rows in (distance, row) order and their distances,
-    +inf past its last. ``dist[q, j]`` is query q's distance to every copy of
-    distinct row ``first + j`` of ``groups``; rows lo[q]:hi[q] of ``excluded
-    = (lo, hi)`` and non-finite entries are no neighbors of query q."""
-    n_rows, n_groups = dist.shape
-    n_cols, width = groups.copies.size, best[0].shape[1]
-    base, end = groups.starts[first], groups.starts[first + n_groups]
-    starts, copies = groups.starts[first : first + n_groups + 1] - base, groups.copies[base:end]
-    lo, hi = excluded
-    # a distinct row with every copy excluded is no neighbor; it first
-    # occurs in some lo:hi, and distinct rows are in first-occurrence order
-    head, tail = copies[starts[:-1]], copies[starts[1:] - 1]
-    win = slice(*np.searchsorted(head, [lo.min(initial=n_cols), hi.max(initial=0)]))
-    dist[:, win][(head[win] >= lo[:, None]) & (tail[win] < hi[:, None])] = np.inf
-    # every finite distinct row left has a usable copy, so the first
-    # `width` neighbors are copies of the distinct rows at or below both
-    # the width-th smallest distance and the width-th best so far: of
-    # each, its first `width` copies outside lo:hi, those below lo, then
-    # those from hi on
-    last = min(width, n_groups) - 1
-    kth = np.fmin(np.partition(dist, last, axis=1)[:, last : last + 1], best[1][:, -1:])
-    q, d = np.divmod(np.flatnonzero(dist <= np.fmin(kth, np.finfo(float).max)), n_groups)
-    key = np.repeat(np.arange(n_groups), np.diff(starts)) * n_cols + copies  # ascending
-    below = np.searchsorted(key, d * n_cols + lo[q]) - starts[d]
-    above = np.searchsorted(key, d * n_cols + hi[q])
-    pair, slot = np.nonzero(np.arange(width) < (below + starts[d + 1] - above)[:, None])
-    old = np.isfinite(best[1])  # the neighbors so far, in the merge too
-    rows = np.concatenate((np.nonzero(old)[0], q[pair]))
-    dists = np.concatenate((best[1][old], dist[q, d][pair]))
-    slots = np.where(slot < below[pair], starts[d][pair], (above - below)[pair]) + slot
-    cols = np.concatenate((best[0][old], copies[slots]))
-    order = np.lexsort((cols, dists, rows))
-    rows, cols, dists = rows[order], cols[order], dists[order]
-    count = np.bincount(rows, minlength=n_rows)
-    rank = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
-    kept = rank < width
-    best[0][:], best[1][:] = 0, np.inf
-    best[0][rows[kept], rank[kept]], best[1][rows[kept], rank[kept]] = cols[kept], dists[kept]
+class Nearest:
+    """Each query's first ``width`` neighbors, merged from blocks whose columns
+    are distinct rows (``copies`` and ``starts`` as in ``DistinctRows``):
+    ``rows``, corpus rows in (distance, row) order, and ``dist``, their
+    distances, +inf past the last. Query q belongs to item ``items[q]``, whose
+    rows ``bounds[i]:bounds[i + 1]`` are no neighbors of it. Entries that can
+    be among the first ``width`` wait, and merge before ``budget`` copies pass."""
+
+    def __init__(self, copies, starts, items, bounds, width: int, budget: int):
+        self.copies, self.starts, self.items, self.width = copies, starts, items, width
+        self.excluded, self.budget = (bounds[items], bounds[items + 1]), budget
+        # the item whose rows hold every copy of a distinct row, or -1; None if no item has rows
+        ends = copies[starts[:-1]], copies[starts[1:] - 1]
+        head, tail = (np.searchsorted(bounds, end, "right") - 1 for end in ends)
+        self.owner = np.where(head == tail, head, -1) if bounds.any() else None
+        # copies as (distinct row, corpus row) keys, one integer each, ascending
+        self.key = np.repeat(np.arange(starts.size - 1), np.diff(starts)) * copies.size + copies
+        shape = items.size, width
+        self.rows, self.dist = np.zeros(shape, dtype=int), np.full(shape, np.inf)
+        self.top = np.full(shape, np.inf)  # each query's smallest distinct-row distances
+        self.buffer, self.buffered = [], 0
+
+    def add(self, dist: np.ndarray, queries: slice, first: int) -> None:
+        """Buffers block ``dist``, masked in place: ``dist[r, j]`` is query
+        ``queries.start + r``'s distance to every copy of distinct row ``first + j``.
+        The first ``width`` neighbors lie at or below both the width-th smallest
+        distance to a distinct row with a usable copy so far and the width-th merged."""
+        if self.owner is not None:  # the query's item's own distinct rows are no neighbors
+            dist[self.items[queries, None] == self.owner[first : first + dist.shape[1]]] = np.inf
+        last = min(self.width, dist.shape[1]) - 1
+        top = np.partition(dist, last, axis=1)[:, : last + 1]
+        top = np.partition(np.concatenate((self.top[queries], top), axis=1), self.width - 1, axis=1)
+        self.top[queries] = top[:, : self.width]
+        bound = np.fmin(np.fmin(self.top[queries, -1], self.dist[queries, -1]), np.finfo(float).max)
+        r, j = np.nonzero(dist <= bound[:, None])
+        size = np.minimum(self.starts[j + first + 1] - self.starts[j + first], self.width).sum()
+        if self.buffered + size > self.budget:
+            self.flush()
+        self.buffer.append((r + queries.start, j + first, dist[r, j]))
+        self.buffered += size
+
+    def flush(self) -> None:
+        """Merges the buffer: of each entry's copies, the first ``width``
+        outside lo:hi, those below lo, then those from hi on."""
+        if not self.buffered:
+            return
+        q, d, dist = map(np.concatenate, zip(*self.buffer))
+        self.buffer, self.buffered = [], 0
+        starts, copies, width = self.starts, self.copies, self.width
+        below = np.searchsorted(self.key, d * copies.size + self.excluded[0][q]) - starts[d]
+        above = np.searchsorted(self.key, d * copies.size + self.excluded[1][q])
+        pair, slot = np.nonzero(np.arange(width) < (below + starts[d + 1] - above)[:, None])
+        mine = np.unique(q)
+        old = np.isfinite(self.dist[mine])  # their neighbors so far, in the merge too
+        rows = np.concatenate((mine[np.nonzero(old)[0]], q[pair]))
+        dists = np.concatenate((self.dist[mine][old], dist[pair]))
+        slots = np.where(slot < below[pair], starts[d][pair], (above - below)[pair]) + slot
+        cols = np.concatenate((self.rows[mine][old], copies[slots]))
+        order = np.lexsort((cols, dists, rows))
+        rank = np.arange(rows.size) - np.searchsorted(rows[order], rows[order])
+        order, rank = order[rank < width], rank[rank < width]
+        self.rows[mine], self.dist[mine] = 0, np.inf
+        self.rows[rows[order], rank], self.dist[rows[order], rank] = cols[order], dists[order]
 
 
-def decide(nearest: np.ndarray, dist: np.ndarray, labels: Sequence, ks: Sequence[int]) -> dict:
-    """The kNN decision of every query for each k in ks from its first
-    max(ks) neighbors (``merge_nearest``): the modal label of the first k,
-    a modal tie going to the tied label that comes first."""
+def decide(nearest: np.ndarray, dist: np.ndarray, labels: Sequence, ks: Sequence[int]) -> tuple:
+    """Each query's kNN decision for each k in ks from its first max(ks)
+    neighbors (``Nearest``), a modal tie going to the tied label that comes
+    first: the neighbors' labels in first-occurrence order, and per k indices."""
     valid = np.isfinite(dist)  # a query may have fewer finite neighbors than k
     if not valid[:, 0].all():
         raise ValueError("no finite distances to classify against")
-    n_rows, width = nearest.shape
     codes: dict = {}  # the neighbors' labels as integers, compared as arrays below
     code = np.array([codes.setdefault(labels[c], len(codes)) for c in nearest.ravel().tolist()])
-    code = code.reshape(n_rows, width)
+    code = code.reshape(nearest.shape)
     # votes[r, k - 1, i]: votes of neighbor i's label among row r's first k
     # finite neighbors. Finite neighbors come first, so the first neighbor
     # whose label has the most votes is one of them, within the first k.
     same = (code[:, :, None] == code[:, None, :]) & valid[:, None, :]
     votes = np.cumsum(same, axis=2).transpose(0, 2, 1)
     winner = np.argmax(votes == votes.max(axis=2, keepdims=True), axis=2)
-    chosen = nearest[np.arange(n_rows)[:, None], winner].T.tolist()
-    return {k: [labels[c] for c in chosen[k - 1]] for k in ks}
+    chosen = code[np.arange(len(code))[:, None], winner].T
+    return list(codes), {k: chosen[k - 1] for k in ks}
 
 
 def predict_from_distances(
@@ -147,11 +176,13 @@ def predict_from_distances(
     distance."""
     if min(ks) < 1:
         raise ValueError("k must be at least 1")
-    dist = np.array(block, dtype=float, ndmin=2)  # a copy, masked by merge_nearest
-    one, lo = np.arange(dist.shape[1] + 1), np.zeros(len(dist), dtype=int)  # a group a row
-    best = np.zeros((len(dist), max(ks)), dtype=int), np.full((len(dist), max(ks)), np.inf)
-    merge_nearest(dist, best, DistinctRows(dist, one[:-1], one[:-1], one), (lo, lo))
-    return decide(*best, labels, ks), best[1][:, 0]
+    dist = np.array(block, dtype=float, ndmin=2)
+    one, item = np.arange(dist.shape[1] + 1), np.zeros(len(dist), dtype=int)  # a group a column
+    nearest = Nearest(one[:-1], one, item, np.zeros(2, dtype=int), max(ks), dist.size)
+    nearest.add(dist, slice(0, len(dist)), 0)
+    nearest.flush()
+    names, by_k = decide(nearest.rows, nearest.dist, labels, ks)
+    return {k: [names[c] for c in v.tolist()] for k, v in by_k.items()}, nearest.dist[:, 0]
 
 
 def vote(row_labels: Sequence, block, heads: np.ndarray | None = None) -> Hashable:

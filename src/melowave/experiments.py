@@ -23,9 +23,9 @@ from .classifier import (
     DistinctRows,
     LabeledCorpus,
     Metric,
+    Nearest,
     decide,
     distinct_rows,
-    merge_nearest,
     pairwise_distances,
     predict_from_distances,  # noqa: F401 (a name that perfbench/tracer.py wraps)
     vote,
@@ -243,7 +243,8 @@ def _equalize(
     return equalize_interpolate(segments, labels, target_len)
 
 
-# distance entries (distinct query rows x distinct corpus rows) that one tile measures
+# distance entries (distinct query rows x distinct corpus rows) that one tile
+# measures; a quarter as many copies wait to merge, as a merge holds ten arrays
 _CHUNK_ENTRIES = 2**16
 
 
@@ -264,17 +265,17 @@ def _classify(
     item's own rows are no neighbors of its queries (leave-one-out).
 
     Distances run in square tiles of distinct query rows x distinct corpus
-    rows, none kept: a tile's neighbors merge into the first max(ks) of
-    each (item, distinct query row) pair of its rows. With the queries the
-    corpus, only tiles on and above the diagonal are measured, and a tile's
-    transpose serves its columns' pairs (distances are symmetric bit for bit)."""
-    n_items, width = len(items), max(ks)
+    rows, each read up to its rows' longest effective length and merged into
+    the first max(ks) neighbors of each (item, distinct query row) pair. With
+    the queries the corpus, only tiles on and above the diagonal are measured,
+    and a tile's transpose serves its columns' pairs (bit-symmetric distances)."""
+    n_items = len(items)
     # each query row's (distinct query row, item) pair, as one integer
-    pair_of = queries.ids * n_items + np.repeat(np.arange(n_items), np.diff(offsets))
-    pairs, row_pair = np.unique(pair_of, return_inverse=True)
+    row_item = np.repeat(np.arange(n_items), np.diff(offsets))
+    pairs, row_pair = np.unique(queries.ids * n_items + row_item, return_inverse=True)
     distinct_of, item_of = np.divmod(pairs, n_items)  # pairs run by distinct query row
     bounds = offsets if held_out else np.zeros_like(offsets)  # the corpus rows each item excludes
-    best = np.zeros((pairs.size, width), dtype=int), np.full((pairs.size, width), np.inf)
+    nearest = Nearest(corpus.copies, corpus.starts, item_of, bounds, max(ks), _CHUNK_ENTRIES // 4)
     side = max(1, math.isqrt(_CHUNK_ENTRIES))
     q_cuts, c_cuts = (np.arange(0, len(d.rows) + side, side) for d in (queries, corpus))
     p_cuts = np.searchsorted(pairs, q_cuts * n_items)
@@ -282,7 +283,10 @@ def _classify(
     for i in range(len(q_cuts) - 1):
         for j in range(i if symmetric else 0, len(c_cuts) - 1):
             q_band, c_band = slice(*q_cuts[i : i + 2]), slice(*c_cuts[j : j + 2])
-            tile = pairwise_distances(queries.rows[q_band], corpus.rows[c_band], metric)
+            width = max(1, queries.lengths[q_band].max(), corpus.lengths[c_band].max())
+            rows = queries.rows[q_band, :width]  # both bands are zero past width
+            columns = rows if symmetric and i == j else corpus.rows[c_band, :width]
+            tile = pairwise_distances(rows, columns, metric)
             parts = [(i, tile, c_band.start)] + [(j, tile.T, q_band.start)] * (symmetric and j > i)
             for band, part, first in parts:  # a band's pairs, about _CHUNK_ENTRIES entries at once
                 step = max(1, _CHUNK_ENTRIES // part.shape[1])
@@ -290,11 +294,14 @@ def _classify(
                 n = max(1, (b - a) // step)  # equal chunks, each under 2 * step pairs
                 cuts = (a + (b - a) * np.arange(n + 1) // n).tolist()
                 for mine in map(slice, cuts[:-1], cuts[1:]):
-                    merge_nearest(
-                        part[distinct_of[mine] - q_cuts[band]], (best[0][mine], best[1][mine]),
-                        corpus, (bounds[item_of[mine]], bounds[item_of[mine] + 1]), first,
-                    )
-    by_k = decide(*best, labels, ks)
+                    nearest.add(part[distinct_of[mine] - q_cuts[band]], mine, first)
+    nearest.flush()
+    names, by_k = decide(nearest.rows, nearest.dist, labels, ks)
+    for k, chosen in by_k.items():  # each query row's label, and each item's modal one or -1
+        chosen = chosen[row_pair]
+        votes = np.bincount(row_item * len(names) + chosen, minlength=n_items * len(names))
+        modal = (votes := votes.reshape(n_items, -1)) == votes.max(axis=1, keepdims=True)
+        by_k[k] = chosen.tolist(), np.where(modal.sum(1) > 1, -1, modal.argmax(1)).tolist()
     traces: dict[int, list[TraceRow]] = {k: [] for k in ks}
     for i, (item_id, true_label) in enumerate(items):
         mine = row_pair[offsets[i] : offsets[i + 1]]
@@ -307,13 +314,15 @@ def _classify(
             full[:, bounds[i] : bounds[i + 1]] = np.inf
             return full
 
-        distance = float(best[1][mine, 0].min())
-        votes: dict[tuple, Hashable] = {}  # k = 2 repeats k = 1's row labels
-        for k, labels_k in by_k.items():
-            row_labels = tuple(labels_k[q] for q in mine.tolist())
-            if row_labels not in votes:
-                votes[row_labels] = vote(row_labels, item_block, best[1][mine])
-            traces[k].append(TraceRow(item_id, true_label, votes[row_labels], distance))
+        distance = float(nearest.dist[mine, 0].min())
+        ties: dict[tuple, Hashable] = {}  # k = 2 repeats k = 1's row labels
+        for k, (row_codes, modal) in by_k.items():
+            if modal[i] < 0:  # a tie, which the item's pooled distances settle
+                row_labels = tuple(names[c] for c in row_codes[offsets[i] : offsets[i + 1]])
+                if row_labels not in ties:
+                    ties[row_labels] = vote(row_labels, item_block, nearest.dist[mine])
+            predicted = names[modal[i]] if modal[i] >= 0 else ties[row_labels]
+            traces[k].append(TraceRow(item_id, true_label, predicted, distance))
     return {k: tuple(rows) for k, rows in traces.items()}
 
 

@@ -13,9 +13,9 @@ from melowave import experiments
 from melowave.classifier import (
     LabeledCorpus,
     Metric,
+    Nearest,
     decide,
     distinct_rows,
-    merge_nearest,
     pairwise_distances,
     predict_from_distances,
     vote,
@@ -139,6 +139,22 @@ def distance_matrices(draw):
     return np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=float)
 
 
+@st.composite
+def padded_matrices(draw):
+    """Zero-padded rows of one length (1-40): ragged effective lengths, then
+    runs of 0.0 and -0.0, entries of extreme magnitude, and all-zero rows."""
+    dim = draw(st.integers(1, 40))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324]),
+        st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False),
+    )
+    row = st.integers(0, dim).flatmap(lambda n: st.tuples(
+        st.lists(value, min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.0, -0.0]), min_size=dim - n, max_size=dim - n),
+    )).map(lambda parts: parts[0] + parts[1])
+    return np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=float)
+
+
 class TestDistances:
     def test_euclidean_345(self):
         assert distance([0.0, 0.0], [3.0, 4.0], Metric.EUCLIDEAN) == 5.0
@@ -198,6 +214,38 @@ class TestDistances:
             tile = pairwise_distances(matrix[a:b], matrix[c:d], metric)
             assert np.array_equal(tile, full[a:b, c:d])
             assert np.array_equal(tile.T, pairwise_distances(matrix[c:d], matrix[a:b], metric))
+
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(padded_matrices(), st.sampled_from(list(Metric)), st.data())
+    def test_trimmed_tile_equals_untrimmed(self, matrix, metric, data):
+        # what the held-out tiles rely on: cdist sums each pair in column
+        # order, so columns that are zero in both bands change no sum, and a
+        # tile read up to its rows' longest effective length is bit for bit
+        # the whole tile; pdist (a band against itself) is cdist, diagonal too
+        n = len(matrix)
+        indices = st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
+        rows, cols = matrix[data.draw(indices)], matrix[data.draw(indices)]
+        lengths = distinct_rows(np.concatenate((rows, cols))).lengths
+        width = max(1, int(lengths.max()))
+        whole = pairwise_distances(rows, cols, metric)
+        trimmed = pairwise_distances(rows[:, :width], cols[:, :width], metric)
+        assert whole.tobytes() == trimmed.tobytes()
+        band = rows[:, :width]
+        assert pairwise_distances(band, band, metric).tobytes() == pairwise_distances(
+            band, band.copy(), metric
+        ).tobytes()
+
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(distance_matrices(), st.sampled_from(list(Metric)), st.data())
+    def test_pdist_equals_cdist_with_non_finite_rows(self, matrix, metric, data):
+        matrix = matrix.copy()
+        for value in data.draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=3)):
+            n, dim = matrix.shape
+            matrix[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, dim - 1))] = value
+        square = pairwise_distances(matrix, matrix, metric)
+        whole = pairwise_distances(matrix, matrix.copy(), metric)
+        assert np.array_equal(square, whole, equal_nan=True)
+        assert np.array_equal(np.isnan(square), np.isnan(whole))
 
 
 class TestCorpus:
@@ -363,12 +411,22 @@ def duplicate_heavy_corpora(draw):
 def streamed_corpora(draw):
     """Duplicate-heavy corpora in which items may own a row that no other
     item has (with the item held out, a distinct row with every copy
-    excluded), and, one case in four, with rows of +inf: a query row with
-    no finite distance to classify against."""
+    excluded); one case in two zero-padded, with every row ending in a run
+    of 0.0 or -0.0 of its own length, some all zero; and, one case in four,
+    with rows of +inf: a query row with no finite distance to classify
+    against."""
     matrix, labels, offsets = draw(duplicate_heavy_corpora())
     matrix = matrix.copy()
     for i in draw(st.sets(st.integers(0, len(offsets) - 2))):
         matrix[offsets[i]] = 10.0 + i
+    if draw(st.booleans()):  # copies stay copies: each distinct row is cut alike
+        matrix = np.pad(matrix, ((0, 0), (0, draw(st.integers(0, 5)))))
+        _, inverse = np.unique(matrix, axis=0, return_inverse=True)
+        n = int(inverse.max()) + 1
+        cuts = draw(st.lists(st.integers(0, matrix.shape[1]), min_size=n, max_size=n))
+        zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+        for r, v in enumerate(inverse.ravel()):
+            matrix[r, cuts[v] :] = zeros[v]
     if draw(st.integers(0, 3)) == 0:
         matrix[sorted(draw(st.sets(st.integers(0, len(matrix) - 1), min_size=1, max_size=2)))] = np.inf
     return matrix, labels, offsets
@@ -390,14 +448,31 @@ class TestKernelProperties:
         # corpus rows A, C, B, A: the first tile holds distinct rows A (copies
         # 0 and 3) and C (copy 1), the second B (copy 2). B's distance equals
         # the running second-nearest distance, that of copy 3 of A, and B's
-        # row is smaller: (2.0, row 2) precedes (2.0, row 3), so it displaces it.
+        # row is smaller: (2.0, row 2) precedes (2.0, row 3), so it displaces
+        # it. With a budget of one copy the first tile's entries merge when the
+        # second tile's entry arrives, which then meets them after a flush.
         groups = distinct_rows(np.array([[0.0], [5.0], [1.0], [0.0]]))
-        best = np.zeros((1, 2), dtype=int), np.full((1, 2), np.inf)
-        nothing = np.zeros(1, dtype=int), np.zeros(1, dtype=int)
-        merge_nearest(np.array([[2.0, 5.0]]), best, groups, nothing, first=0)
-        assert best[0].tolist() == [[0, 3]] and best[1].tolist() == [[2.0, 2.0]]
-        merge_nearest(np.array([[2.0]]), best, groups, nothing, first=2)
-        assert best[0].tolist() == [[0, 2]] and best[1].tolist() == [[2.0, 2.0]]
+        assert groups.ids.tolist() == [0, 1, 2, 0]
+        item, nothing = np.zeros(1, dtype=int), np.zeros(2, dtype=int)
+        nearest = Nearest(groups.copies, groups.starts, item, nothing, 2, 1)
+        nearest.add(np.array([[2.0, 5.0]]), slice(0, 1), 0)
+        assert nearest.rows.tolist() == [[0, 0]] and nearest.dist.tolist() == [[np.inf] * 2]
+        nearest.add(np.array([[2.0]]), slice(0, 1), 2)
+        assert nearest.rows.tolist() == [[0, 3]] and nearest.dist.tolist() == [[2.0, 2.0]]
+        nearest.flush()
+        assert nearest.rows.tolist() == [[0, 2]] and nearest.dist.tolist() == [[2.0, 2.0]]
+
+    def test_lengths_order_distinct_rows(self):
+        # effective lengths 2, 0, 3, 2 and 0 (-0.0 counts as zero); the
+        # zero rows are two distinct rows, 0.0 and -0.0
+        matrix = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 5.0],
+                           [0.0, 1.0, -0.0], [-0.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
+        groups = distinct_rows(matrix)
+        assert groups.lengths.tolist() == [0, 0, 2, 2, 3]
+        assert groups.ids.tolist() == [2, 0, 4, 3, 1, 2]
+        assert groups.copies.tolist() == [1, 4, 0, 5, 3, 2]
+        assert groups.starts.tolist() == [0, 1, 2, 4, 5, 6]
+        assert np.array_equal(groups.rows, matrix[[1, 4, 0, 3, 2]])
 
     @settings(max_examples=oracle_examples(300), deadline=None)
     @given(tie_heavy_blocks())
@@ -414,8 +489,11 @@ class TestKernelProperties:
         assert nearest.tolist() == [min(d for d in row if math.isfinite(d)) for row in rows]
 
     @settings(max_examples=oracle_examples(300), deadline=None)
-    @given(duplicate_heavy_corpora(), st.sampled_from(list(Metric)), st.booleans())
-    def test_distinct_rows_match_expanded_block(self, corpus, metric, held_out):
+    @given(
+        duplicate_heavy_corpora(), st.sampled_from(list(Metric)), st.booleans(),
+        st.integers(1, 4), st.integers(1, 40),
+    )
+    def test_distinct_rows_match_expanded_block(self, corpus, metric, held_out, columns, budget):
         # every corpus row's decision from distances to the distinct rows
         # only, its own item's rows excluded when held out, against the
         # expanded-block kernel and the exhaustive oracle
@@ -425,9 +503,13 @@ class TestKernelProperties:
         owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
         bounds = offsets if held_out else np.zeros_like(offsets)
         block = pairwise_distances(matrix, groups.rows, metric)
-        best = np.zeros((len(matrix), 5), dtype=int), np.full((len(matrix), 5), np.inf)
-        merge_nearest(block.copy(), best, groups, (bounds[owner], bounds[owner + 1]))
-        by_k, nearest = decide(*best, labels, ks), best[1][:, 0]
+        kernel = Nearest(groups.copies, groups.starts, owner, bounds, 5, budget)
+        for first in range(0, block.shape[1], columns):  # blocks of `columns` distinct rows
+            kernel.add(block[:, first : first + columns].copy(), slice(0, len(matrix)), first)
+        kernel.flush()
+        names, by_k = decide(kernel.rows, kernel.dist, labels, ks)
+        by_k = {k: [names[c] for c in chosen] for k, chosen in by_k.items()}
+        nearest = kernel.dist[:, 0]
         expanded = np.concatenate(expanded_blocks(matrix, offsets, metric, held_out))
         assert np.array_equal(block[:, groups.ids], pairwise_distances(matrix, matrix, metric))
         assert by_k == expanded_predict(expanded, labels, ks)
@@ -442,11 +524,13 @@ class TestKernelProperties:
         st.integers(1, 40), st.sets(st.integers(1, 5), min_size=1),
     )
     def test_item_decisions_match_oracles(self, corpus, metric, held_out, apart, tile_entries, ks):
-        # the experiments' decision loop in tiles of 1-40 entries: with the
-        # queries the corpus it measures the tiles on and above the diagonal
-        # and reads their transposes; with the queries apart, every tile.
-        # Each item's rows against the oracles on their expanded block, and
-        # the "no finite distances" error exactly where a row has none.
+        # the experiments' decision loop in tiles of 1-40 entries, each read
+        # up to its rows' longest effective length, whose neighbors merge in
+        # batches of a quarter as many copies: with the queries the corpus it
+        # measures the tiles on and above the diagonal and reads their
+        # transposes; with the queries apart, every tile. Each item's rows
+        # against the oracles on their expanded block, and the "no finite
+        # distances" error exactly where a row has none.
         matrix, labels, offsets = corpus
         ks = sorted(ks)  # max(ks) neighbors a pair: with k = 1 alone, one
         items = [(f"i{i}", labels[a]) for i, a in enumerate(offsets[:-1])]
