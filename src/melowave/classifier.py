@@ -141,23 +141,30 @@ class Nearest:
         dists = np.concatenate((self.dist[mine][old], dist[pair]))
         slots = np.where(slot < below[pair], starts[d][pair], (above - below)[pair]) + slot
         cols = np.concatenate((self.rows[mine][old], copies[slots]))
-        order = np.lexsort((cols, dists, rows))
+        order = _merge_order(rows, dists, cols, copies.size)
         rank = np.arange(rows.size) - np.searchsorted(rows[order], rows[order])
         order, rank = order[rank < width], rank[rank < width]
         self.rows[mine], self.dist[mine] = 0, np.inf
         self.rows[rows[order], rank], self.dist[rows[order], rank] = cols[order], dists[order]
 
 
+def _merge_order(rows: np.ndarray, dists: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """``np.lexsort((cols, dists, rows))`` as one stable sort of one integer key an entry:
+    (row, distance rank, column), under pairs x distinct distances x copies. That is under
+    2^63 while a merge holds < 2^21 entries and pairs x copies < 2^42, or one block < 2^31."""
+    values, rank = np.unique(dists, return_inverse=True)  # -0.0 ranks with 0.0, NaN last
+    return np.argsort((rows * values.size + rank) * n_cols + cols, kind="stable")
+
+
 def decide(nearest: np.ndarray, dist: np.ndarray, labels: Sequence, ks: Sequence[int]) -> tuple:
     """Each query's kNN decision for each k in ks from its first max(ks)
     neighbors (``Nearest``), a modal tie going to the tied label that comes
-    first: the neighbors' labels in first-occurrence order, and per k indices."""
+    first: the corpus labels in first-occurrence order, and per k indices."""
     valid = np.isfinite(dist)  # a query may have fewer finite neighbors than k
     if not valid[:, 0].all():
         raise ValueError("no finite distances to classify against")
-    codes: dict = {}  # the neighbors' labels as integers, compared as arrays below
-    code = np.array([codes.setdefault(labels[c], len(codes)) for c in nearest.ravel().tolist()])
-    code = code.reshape(nearest.shape)
+    codes: dict = {}  # the labels as integers, coded once and compared as arrays below
+    code = np.array([codes.setdefault(label, len(codes)) for label in labels])[nearest]
     # votes[r, k - 1, i]: votes of neighbor i's label among row r's first k
     # finite neighbors. Finite neighbors come first, so the first neighbor
     # whose label has the most votes is one of them, within the first k.
@@ -204,15 +211,31 @@ def vote(row_labels: Sequence, block, heads: np.ndarray | None = None) -> Hashab
     if len(tied) == 1:
         return tied[0]
 
-    def pooled(rows: np.ndarray, label) -> list[float]:
-        # sorted finite distances, then +inf: a label with a finite next-nearest
-        # point precedes one without; min keeps the first of equal labels
-        rows = rows[[i for i, row_label in enumerate(row_labels) if row_label == label]]
-        return [*np.sort(rows[np.isfinite(rows)]).tolist(), np.inf]
+    # the rows of the tied labels, ``top`` each, grouped by label in tie order
+    index = {label: t for t, label in enumerate(tied)}
+    code = np.array([index.get(label, len(tied)) for label in row_labels])
+    rows = np.argsort(code, kind="stable")[: len(tied) * top]
+
+    def pooled(distances: np.ndarray) -> np.ndarray:
+        # each tied label's sorted finite distances, then +inf, all of one length:
+        # a label with a finite next-nearest point precedes one without
+        pool = distances[rows].reshape(len(tied), -1)
+        return np.sort(np.where(np.isfinite(pool), pool, np.inf), axis=1)
 
     if heads is not None:
-        first = [pooled(heads, label)[: heads.shape[1]] for label in tied]
-        if first.count(min(first)) == 1:
-            return tied[first.index(min(first))]
-    block = block() if callable(block) else block
-    return min(tied, key=lambda label: pooled(block, label))
+        best, repeated = _first_least(pooled(heads)[:, : heads.shape[1]])
+        if not repeated:
+            return tied[best]
+    return tied[_first_least(pooled(block() if callable(block) else block))[0]]
+
+
+def _first_least(lists: np.ndarray) -> tuple[int, bool]:
+    """The first least row, where rows first differ, and whether a later row equals it."""
+    best, repeated = 0, False
+    for t in range(1, len(lists)):
+        differ = np.flatnonzero(lists[t] != lists[best])
+        if not differ.size:
+            repeated = True
+        elif lists[t, differ[0]] < lists[best, differ[0]]:
+            best, repeated = t, False
+    return best, repeated

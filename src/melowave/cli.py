@@ -58,7 +58,7 @@ def _write_rows(path: str, rows) -> None:
     with output as handle:
         writer = csv.writer(handle, lineterminator="\n")
         for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+            writer.writerow([cell if type(cell) is str else _fmt(cell) for cell in row])
 
 
 def _load_sequence(args) -> NoteSequence:
@@ -231,7 +231,8 @@ _TRACE_COLUMNS = ("item_id", "true", "predicted", "nearest_distance")
 
 
 def _trace_rows(key: tuple, traces) -> list[tuple]:
-    """Trace CSV rows, each led by the columns of ``key``."""
+    """Trace CSV rows, each led by the columns of ``key``, formatted once."""
+    key = tuple(map(_fmt, key))
     return [(*key, t.item_id, t.true_label, t.predicted_label, t.nearest_distance) for t in traces]
 
 

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cache, partial
+from functools import lru_cache, partial
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -248,6 +248,21 @@ def _equalize(
 _CHUNK_ENTRIES = 2**16
 
 
+def _usable_block(
+    queries: DistinctRows, ids: np.ndarray, corpus: DistinctRows, excluded: slice, metric: Metric
+) -> np.ndarray:
+    """Distances of distinct query rows ``ids`` to every copy of every corpus
+    row outside ``excluded``, a column a copy. The corpus rows no longer
+    than the query rows' longest effective length are read up to it."""
+    rows = queries.rows[ids]
+    width = max(1, queries.lengths[ids].max())
+    cut = np.searchsorted(corpus.lengths, width, "right")  # rows before cut are zero past width
+    parts = [(rows[:, :width], corpus.rows[:cut, :width]), (rows, corpus.rows[cut:])]
+    block = np.hstack([pairwise_distances(a, b, metric) for a, b in parts if len(b)])
+    own = np.bincount(corpus.ids[excluded], minlength=len(corpus.rows))
+    return np.repeat(block, np.diff(corpus.starts) - own, axis=1)
+
+
 def _classify(
     items: Sequence[tuple[str, str]],
     queries: DistinctRows,
@@ -302,27 +317,27 @@ def _classify(
         votes = np.bincount(row_item * len(names) + chosen, minlength=n_items * len(names))
         modal = (votes := votes.reshape(n_items, -1)) == votes.max(axis=1, keepdims=True)
         by_k[k] = chosen.tolist(), np.where(modal.sum(1) > 1, -1, modal.argmax(1)).tolist()
+    if not np.diff(offsets).all():  # reduceat would read on into the next item's rows
+        raise ValueError("cannot vote over zero predictions")
+    distances = np.minimum.reduceat(nearest.dist[row_pair, 0], offsets[:-1]).tolist()
+
+    @lru_cache(maxsize=1)
+    def tie_block(i: int) -> np.ndarray:  # item i's rows for a vote tie; items run in order
+        mine, inverse = np.unique(row_pair[offsets[i] : offsets[i + 1]], return_inverse=True)
+        excluded = slice(bounds[i], bounds[i + 1])
+        return _usable_block(queries, distinct_of[mine], corpus, excluded, metric)[inverse]
+
     traces: dict[int, list[TraceRow]] = {k: [] for k in ks}
     for i, (item_id, true_label) in enumerate(items):
-        mine = row_pair[offsets[i] : offsets[i + 1]]
-
-        @cache
-        def item_block():  # the item's rows against every corpus row, for a vote tie
-            own, inverse = np.unique(mine, return_inverse=True)
-            full = pairwise_distances(queries.rows[distinct_of[own]], corpus.rows, metric)
-            full = full[np.ix_(inverse, corpus.ids)]
-            full[:, bounds[i] : bounds[i + 1]] = np.inf
-            return full
-
-        distance = float(nearest.dist[mine, 0].min())
         ties: dict[tuple, Hashable] = {}  # k = 2 repeats k = 1's row labels
         for k, (row_codes, modal) in by_k.items():
             if modal[i] < 0:  # a tie, which the item's pooled distances settle
                 row_labels = tuple(names[c] for c in row_codes[offsets[i] : offsets[i + 1]])
                 if row_labels not in ties:
-                    ties[row_labels] = vote(row_labels, item_block, nearest.dist[mine])
+                    heads = nearest.dist[row_pair[offsets[i] : offsets[i + 1]]]
+                    ties[row_labels] = vote(row_labels, partial(tie_block, i), heads)
             predicted = names[modal[i]] if modal[i] >= 0 else ties[row_labels]
-            traces[k].append(TraceRow(item_id, true_label, predicted, distance))
+            traces[k].append(TraceRow(item_id, true_label, predicted, distances[i]))
     return {k: tuple(rows) for k, rows in traces.items()}
 
 

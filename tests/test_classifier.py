@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melowave import experiments
+from melowave import classifier, experiments
 from melowave.classifier import (
     LabeledCorpus,
     Metric,
@@ -357,6 +357,36 @@ class TestVote:
         # pooled: A -> [0.6, 1, 2, 9], B -> [0.5, 3, 4, 8]
         assert vote(["A", "A", "B", "B"], block) == "B"
 
+    def test_tuple_labels(self):
+        # (work, variation) labels, as the contrapuntal invention run gives
+        prime, retro = ("w1", "P"), ("w1", "R")
+        assert vote([prime, retro], np.array([[0.5, 3.0], [0.5, 1.0]])) == retro
+        assert vote([retro, prime, prime, retro], np.ones((4, 2))) == retro
+
+    def test_three_way_tie_settled_by_a_later_least_list(self):
+        # pooled heads: A -> [1, 2], B -> [1, 2], C -> [1, 1.5]; C is the
+        # only least list, so the heads settle the tie and no block is read
+        heads = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 1.5]])
+        assert vote(["A", "B", "C"], lambda: pytest.fail("block read"), heads) == "C"
+        assert vote(["A", "B", "C"], heads) == "C"
+
+    def test_equal_least_lists_go_to_the_first_prediction(self):
+        # A and B pool [1, 2] and C [1, 3]: the heads tie A with B, and so
+        # does the block, which the first-voted label breaks
+        block = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 1.0]])
+        heads = np.sort(block, axis=1)[:, :1]
+        assert vote(["B", "A", "C"], block, heads) == "B"
+        assert vote(["A", "B", "C"], block) == "A"
+
+    def test_finite_counts_differ(self):
+        # pooled: A -> [0, inf], B -> [0, 0]: B has a finite next-nearest point
+        for missing in (np.inf, np.nan):
+            block = np.array([[0.0, missing], [0.0, 0.0]])
+            assert vote(["A", "B"], block) == "B"
+            assert vote(["A", "B"], block, np.array([[0.0], [0.0]])) == "B"
+            assert vote(["A", "B"], lambda: pytest.fail("block read"),
+                        np.array([[0.0, np.inf], [0.0, 0.0]])) == "B"
+
 
 @st.composite
 def tie_heavy_blocks(draw):
@@ -474,6 +504,32 @@ class TestKernelProperties:
         assert groups.starts.tolist() == [0, 1, 2, 4, 5, 6]
         assert np.array_equal(groups.rows, matrix[[1, 4, 0, 3, 2]])
 
+    def test_item_without_rows_is_an_error(self):
+        # an item's nearest distance is a minimum over its rows
+        groups = distinct_rows(np.array([[0.0], [1.0], [2.0]]))
+        items, offsets = [("a", "x"), ("b", "y"), ("c", "x")], np.array([0, 2, 2, 3])
+        for held_out in (False, True):
+            with pytest.raises(ValueError, match="cannot vote over zero predictions"):
+                experiments._classify(
+                    items, groups, offsets, groups, "xxy", Metric.CITYBLOCK, (1,), held_out
+                )
+
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(st.data())
+    def test_merge_key_orders_like_lexsort(self, data):
+        # entries of one merge: repeated rows and columns, equal distances,
+        # -0.0 beside 0.0, +inf and NaN
+        n = data.draw(st.integers(1, 60))
+
+        def column(values):
+            return np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+
+        rows, cols = column(st.integers(0, 5)), column(st.integers(0, 7))
+        special = st.sampled_from([0.0, -0.0, 1.0, 2.5, 5e-324, 1e300, np.inf, np.nan])
+        dists = column(st.one_of(special, st.floats(0, 10)))
+        order = classifier._merge_order(rows, dists, cols, 8)
+        assert order.tolist() == np.lexsort((cols, dists, rows)).tolist()
+
     @settings(max_examples=oracle_examples(300), deadline=None)
     @given(tie_heavy_blocks())
     def test_matches_oracles(self, case):
@@ -563,7 +619,10 @@ class TestKernelProperties:
         # each row's first `width` finite distances settle a tie where they
         # can; the block is read for the rest
         block, _ = case
-        labels = st.sampled_from("ab")  # two classes: ties are common
+        # two to four classes, so ties are common and three-way ties occur
+        works = [("w1", "P"), ("w1", "R"), ("w2", "P"), ("w2", "R")]
+        classes = data.draw(st.sampled_from(["abcd", works]))
+        labels = st.sampled_from(classes[: data.draw(st.integers(2, 4))])
         row_labels = data.draw(st.lists(labels, min_size=len(block), max_size=len(block)))
         heads = np.sort(np.where(np.isfinite(block), block, np.inf), axis=1)[:, :width]
         assert vote(row_labels, lambda: block, heads) == oracle_vote(row_labels, block.tolist())

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melowave import experiments
-from melowave.classifier import Metric, pairwise_distances
+from melowave.classifier import Metric, distinct_rows, pairwise_distances
 from melowave.contrapuntal import VariationKind, apply_variation
 from melowave.corpora import (
     BachWork,
@@ -53,7 +53,7 @@ from melowave.signals import (
 
 import segment_reference as seg_ref
 from conftest import make_sequence, oracle_examples, smf, track_chunk
-from test_classifier import oracle_decide, oracle_vote
+from test_classifier import oracle_decide, oracle_vote, padded_matrices, streamed_corpora
 
 NO_SEGMENTATION = Segmentation(SegMethod.NONE)
 
@@ -90,6 +90,24 @@ def reference_equalize(segments, labels, equalization, target=None):
     if equalization is Equalization.ZERO_PAD:
         return seg_ref.equalize_zero_pad(segments, labels, target)
     return seg_ref.equalize_interpolate(segments, labels, target)
+
+
+def oracle_item_block(queries, distinct, corpus, excluded, metric):
+    """Distinct query rows against every corpus row at full length, a
+    column a corpus row, the excluded rows at +inf."""
+    block = pairwise_distances(queries.rows[distinct], corpus.rows, metric)[:, corpus.ids]
+    block[:, excluded] = np.inf
+    return block
+
+
+@st.composite
+def padded_items(draw):
+    """Items over copies of ragged zero-padded rows of extreme magnitudes:
+    (matrix, None, row offsets), an item's rows repeating other items' rows."""
+    rows = draw(padded_matrices())
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=16))
+    cuts = draw(st.sets(st.integers(1, len(picks) - 1)))
+    return rows[picks], None, np.array([0, *sorted(cuts), len(picks)])
 
 
 class TestConfigValidation:
@@ -998,3 +1016,27 @@ class TestSyntheticCorpora:
         for work in works:
             assert work.upper.end_qn > 16
             assert work.lower.end_qn > 16
+
+
+class TestTieBlock:
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(
+        st.one_of(streamed_corpora(), padded_items()), st.sampled_from(list(Metric)),
+        st.booleans(), st.booleans(),
+    )
+    def test_usable_block_matches_full_block(self, corpus, metric, held_out, apart):
+        # each item's tie block, measured on distinct rows and trimmed to the
+        # item's rows, holds in each row the finite distances of the full
+        # block, own rows at +inf, and one column per usable corpus row
+        matrix, _, offsets = corpus
+        groups = distinct_rows(matrix)
+        queries = distinct_rows(matrix) if apart else groups
+        for a, b in zip(offsets.tolist(), offsets[1:].tolist()):
+            distinct = np.unique(queries.ids[a:b])
+            excluded = slice(a, b) if held_out else slice(0, 0)
+            block = experiments._usable_block(queries, distinct, groups, excluded, metric)
+            full = oracle_item_block(queries, distinct, groups, excluded, metric)
+            assert block.shape == (len(distinct), len(matrix) - (b - a) * held_out)
+            for got, want in zip(block, full):
+                got, want = (np.sort(row[np.isfinite(row)]) for row in (got, want))
+                assert got.tobytes() == want.tobytes()
