@@ -94,10 +94,11 @@ class Nearest:
     def __init__(self, copies, starts, items, bounds, width: int, budget: int):
         self.copies, self.starts, self.items, self.width = copies, starts, items, width
         self.excluded, self.budget = (bounds[items], bounds[items + 1]), budget
-        # the item whose rows hold every copy of a distinct row, or -1; None if no item has rows
+        # the items whose rows hold the first and the last copy of each distinct row
         ends = copies[starts[:-1]], copies[starts[1:] - 1]
-        head, tail = (np.searchsorted(bounds, end, "right") - 1 for end in ends)
-        self.owner = np.where(head == tail, head, -1) if bounds.any() else None
+        self.head, self.tail = (np.searchsorted(bounds, end, "right") - 1 for end in ends)
+        # the item whose rows hold every copy of a distinct row, or -1; None if no item has rows
+        self.owner = np.where(self.head == self.tail, self.head, -1) if bounds.any() else None
         # copies as (distinct row, corpus row) keys, one integer each, ascending
         self.key = np.repeat(np.arange(starts.size - 1), np.diff(starts)) * copies.size + copies
         shape = items.size, width
@@ -106,22 +107,52 @@ class Nearest:
         self.buffer, self.buffered = [], 0
 
     def add(self, dist: np.ndarray, queries: slice, first: int) -> None:
-        """Buffers block ``dist``, masked in place: ``dist[r, j]`` is query
-        ``queries.start + r``'s distance to every copy of distinct row ``first + j``.
-        The first ``width`` neighbors lie at or below both the width-th smallest
-        distance to a distinct row with a usable copy so far and the width-th merged."""
-        if self.owner is not None:  # the query's item's own distinct rows are no neighbors
-            dist[self.items[queries, None] == self.owner[first : first + dist.shape[1]]] = np.inf
-        last = min(self.width, dist.shape[1]) - 1
-        top = np.partition(dist, last, axis=1)[:, : last + 1]
-        top = np.partition(np.concatenate((self.top[queries], top), axis=1), self.width - 1, axis=1)
-        self.top[queries] = top[:, : self.width]
-        bound = np.fmin(np.fmin(self.top[queries, -1], self.dist[queries, -1]), np.finfo(float).max)
-        r, j = np.nonzero(dist <= bound[:, None])
-        size = np.minimum(self.starts[j + first + 1] - self.starts[j + first], self.width).sum()
+        """Buffers block ``dist``: ``dist[r, j]`` is query ``queries.start + r``'s
+        distance to every copy of distinct row ``first + j``. The first ``width``
+        neighbors lie at or below both the width-th smallest distance to a
+        distinct row with a usable copy so far and the width-th merged. A pair
+        with that bound reads only the entries at or below it; its ``width``
+        smallest lie among them, so its bound moves as if it read them all."""
+        width, cap, n = self.width, np.finfo(float).max, dist.shape[1]
+        top, merged = self.top[queries], self.dist[queries, -1]  # views
+        items = self.items[queries]
+        owner = None if self.owner is None else self.owner[first : first + n]
+        bound = np.fmin(np.fmin(top[:, -1], merged), cap)
+        unbound = bound == cap  # so no merged neighbor either: their top bounds them alone
+        if unbound.any():  # their smallest entries, of a copy whose own rows are masked
+            fresh = np.flatnonzero(unbound)
+            block = dist[fresh]
+            if owner is not None:
+                block[items[fresh, None] == owner] = np.inf
+            block.partition(min(width, n) - 1, axis=1)
+            least = np.concatenate((top[fresh], block[:, :width]), axis=1)
+            top[fresh] = np.partition(least, width - 1, axis=1)[:, :width]
+            bound[fresh] = np.fmin(top[fresh, -1], cap)
+        flat = np.flatnonzero(dist <= bound[:, None])
+        r, j = np.divmod(flat, n)  # row-major
+        d = dist.ravel()[flat]
+        if owner is not None:
+            usable = items[r] != owner[j]
+            r, j, d = r[usable], j[usable], d[usable]
+        known = ~unbound[r]  # entries of pairs bounded before this block
+        if known.any():  # each pair's top and entries in one row, partitioned at once
+            counts = np.bincount(r[known], minlength=bound.size)
+            pairs = np.flatnonzero(counts)
+            counts = counts[pairs]
+            block = np.full((pairs.size, width + counts.max()), np.inf)
+            block[:, :width] = top[pairs]
+            row = np.repeat(np.arange(pairs.size), counts)
+            rank = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+            block[row, width + rank] = d[known]
+            block.partition(width - 1, axis=1)
+            top[pairs] = block[:, :width]
+            bound[pairs] = np.fmin(np.fmin(top[pairs, -1], merged[pairs]), cap)
+            kept = d <= bound[r]
+            r, j, d = r[kept], j[kept], d[kept]
+        size = np.minimum(self.starts[j + first + 1] - self.starts[j + first], width).sum()
         if self.buffered + size > self.budget:
             self.flush()
-        self.buffer.append((r + queries.start, j + first, dist[r, j]))
+        self.buffer.append((r + queries.start, j + first, d))
         self.buffered += size
 
     def flush(self) -> None:
@@ -132,15 +163,24 @@ class Nearest:
         q, d, dist = map(np.concatenate, zip(*self.buffer))
         self.buffer, self.buffered = [], 0
         starts, copies, width = self.starts, self.copies, self.width
-        below = np.searchsorted(self.key, d * copies.size + self.excluded[0][q]) - starts[d]
-        above = np.searchsorted(self.key, d * copies.size + self.excluded[1][q])
-        pair, slot = np.nonzero(np.arange(width) < (below + starts[d + 1] - above)[:, None])
+        # the copies below lo, and where those from hi on start: all copies or none
+        # where they lie before or after the query's item (after it, if no item has rows)
+        item = self.items[q]
+        before = self.tail[d] < item
+        below = np.where(before, starts[d + 1] - starts[d], 0)
+        above = starts[d] + below
+        s = np.flatnonzero(~before & (self.head[d] <= item))  # the rest are searched
+        below[s] = np.searchsorted(self.key, d[s] * copies.size + self.excluded[0][q[s]])
+        below[s] -= starts[d[s]]
+        above[s] = np.searchsorted(self.key, d[s] * copies.size + self.excluded[1][q[s]])
+        flat = np.flatnonzero(np.arange(width) < (below + starts[d + 1] - above)[:, None])
+        pair, slot = np.divmod(flat, width)
         mine = np.unique(q)
-        old = np.isfinite(self.dist[mine])  # their neighbors so far, in the merge too
-        rows = np.concatenate((mine[np.nonzero(old)[0]], q[pair]))
-        dists = np.concatenate((self.dist[mine][old], dist[pair]))
+        old = np.flatnonzero(np.isfinite(self.dist[mine]))  # their neighbors so far, merged too
+        rows = np.concatenate((mine[old // width], q[pair]))
+        dists = np.concatenate((self.dist[mine].ravel()[old], dist[pair]))
         slots = np.where(slot < below[pair], starts[d][pair], (above - below)[pair]) + slot
-        cols = np.concatenate((self.rows[mine][old], copies[slots]))
+        cols = np.concatenate((self.rows[mine].ravel()[old], copies[slots]))
         order = _merge_order(rows, dists, cols, copies.size)
         rank = np.arange(rows.size) - np.searchsorted(rows[order], rows[order])
         order, rank = order[rank < width], rank[rank < width]

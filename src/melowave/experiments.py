@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Hashable, Sequence
+from itertools import combinations, product
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,8 +141,7 @@ def _check_ks(ks: Sequence[int]) -> None:
             raise ConfigError(f"k must be in 1..5, got {k}")
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     item_id: str
     true_label: str
     predicted_label: str
@@ -295,21 +295,25 @@ def _classify(
     q_cuts, c_cuts = (np.arange(0, len(d.rows) + side, side) for d in (queries, corpus))
     p_cuts = np.searchsorted(pairs, q_cuts * n_items)
     symmetric = queries is corpus
-    for i in range(len(q_cuts) - 1):
-        for j in range(i if symmetric else 0, len(c_cuts) - 1):
-            q_band, c_band = slice(*q_cuts[i : i + 2]), slice(*c_cuts[j : j + 2])
-            width = max(1, queries.lengths[q_band].max(), corpus.lengths[c_band].max())
-            rows = queries.rows[q_band, :width]  # both bands are zero past width
-            columns = rows if symmetric and i == j else corpus.rows[c_band, :width]
-            tile = pairwise_distances(rows, columns, metric)
-            parts = [(i, tile, c_band.start)] + [(j, tile.T, q_band.start)] * (symmetric and j > i)
-            for band, part, first in parts:  # a band's pairs, about _CHUNK_ENTRIES entries at once
-                step = max(1, _CHUNK_ENTRIES // part.shape[1])
-                a, b = p_cuts[band], p_cuts[band + 1]
-                n = max(1, (b - a) // step)  # equal chunks, each under 2 * step pairs
-                cuts = (a + (b - a) * np.arange(n + 1) // n).tolist()
-                for mine in map(slice, cuts[:-1], cuts[1:]):
-                    nearest.add(part[distinct_of[mine] - q_cuts[band]], mine, first)
+    bands = range(len(q_cuts) - 1)
+    if symmetric:  # each band's own tile first, whose rows' lengths are alike: tight bounds
+        tiles = [(i, i) for i in bands] + list(combinations(bands, 2))
+    else:
+        tiles = list(product(bands, range(len(c_cuts) - 1)))
+    for i, j in tiles:
+        q_band, c_band = slice(*q_cuts[i : i + 2]), slice(*c_cuts[j : j + 2])
+        width = max(1, queries.lengths[q_band].max(), corpus.lengths[c_band].max())
+        rows = queries.rows[q_band, :width]  # both bands are zero past width
+        columns = rows if symmetric and i == j else corpus.rows[c_band, :width]
+        tile = pairwise_distances(rows, columns, metric)
+        parts = [(i, tile, c_band.start)] + [(j, tile.T, q_band.start)] * (symmetric and j > i)
+        for band, part, first in parts:  # a band's pairs, about _CHUNK_ENTRIES entries at once
+            step = max(1, _CHUNK_ENTRIES // part.shape[1])
+            a, b = p_cuts[band], p_cuts[band + 1]
+            n = max(1, (b - a) // step)  # equal chunks, each under 2 * step pairs
+            cuts = (a + (b - a) * np.arange(n + 1) // n).tolist()
+            for mine in map(slice, cuts[:-1], cuts[1:]):
+                nearest.add(part[distinct_of[mine] - q_cuts[band]], mine, first)
     nearest.flush()
     names, by_k = decide(nearest.rows, nearest.dist, labels, ks)
     for k, chosen in by_k.items():  # each query row's label, and each item's modal one or -1
@@ -486,7 +490,7 @@ def run_bach_experiment(
     queries, corpus = distinct_rows(queries.rows), distinct_rows(corpus.rows)
     traces = _classify(items, queries, offsets, corpus, cls_labels, config.metric, (1,), False)[1]
     if contrapuntal:  # a (work, variation) class counts for its work
-        traces = tuple(replace(t, predicted_label=t.predicted_label[0]) for t in traces)
+        traces = tuple(t._replace(predicted_label=t.predicted_label[0]) for t in traces)
     # split_section_spans gives every work three sections, in order
     accuracies = tuple(_accuracy(traces[j::3]) for j in range(3))
     return BachReport(

@@ -22,6 +22,7 @@ from melowave.classifier import (
 )
 
 from conftest import oracle_examples
+from nearest_reference import ReferenceNearest
 
 
 def oracle_metric(metric):
@@ -473,6 +474,66 @@ def expanded_blocks(matrix, offsets, metric, held_out):
     return blocks
 
 
+@st.composite
+def merge_cases(draw):
+    """One ``Nearest`` merge of width 1-5 and a budget of 0-10 copies: corpus
+    rows that repeat 1-5 distinct zero-padded vectors of ragged effective
+    length, with tails of 0.0 or -0.0; items owning consecutive rows, held
+    out or not; the rows' distances to the distinct rows, with entries set to
+    +inf, NaN or another entry's distance, and rectangles set to +inf or NaN;
+    and the blocks (consecutive queries x consecutive distinct rows) in which
+    they arrive, in any order."""
+
+    def edges(size):  # 0, any cuts in 1..size-1, then size
+        inner = draw(st.sets(st.integers(1, size - 1))) if size > 1 else ()
+        return [0, *sorted(inner), size]
+
+    dim = draw(st.integers(1, 4))
+    vectors = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(0, dim))
+        head = draw(st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n))
+        vectors.append(head + [draw(st.sampled_from([0.0, -0.0]))] * (dim - n))
+    ids = draw(st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=12))
+    matrix = np.array([vectors[v] for v in ids])
+    offsets = np.array(edges(len(ids)))
+    groups = distinct_rows(matrix)
+    dist = pairwise_distances(matrix, groups.rows, draw(st.sampled_from(list(Metric))))
+    rows, cols = (st.integers(0, size - 1) for size in dist.shape)
+    for _ in range(draw(st.integers(0, dist.size))):
+        r, c = draw(rows), draw(cols)
+        equal = dist.flat[draw(st.integers(0, dist.size - 1))]
+        dist[r, c] = draw(st.sampled_from([np.inf, np.nan, equal]))
+    for value in draw(st.lists(st.sampled_from([np.inf, np.nan]), max_size=2)):  # rectangles
+        r, c = sorted([draw(rows), draw(rows)]), sorted([draw(cols), draw(cols)])
+        dist[r[0] : r[1] + 1, c[0] : c[1] + 1] = value
+    spans = [list(map(slice, cuts[:-1], cuts[1:])) for cuts in map(edges, dist.shape)]
+    blocks = draw(st.permutations([(q, c) for q in spans[0] for c in spans[1]]))
+    items = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    bounds = offsets if draw(st.booleans()) else np.zeros_like(offsets)
+    width, budget = draw(st.integers(1, 5)), draw(st.integers(0, 10))
+    args = (groups.copies, groups.starts, items, bounds, width, budget)
+    return args, dist, blocks
+
+
+def same_merges(kernels, dist, blocks):
+    """Feeds each kernel the same blocks, each a copy, and checks that they
+    hold the same buffer after every block and the same neighbors after the
+    last merge."""
+    for queries, columns in blocks:
+        for kernel in kernels:
+            kernel.add(dist[queries, columns].copy(), queries, columns.start)
+        ours, theirs = kernels
+        assert ours.buffered == theirs.buffered and len(ours.buffer) == len(theirs.buffer)
+        for mine, reference in zip(ours.buffer, theirs.buffer):
+            assert all(np.array_equal(a, b) for a, b in zip(mine, reference))
+        assert np.array_equal(ours.rows, theirs.rows) and np.array_equal(ours.dist, theirs.dist)
+    for kernel in kernels:
+        kernel.flush()
+    assert np.array_equal(kernels[0].rows, kernels[1].rows)
+    assert np.array_equal(kernels[0].dist, kernels[1].dist)
+
+
 class TestKernelProperties:
     def test_equal_distance_in_a_later_tile_displaces_a_later_row(self):
         # corpus rows A, C, B, A: the first tile holds distinct rows A (copies
@@ -491,6 +552,38 @@ class TestKernelProperties:
         assert nearest.rows.tolist() == [[0, 3]] and nearest.dist.tolist() == [[2.0, 2.0]]
         nearest.flush()
         assert nearest.rows.tolist() == [[0, 2]] and nearest.dist.tolist() == [[2.0, 2.0]]
+
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(merge_cases())
+    def test_add_buffers_like_the_reference(self, case):
+        # filtering a bounded pair by its bound before any selection buffers
+        # exactly the entries that masking and partitioning every entry does
+        args, dist, blocks = case
+        same_merges([Nearest(*args), ReferenceNearest(*args)], dist, blocks)
+
+    def test_width_one_nan_and_inf_rows(self):
+        # query 0 measures only NaN, query 1 only +inf, and query 2 NaN, then
+        # +inf and 3.0, then 1.0 and 2.0: no NaN or +inf entry is buffered, a
+        # NaN first block leaves query 2 without a bound, and of 1.0 and 2.0,
+        # both within its bound 3.0, only 1.0 is buffered
+        groups = distinct_rows(np.arange(5.0)[:, None])
+        nan, inf = np.nan, np.inf
+        dist = np.array([[nan] * 5, [inf] * 5, [nan, inf, 3.0, 1.0, 2.0]])
+        blocks = [(slice(0, 3), slice(a, b)) for a, b in ((0, 1), (1, 3), (3, 5))]
+        # no item excludes rows; and the queries' item owns no row, the one before it all
+        for item, bounds in ((np.zeros(3, dtype=int), np.zeros(2, dtype=int)),
+                             (np.ones(3, dtype=int), np.array([0, 5, 5]))):
+            kernel = Nearest(groups.copies, groups.starts, item, bounds, 1, 10)
+            buffered = []
+            for queries, columns in blocks:
+                kernel.add(dist[queries, columns].copy(), queries, columns.start)
+                buffered.append([b.tolist() for b in kernel.buffer[-1]])
+            assert buffered == [[[], [], []], [[2], [2], [3.0]], [[2], [3], [1.0]]]
+            kernels = [cls(groups.copies, groups.starts, item, bounds, 1, 10)
+                       for cls in (Nearest, ReferenceNearest)]
+            same_merges(kernels, dist, blocks)
+            assert kernels[0].dist.tolist() == [[inf], [inf], [1.0]]
+            assert kernels[0].rows[2].tolist() == [3]
 
     def test_lengths_order_distinct_rows(self):
         # effective lengths 2, 0, 3, 2 and 0 (-0.0 counts as zero); the
