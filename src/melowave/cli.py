@@ -478,21 +478,18 @@ def _add_folk_flags(p: argparse.ArgumentParser) -> None:
 def _expand_config_file(argv: list[str]) -> list[str]:
     """Insert flags from a --config file before the user's flags so the
     command line overrides the file."""
-    if "--config" not in argv and not any(a.startswith("--config=") for a in argv):
+    at = [i for i, arg in enumerate(argv) if arg == "--config" or arg.startswith("--config=")]
+    if not at:
         return argv
-    argv = list(argv)
-    path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a file path")
-            path = argv[i + 1]
-            del argv[i : i + 2]
-            break
-        if arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-            del argv[i]
-            break
+    if len(at) > 1:
+        raise ValueError("--config may be given only once")
+    (i,) = at
+    if argv[i] == "--config":
+        if i + 1 >= len(argv):
+            raise ValueError("--config needs a file path")
+        path, argv = argv[i + 1], argv[:i] + argv[i + 2 :]
+    else:
+        path, argv = argv[i].split("=", 1)[1], argv[:i] + argv[i + 1 :]
     flags: list[str] = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -501,6 +498,8 @@ def _expand_config_file(argv: list[str]) -> list[str]:
         key, _, value = line.partition("=")
         key = key.strip().replace("_", "-")
         value = value.strip()
+        if key == "config":  # argparse would take it, and nothing would read it
+            raise ValueError(f"{path}: a config file cannot name another")
         if key in _BOOLEAN_KEYS:
             if value.lower() in ("1", "true", "yes", "on"):
                 flags.append(f"--{key}")

@@ -33,7 +33,7 @@ from .classifier import (
 )
 from .contrapuntal import VariationKind, apply_variation, transform_sequence
 from .corpora import BachWork, FolkCorpus
-from .ingest import NoteSequence
+from .ingest import NoteSequence, _check_ticks
 from .segmentation import (
     BoundarySet,
     Equalization,
@@ -403,16 +403,22 @@ def _span_segments(
 def _span_notes(parts: Sequence[tuple], spans: Sequence[tuple], rate: Fraction) -> NoteSequence:
     """The notes of the spans of ``_span_segments`` laid out like their
     samples: span i holds, from its first sample on, the notes of its part
-    that overlap its window, clipped, rebased and varied, over a division
-    that holds every tick and window edge exactly."""
+    that overlap its window, clipped, rebased and varied. The layout's
+    division is the lcm of the rate's numerator and every part's least
+    division, which holds every tick and window edge exactly."""
     part, begin, end, kinds, lengths = (np.array(column) for column in zip(*spans))
-    division = math.lcm(rate.numerator, *(seq.division for _, seq in parts))
+    # each part's least division: its division over the gcd of it, its total and its ticks
+    gcds = [np.gcd.reduce(np.r_[seq.division, seq.total, seq.onsets, seq.ends]) for _, seq in parts]
+    least = [seq.division // int(g) for (_, seq), g in zip(parts, gcds)]
+    division = math.lcm(rate.numerator, *least)
     per_sample = division * rate.denominator // rate.numerator  # ticks
+    sizes = [signal.size * per_sample for signal, _ in parts]
+    _check_ticks(division, sum(sizes), int(lengths.sum()) * per_sample)  # before int64 products
     # the parts end to end, each over its sampled length, so that one search finds every window
-    shifts = np.cumsum([0] + [signal.size * per_sample for signal, _ in parts])
+    shifts = np.cumsum([0] + sizes)
     onsets, ends = (
-        np.concatenate([getattr(seq, name) * (division // seq.division) + shift
-                        for (_, seq), shift in zip(parts, shifts.tolist())])
+        np.concatenate([getattr(seq, name) // (seq.division // d) * (division // d) + shift
+                        for (_, seq), d, shift in zip(parts, least, shifts.tolist())])
         for name in ("onsets", "ends")
     )
     start, stop = (shifts[part] + [int(t * division) for t in ts] for ts in (begin, end))
@@ -523,36 +529,18 @@ def _signals(corpus: FolkCorpus, sample, *args) -> list[np.ndarray]:
     return [sample(song.seq, *args) for song in corpus.songs]
 
 
-def _song_filter(filtered: dict, song: int, values: np.ndarray, support: int) -> np.ndarray:
-    """Song ``song``'s Haar coefficients at ``support``; ``filtered`` keeps
-    the coefficients of the last support asked for."""
-    if support not in filtered:
-        filtered.clear()
-    return _cached(filtered.setdefault(support, {}), song, haar_filter, values, support)
-
-
 def _cut_corpus(
-    corpus: FolkCorpus, signals: list[np.ndarray], memo: dict, filtered: dict,
-    config: ExperimentConfig,
+    corpus: FolkCorpus, signals: list[np.ndarray], config: ExperimentConfig
 ) -> tuple[Segments, list, np.ndarray]:
     """Segments of every song in corpus order, their families, and the row
-    offsets of each song's segments. A song's boundaries are found once per
-    ``memo`` and its coefficients through ``filtered``. A failure raises the
-    first failing song's first error, in the order representation,
-    boundaries, cut."""
-    segmentation = config.segmentation
-    reps, boundaries = [], []
-    for i, (song, signal) in enumerate(zip(corpus.songs, signals)):
-        filt = partial(_song_filter, filtered, i, signal)
-        reps.append(_representation(signal, config, filt))
-        notes = song.seq if segmentation.method is SegMethod.LBDM else None
-        boundaries.append(_cached(
-            memo, i, find_boundaries, signal, notes, segmentation, config.rate, filt
-        ))
-    edges = np.cumsum([0, *(b.length for b in boundaries)])
-    shifted = [np.add(b.indices, edge) for b, edge in zip(boundaries, edges.tolist())]
-    cut = BoundarySet.from_interior(np.concatenate(shifted), int(edges[-1]))
-    segments, counts = _cut(np.concatenate(reps), cut, edges, config)
+    offsets of each song's segments: the songs are the spans of
+    ``_span_segments``, laid end to end. A failure raises the first error
+    in the order: every song's filters in corpus order, representation
+    support first, then the boundaries, then the cut."""
+    parts = list(zip(signals, (song.seq for song in corpus.songs)))
+    spans = [(i, 0, seq.total_duration_qn, VariationKind.PRIME, signal.size)
+             for i, (signal, seq) in enumerate(parts)]
+    segments, counts = _span_segments(np.concatenate(signals), parts, spans, config)
     labels = [song.family for song, n in zip(corpus.songs, counts.tolist()) for _ in range(n)]
     return segments, labels, np.concatenate(([0], np.cumsum(counts)))
 
@@ -562,13 +550,13 @@ def _segmentation_group(args) -> list:
     the songs' signals: per cell, in order, the k -> (accuracy, traces)
     results or the cell's error.
 
-    Each stage runs once for every cell that shares its inputs: boundaries
-    per song, representation and cut per representation, equalization per
-    representation and equalization (shared by the metrics, which read only
-    its distinct rows). A stage that fails runs again, and fails again, in
-    each cell that needs it.
+    Each stage runs once for every cell that shares its inputs: filters,
+    boundaries and cut per representation, for all songs at once, and
+    equalization per representation and equalization (shared by the
+    metrics, which read only its distinct rows). A stage that fails runs
+    again, and fails again, in each cell that needs it.
     """
-    corpus, signals, filtered, configs, ks, record_traces = args
+    corpus, signals, configs, ks, record_traces = args
     items = [(song.song_id, song.family) for song in corpus.songs]
     memo: dict = {}
     results = []
@@ -577,9 +565,7 @@ def _segmentation_group(args) -> list:
         try:
             if len(corpus) < 2:
                 raise ValueError("leave-one-out needs at least two songs")
-            segments, labels, offsets = _cached(
-                memo, rep, _cut_corpus, corpus, signals, memo, filtered, config
-            )
+            segments, labels, offsets = _cached(memo, rep, _cut_corpus, corpus, signals, config)
             matrix = _cached(  # only the equalized matrix's distinct rows are kept
                 memo, (rep, config.equalization),
                 lambda: distinct_rows(_equalize(segments, labels, config.equalization).rows),
@@ -601,14 +587,12 @@ def _run_cells(
     """Per config, in order, the k -> (accuracy, traces) results of its cell
     over the songs' signals, or the cell's error. Cells run in segmentation
     groups, the units of work that at most ``jobs`` worker processes share;
-    evaluation is pure, so any job count assembles identical results. The
-    groups of one process share the songs' Haar coefficients."""
+    evaluation is pure, so any job count assembles identical results."""
     groups: dict[Segmentation, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(config.segmentation, []).append(i)
-    filtered: dict = {}  # support -> song index -> coefficients
     tasks = [
-        (corpus, signals, filtered, [configs[i] for i in cells], tuple(ks), record_traces)
+        (corpus, signals, [configs[i] for i in cells], tuple(ks), record_traces)
         for cells in groups.values()
     ]
     workers = min(jobs, len(tasks))  # a group is the smallest unit of work

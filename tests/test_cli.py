@@ -252,6 +252,23 @@ class TestExperimentCommands:
         assert trace_rows[0] == ["item_id", "true", "predicted", "nearest_distance"]
         assert len(trace_rows) == 1 + 45
 
+    @pytest.mark.parametrize("contrapuntal", ["nc", "cp"])
+    def test_exp_bach_lbdm_at_divisions_near_2_15(self, tmp_path, contrapuntal):
+        # the lcm of these divisions is 78 bits: LBDM lays each part over its
+        # least division, so the run equals the one on the least divisions
+        divisions = (32692, 32706, 32712, 32716, 32718, 32748)
+        out = {}
+        for name, division in (("fine", divisions), ("least", [None] * 6)):
+            corpus = tmp_path / name
+            corpus.mkdir()
+            for work, d in zip(synthetic_inventions(0, 6), division):
+                data = write_standard_midi([work.upper, work.lower], division=d)
+                (corpus / f"{work.work_id}.mid").write_bytes(data)
+            out[name] = tmp_path / f"{name}.csv"
+            assert main(["exp", "bach", "--corpus", str(corpus), "--seg", "lbdm",
+                         "--contrapuntal", contrapuntal, "-o", str(out[name])]) == 0
+        assert out["fine"].read_bytes() == out["least"].read_bytes()
+
     def test_exp_folk_segmented_cell(self, tmp_path):
         out = tmp_path / "folk.csv"
         assert main([
@@ -541,6 +558,30 @@ class TestErrors:
         assert main([*command, "--synthetic-seed", "0", "--synthetic-families", "2",
                      "-o", str(out)]) == 2
         assert capsys.readouterr().err == f"melowave: error: only --unsegmented reads --{flag}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["--config X", "--config=X"])
+    def test_repeated_config_one_line_error(self, form, tmp_path, capsys):
+        # the second file would be ignored: its length = 0 would fail the run
+        (tmp_path / "a.cfg").write_text("rep = vr\n")
+        (tmp_path / "b.cfg").write_text("length = 0\n")
+        configs = [arg for name in ("a.cfg", "b.cfg")
+                   for arg in form.replace("X", str(tmp_path / name)).split()]
+        out = tmp_path / "out.csv"
+        assert main(["exp", "folk", "--synthetic-seed", "0", "--synthetic-families", "2",
+                     "--unsegmented", *configs, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "melowave: error: --config may be given only once\n"
+        assert not out.exists()
+
+    def test_config_file_naming_a_config_one_line_error(self, tmp_path, capsys):
+        (tmp_path / "a.cfg").write_text(f"config = {tmp_path / 'b.cfg'}\nrep = vr\n")
+        (tmp_path / "b.cfg").write_text("length = 0\n")
+        out = tmp_path / "out.csv"
+        assert main(["exp", "folk", "--synthetic-seed", "0", "--synthetic-families", "2",
+                     "--unsegmented", "--config", str(tmp_path / "a.cfg"), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"melowave: error: {tmp_path / 'a.cfg'}: a config file cannot name another\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from melowave.experiments import (
     run_folk_unsegmented,
     split_section_spans,
 )
-from melowave.ingest import MidiError, write_standard_midi
+from melowave.ingest import MidiError, NoteSequence, write_standard_midi
 from melowave.segmentation import equalize_zero_pad
 from melowave.signals import (
     RestPolicy,
@@ -749,18 +750,37 @@ def tiny_tune_families(draw):
     return FolkCorpus(tuple(songs))
 
 
+def redivided(corpus, divisions):
+    """The corpus with its songs' ticks over ``divisions``, in turn: the
+    same notes over finer grids."""
+    songs = []
+    for song, division in zip(corpus.songs, itertools.cycle(divisions)):
+        seq = song.seq
+        scale, rest = divmod(division, seq.division)
+        assert rest == 0, f"{division} is no multiple of {seq.division}"
+        notes = NoteSequence(
+            seq.onsets * scale, seq.ends * scale, seq.pitches, division, seq.total * scale
+        )
+        songs.append(FolkSong(song.song_id, song.family, notes))
+    return FolkCorpus(tuple(songs))
+
+
 class TestReferenceRoute:
     @settings(max_examples=oracle_examples(8), deadline=None)
     @given(
         tiny_tune_families(), st.sampled_from(list(RestPolicy)),
-        st.sampled_from([1, 2]), st.sampled_from([0.1, 0.4]),
+        st.sampled_from([1, 2]), st.sampled_from([0.1, 0.4]), st.booleans(),
     )
-    def test_grid_traces_match_per_fold_oracles(self, corpus, rests, scale, threshold):
+    def test_grid_traces_match_per_fold_oracles(self, corpus, rests, scale, threshold, redivide):
+        # redivided songs lay their notes over their least divisions: the
+        # grid reports equal those of the songs over their least divisions
         base = ExperimentConfig(rest_policy=rests)
-        reports = grid_search(
-            corpus, base, scales=(scale,), thresholds=(threshold,), ks=ALL_KS,
-            record_traces=True,
-        )
+        run = partial(grid_search, base_config=base, scales=(scale,), thresholds=(threshold,),
+                      ks=ALL_KS, record_traces=True)
+        reports = run(corpus)
+        if redivide:
+            corpus = redivided(corpus, (96, 480, 1024))
+            assert run(corpus) == reports
         configs = _grid_configs(base, (scale,), (threshold,))
         assert len(reports) == len(configs) * len(ALL_KS)
         for c, config in enumerate(configs):
@@ -860,8 +880,11 @@ class TestGridSearch:
                               record_traces=True)
         seqs = [song.seq for song in corpus.songs]
         assert [args[0] for args in calls["sample_pitch_signal"]] == seqs
-        assert len(calls["local_maxima_boundaries"]) == 2 * len(seqs)  # scales 1 and 2
-        assert [args[:2] for args in calls["lbdm_boundaries"]] == [(seq, 0.4) for seq in seqs]
+        # one call per representation (wr, vr) of each group, for all songs at once
+        assert len(calls["local_maxima_boundaries"]) == 4  # scales 1 and 2
+        assert [args[1] for args in calls["lbdm_boundaries"]] == [0.4, 0.4]
+        for notes, *_ in calls["lbdm_boundaries"]:  # every song's notes, laid end to end
+            assert notes.pitches.tolist() == [p for seq in seqs for p in seq.pitches.tolist()]
         assert "zero_crossing_boundaries" not in calls and "constant_boundaries" not in calls
 
         configs = _grid_configs(base, (1, 2), (0.4,))
@@ -888,6 +911,25 @@ class TestGridSearch:
         error = "signal too short for the scale: support 32 exceeds twice the signal length 12"
         assert all((r.accuracy, r.error) == (None, error) for r in ws)
         assert all(r.error is None and 0 <= r.accuracy <= 1 for r in lbdm)
+
+    def test_performance_timed_songs_at_coprime_divisions(self):
+        # performance timing: every song's division is its least one, prime
+        # and near 2**15, so the LBDM layout's division (their lcm times 8)
+        # is 48 bits and its 576 samples overrun 53-bit ticks; ws-max reads
+        # no notes and runs
+        rng = np.random.default_rng(7)
+        songs = []
+        for i, division in enumerate((32749, 32719, 32717) * 3):
+            ends = np.cumsum(rng.integers(division // 2, 2 * division, 8))
+            onsets = np.append(0, ends[:-1] + rng.integers(0, division // 4, 7))
+            seq = NoteSequence(onsets, ends, rng.integers(55, 72, 8), division, int(ends[-1]))
+            songs.append(FolkSong(f"s{i}", f"fam{i % 3}", seq))
+        reports = grid_search(FolkCorpus(tuple(songs)), scales=(1,), thresholds=(0.4,), ks=(1,))
+        ws = [r for r in reports if r.segmentation is SegMethod.WS_LOCAL_MAX]
+        lbdm = [r for r in reports if r.segmentation is SegMethod.LBDM]
+        assert len(ws) == len(lbdm) == 8
+        assert all(r.error is None and 0 <= r.accuracy <= 1 for r in ws)
+        assert all(r.error == "note timing does not fit in 53-bit ticks" for r in lbdm)
 
     @pytest.mark.parametrize("jobs, scales, workers", [
         (4, (1,), []), (4, (1, 2), [2]), (2, (1, 2, 4), [2]), (1, (1, 2), []),
