@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import stat
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -230,6 +231,37 @@ _CELL_COLUMNS = ("rep", "seg", "param", "equalize", "metric", "k")
 _TRACE_COLUMNS = ("item_id", "true", "predicted", "nearest_distance")
 
 
+def _opened(name: str):
+    """The status of the file that writing to ``name`` reaches (stdout's for
+    "-"), or None if there is none yet or stdout has no descriptor."""
+    try:
+        return os.fstat(sys.stdout.fileno()) if name == "-" else os.stat(name)
+    except (OSError, ValueError):
+        return None
+
+
+def _check_outputs(args) -> None:
+    """Reject a --trace that writes to the file of -o, or to stdout beside
+    it: the trace would replace the results, or follow them in one stream.
+    Names count as one file when they resolve to one path or reach one file
+    (stdout reaches the file or pipe it writes to); a character device such
+    as /dev/null may take both."""
+    if args.trace is None:
+        return
+    if args.trace == args.output == "-":
+        raise ValueError("-o and --trace both write to stdout")
+    names = args.output, args.trace
+    files = [_opened(name) for name in names]
+    if None in files:  # a file not made yet: one if the paths resolve to one
+        same = "-" not in names and Path(names[0]).resolve() == Path(names[1]).resolve()
+    else:
+        same = os.path.samestat(*files) and not stat.S_ISCHR(files[0].st_mode)
+    if same and "-" in names:
+        raise ValueError("-o and --trace both write to stdout")
+    if same:
+        raise ValueError(f"-o and --trace name the same file: {args.trace}")
+
+
 def _trace_rows(key: tuple, traces) -> list[tuple]:
     """Trace CSV rows, each led by the columns of ``key``, formatted once."""
     key = tuple(map(_fmt, key))
@@ -237,6 +269,7 @@ def _trace_rows(key: tuple, traces) -> list[tuple]:
 
 
 def cmd_exp_bach(args) -> int:
+    _check_outputs(args)
     works = corpora.load_bach_corpus(args.corpus, args.upper, args.lower)
     report = experiments.run_bach_experiment(
         works, _config(args), args.prefix_qn, args.contrapuntal == "cp"
@@ -281,6 +314,7 @@ _GRID_FLAGS = {"scales": Fraction, "thresholds": float, "ks": int, "jobs": None}
 
 
 def cmd_exp_folk(args) -> int:
+    _check_outputs(args)
     if args.grid and args.unsegmented:
         raise ValueError("the grid runs segmented cells and takes no --unsegmented")
     if args.grid and args.k is not None:

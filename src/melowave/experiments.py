@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations, product
 from typing import Hashable, NamedTuple, Sequence
 
@@ -248,19 +248,26 @@ def _equalize(
 _CHUNK_ENTRIES = 2**16
 
 
-def _usable_block(
-    queries: DistinctRows, ids: np.ndarray, corpus: DistinctRows, excluded: slice, metric: Metric
-) -> np.ndarray:
-    """Distances of distinct query rows ``ids`` to every copy of every corpus
-    row outside ``excluded``, a column a copy. The corpus rows no longer
-    than the query rows' longest effective length are read up to it."""
-    rows = queries.rows[ids]
-    width = max(1, queries.lengths[ids].max())
+def _tie_block(
+    queries: DistinctRows, ids: np.ndarray, items: np.ndarray, corpus: DistinctRows,
+    bounds: np.ndarray, metric: Metric,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances of distinct query rows ``ids`` to every distinct corpus
+    row, and how many copies of each lie outside the corpus rows
+    ``bounds[i]:bounds[i + 1]`` of the row's item i (``items``). The corpus
+    rows no longer than the query rows' longest effective length are read
+    up to it, and each distinct query row is measured once."""
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    rows = queries.rows[distinct]
+    width = max(1, queries.lengths[distinct].max())
     cut = np.searchsorted(corpus.lengths, width, "right")  # rows before cut are zero past width
     parts = [(rows[:, :width], corpus.rows[:cut, :width]), (rows, corpus.rows[cut:])]
     block = np.hstack([pairwise_distances(a, b, metric) for a, b in parts if len(b)])
-    own = np.bincount(corpus.ids[excluded], minlength=len(corpus.rows))
-    return np.repeat(block, np.diff(corpus.starts) - own, axis=1)
+    copies = np.diff(corpus.starts)
+    owners, owner = np.unique(items, return_inverse=True)
+    own = [np.bincount(corpus.ids[bounds[i] : bounds[i + 1]], minlength=copies.size)
+           for i in owners.tolist()]
+    return block[inverse], copies - np.array(own)[owner]
 
 
 def _classify(
@@ -283,17 +290,22 @@ def _classify(
     rows, each read up to its rows' longest effective length and merged into
     the first max(ks) neighbors of each (item, distinct query row) pair. With
     the queries the corpus, only tiles on and above the diagonal are measured,
-    and a tile's transpose serves its columns' pairs (bit-symmetric distances)."""
+    and a tile read down its columns serves its columns' pairs
+    (bit-symmetric distances)."""
     n_items = len(items)
     # each query row's (distinct query row, item) pair, as one integer
     row_item = np.repeat(np.arange(n_items), np.diff(offsets))
     pairs, row_pair = np.unique(queries.ids * n_items + row_item, return_inverse=True)
     distinct_of, item_of = np.divmod(pairs, n_items)  # pairs run by distinct query row
     bounds = offsets if held_out else np.zeros_like(offsets)  # the corpus rows each item excludes
-    nearest = Nearest(corpus.copies, corpus.starts, item_of, bounds, max(ks), _CHUNK_ENTRIES // 4)
+    # the pairs of each distinct query row
+    firsts = np.searchsorted(pairs, np.arange(len(queries.rows) + 1) * n_items)
+    nearest = Nearest(
+        corpus.copies, corpus.starts, firsts, item_of, bounds, max(ks), _CHUNK_ENTRIES // 4
+    )
     side = max(1, math.isqrt(_CHUNK_ENTRIES))
-    q_cuts, c_cuts = (np.arange(0, len(d.rows) + side, side) for d in (queries, corpus))
-    p_cuts = np.searchsorted(pairs, q_cuts * n_items)
+    q_cuts, c_cuts = (np.append(np.arange(0, len(d.rows), side), len(d.rows))
+                      for d in (queries, corpus))
     symmetric = queries is corpus
     bands = range(len(q_cuts) - 1)
     if symmetric:  # each band's own tile first, whose rows' lengths are alike: tight bounds
@@ -306,43 +318,22 @@ def _classify(
         rows = queries.rows[q_band, :width]  # both bands are zero past width
         columns = rows if symmetric and i == j else corpus.rows[c_band, :width]
         tile = pairwise_distances(rows, columns, metric)
-        parts = [(i, tile, c_band.start)] + [(j, tile.T, q_band.start)] * (symmetric and j > i)
-        for band, part, first in parts:  # a band's pairs, about _CHUNK_ENTRIES entries at once
-            step = max(1, _CHUNK_ENTRIES // part.shape[1])
-            a, b = p_cuts[band], p_cuts[band + 1]
-            n = max(1, (b - a) // step)  # equal chunks, each under 2 * step pairs
-            cuts = (a + (b - a) * np.arange(n + 1) // n).tolist()
-            for mine in map(slice, cuts[:-1], cuts[1:]):
-                nearest.add(part[distinct_of[mine] - q_cuts[band]], mine, first)
+        nearest.add(tile, q_band, c_band, symmetric and j > i)
     nearest.flush()
     names, by_k = decide(nearest.rows, nearest.dist, labels, ks)
-    for k, chosen in by_k.items():  # each query row's label, and each item's modal one or -1
-        chosen = chosen[row_pair]
-        votes = np.bincount(row_item * len(names) + chosen, minlength=n_items * len(names))
-        modal = (votes := votes.reshape(n_items, -1)) == votes.max(axis=1, keepdims=True)
-        by_k[k] = chosen.tolist(), np.where(modal.sum(1) > 1, -1, modal.argmax(1)).tolist()
-    if not np.diff(offsets).all():  # reduceat would read on into the next item's rows
-        raise ValueError("cannot vote over zero predictions")
+
+    def tie_block(rows: np.ndarray) -> tuple:  # the rows of vote ties against the corpus
+        ids = distinct_of[row_pair[rows]]
+        return _tie_block(queries, ids, row_item[rows], corpus, bounds, metric)
+
+    codes = np.stack([by_k[k] for k in ks])[:, row_pair]
+    chosen = vote(codes, offsets, nearest.dist[row_pair], tie_block).tolist()
     distances = np.minimum.reduceat(nearest.dist[row_pair, 0], offsets[:-1]).tolist()
-
-    @lru_cache(maxsize=1)
-    def tie_block(i: int) -> np.ndarray:  # item i's rows for a vote tie; items run in order
-        mine, inverse = np.unique(row_pair[offsets[i] : offsets[i + 1]], return_inverse=True)
-        excluded = slice(bounds[i], bounds[i + 1])
-        return _usable_block(queries, distinct_of[mine], corpus, excluded, metric)[inverse]
-
-    traces: dict[int, list[TraceRow]] = {k: [] for k in ks}
-    for i, (item_id, true_label) in enumerate(items):
-        ties: dict[tuple, Hashable] = {}  # k = 2 repeats k = 1's row labels
-        for k, (row_codes, modal) in by_k.items():
-            if modal[i] < 0:  # a tie, which the item's pooled distances settle
-                row_labels = tuple(names[c] for c in row_codes[offsets[i] : offsets[i + 1]])
-                if row_labels not in ties:
-                    heads = nearest.dist[row_pair[offsets[i] : offsets[i + 1]]]
-                    ties[row_labels] = vote(row_labels, partial(tie_block, i), heads)
-            predicted = names[modal[i]] if modal[i] >= 0 else ties[row_labels]
-            traces[k].append(TraceRow(item_id, true_label, predicted, distances[i]))
-    return {k: tuple(rows) for k, rows in traces.items()}
+    return {
+        k: tuple(TraceRow(item_id, true_label, names[c], d)
+                 for (item_id, true_label), c, d in zip(items, predicted, distances))
+        for k, predicted in zip(ks, chosen)
+    }
 
 
 def _accuracy(traces: Sequence[TraceRow]) -> float:

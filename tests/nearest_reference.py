@@ -1,13 +1,15 @@
 """The select-then-filter reference for ``classifier.Nearest``.
 
 This is how melowave merged held-out neighbours before ``Nearest.add``
-filtered a block by each pair's bound ahead of any selection: every entry
-of a block went through the own-item mask (applied to the block in place)
-and a whole-row partition, the pair's smallest distinct-row distances were
-updated from all of them, and the entries at or below the new bound were
-read with a 2-D ``np.nonzero``. ``flush`` searched every buffered entry's
-copies for the query's own item. The tests compare ``Nearest`` with it
-buffer by buffer.
+filtered by bounds ahead of any selection and read each tile once on
+distinct rows: every tile was first copied out to one row per query (its
+transpose too, for the columns' queries), every entry of that copy went
+through the own-item mask (applied in place) and a whole-row partition,
+the query's smallest distinct-row distances were updated from all of them,
+and the entries at or below the new bound were read with a 2-D
+``np.nonzero``. ``flush`` searched every buffered entry's copies for the
+query's own item and ordered a merge with ``np.lexsort``. The tests compare
+``Nearest`` with it buffer by buffer.
 """
 
 import numpy as np
@@ -16,7 +18,14 @@ from melowave.classifier import Nearest
 
 
 class ReferenceNearest(Nearest):
-    def add(self, dist: np.ndarray, queries: slice, first: int) -> None:
+    def add(self, tile: np.ndarray, rows: slice, cols: slice, both: bool = False) -> None:
+        for part, band, first in [(tile, rows, cols.start)] + [(tile.T, cols, rows.start)] * both:
+            queries = slice(self.queries[band.start], self.queries[band.stop])
+            self.add_queries(part[self.distinct[queries] - band.start], queries, first)
+
+    def add_queries(self, dist: np.ndarray, queries: slice, first: int) -> None:
+        """Buffers block ``dist``: ``dist[r, j]`` is query ``queries.start + r``'s
+        distance to every copy of distinct row ``first + j``."""
         if self.owner is not None:  # the query's item's own distinct rows are no neighbors
             dist[self.items[queries, None] == self.owner[first : first + dist.shape[1]]] = np.inf
         last = min(self.width, dist.shape[1]) - 1

@@ -23,6 +23,7 @@ from melowave.classifier import (
 
 from conftest import oracle_examples
 from nearest_reference import ReferenceNearest
+from vote_reference import reference_vote
 
 
 def oracle_metric(metric):
@@ -114,6 +115,23 @@ def oracle_vote(row_labels, distance_rows):
     }
     width = max(len(p) for p in pooled.values())
     return min(tied, key=lambda label: pooled[label] + [math.inf] * (width - len(pooled[label])))
+
+
+def vote_one(row_labels, block, heads=None):
+    """One item's modal label through ``vote``: its rows' labels, their
+    distance block (or a function that returns it), one column per corpus
+    row, and optionally each row's first w distances in ascending order."""
+    codes: dict = {}
+    code = np.array([[codes.setdefault(label, len(codes)) for label in row_labels]], dtype=int)
+    if heads is None:
+        heads = np.zeros((len(row_labels), 0))
+
+    def rows_block(rows):
+        full = np.asarray(block() if callable(block) else block, dtype=float)
+        return full[rows], np.ones((len(rows), full.shape[1]), dtype=int)
+
+    (winner,) = vote(code, np.array([0, len(row_labels)]), heads, rows_block)[0]
+    return list(codes)[winner]
 
 
 def knn(query, rows, labels, k, metric):
@@ -338,54 +356,54 @@ class TestKnnPredict:
 
 class TestVote:
     def test_majority(self):
-        assert vote(["A", "A", "B"], np.array([[1.0], [2.0], [0.1]])) == "A"
+        assert vote_one(["A", "A", "B"], np.array([[1.0], [2.0], [0.1]])) == "A"
 
     def test_tie_broken_by_smallest_distance(self):
-        assert vote(["A", "B"], np.array([[0.5, 3.0], [0.9, 1.0]])) == "A"
+        assert vote_one(["A", "B"], np.array([[0.5, 3.0], [0.9, 1.0]])) == "A"
 
     def test_tie_extends_outward(self):
-        assert vote(["A", "B"], np.array([[0.5, 3.0], [0.5, 1.0]])) == "B"
+        assert vote_one(["A", "B"], np.array([[0.5, 3.0], [0.5, 1.0]])) == "B"
 
     def test_single_prediction(self):
-        assert vote(["Z"], np.array([[4.0]])) == "Z"
+        assert vote_one(["Z"], np.array([[4.0]])) == "Z"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="zero predictions"):
-            vote([], np.zeros((0, 1)))
+            vote_one([], np.zeros((0, 1)))
 
     def test_tie_pools_across_predictions(self):
         block = np.array([[1.0, 2.0], [0.6, 9.0], [0.5, 8.0], [3.0, 4.0]])
         # pooled: A -> [0.6, 1, 2, 9], B -> [0.5, 3, 4, 8]
-        assert vote(["A", "A", "B", "B"], block) == "B"
+        assert vote_one(["A", "A", "B", "B"], block) == "B"
 
     def test_tuple_labels(self):
         # (work, variation) labels, as the contrapuntal invention run gives
         prime, retro = ("w1", "P"), ("w1", "R")
-        assert vote([prime, retro], np.array([[0.5, 3.0], [0.5, 1.0]])) == retro
-        assert vote([retro, prime, prime, retro], np.ones((4, 2))) == retro
+        assert vote_one([prime, retro], np.array([[0.5, 3.0], [0.5, 1.0]])) == retro
+        assert vote_one([retro, prime, prime, retro], np.ones((4, 2))) == retro
 
     def test_three_way_tie_settled_by_a_later_least_list(self):
         # pooled heads: A -> [1, 2], B -> [1, 2], C -> [1, 1.5]; C is the
         # only least list, so the heads settle the tie and no block is read
         heads = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 1.5]])
-        assert vote(["A", "B", "C"], lambda: pytest.fail("block read"), heads) == "C"
-        assert vote(["A", "B", "C"], heads) == "C"
+        assert vote_one(["A", "B", "C"], lambda: pytest.fail("block read"), heads) == "C"
+        assert vote_one(["A", "B", "C"], heads) == "C"
 
     def test_equal_least_lists_go_to_the_first_prediction(self):
         # A and B pool [1, 2] and C [1, 3]: the heads tie A with B, and so
         # does the block, which the first-voted label breaks
         block = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 1.0]])
         heads = np.sort(block, axis=1)[:, :1]
-        assert vote(["B", "A", "C"], block, heads) == "B"
-        assert vote(["A", "B", "C"], block) == "A"
+        assert vote_one(["B", "A", "C"], block, heads) == "B"
+        assert vote_one(["A", "B", "C"], block) == "A"
 
     def test_finite_counts_differ(self):
         # pooled: A -> [0, inf], B -> [0, 0]: B has a finite next-nearest point
         for missing in (np.inf, np.nan):
             block = np.array([[0.0, missing], [0.0, 0.0]])
-            assert vote(["A", "B"], block) == "B"
-            assert vote(["A", "B"], block, np.array([[0.0], [0.0]])) == "B"
-            assert vote(["A", "B"], lambda: pytest.fail("block read"),
+            assert vote_one(["A", "B"], block) == "B"
+            assert vote_one(["A", "B"], block, np.array([[0.0], [0.0]])) == "B"
+            assert vote_one(["A", "B"], lambda: pytest.fail("block read"),
                         np.array([[0.0, np.inf], [0.0, 0.0]])) == "B"
 
 
@@ -476,13 +494,19 @@ def expanded_blocks(matrix, offsets, metric, held_out):
 
 @st.composite
 def merge_cases(draw):
-    """One ``Nearest`` merge of width 1-5 and a budget of 0-10 copies: corpus
-    rows that repeat 1-5 distinct zero-padded vectors of ragged effective
-    length, with tails of 0.0 or -0.0; items owning consecutive rows, held
-    out or not; the rows' distances to the distinct rows, with entries set to
-    +inf, NaN or another entry's distance, and rectangles set to +inf or NaN;
-    and the blocks (consecutive queries x consecutive distinct rows) in which
-    they arrive, in any order."""
+    """One ``Nearest`` merge of width 1-5 and a budget of 0-10 copies.
+
+    Corpus rows repeat 1-5 distinct zero-padded vectors of ragged effective
+    length, with tails of 0.0 or -0.0, so one distinct row can have copies in
+    many items, and items may each own a row near the first vector; items
+    own consecutive rows, held out or not, and a query is a (distinct row,
+    item) pair. The distances between the distinct rows have
+    entries set to +inf, NaN, 0.0, -0.0, another entry's distance or its
+    rounding twin (one ulp or 1e-14 above it), rectangles set to +inf or
+    NaN, and rows of NaN. They arrive in tiles, in any order: with the
+    queries apart, a grid of any row and column cuts; with the queries the
+    corpus, the tiles on and above the diagonal of one cut, each one off it
+    read down its columns too."""
 
     def edges(size):  # 0, any cuts in 1..size-1, then size
         inner = draw(st.sets(st.integers(1, size - 1))) if size > 1 else ()
@@ -494,35 +518,55 @@ def merge_cases(draw):
         n = draw(st.integers(0, dim))
         head = draw(st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n))
         vectors.append(head + [draw(st.sampled_from([0.0, -0.0]))] * (dim - n))
-    ids = draw(st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=12))
-    matrix = np.array([vectors[v] for v in ids])
-    offsets = np.array(edges(len(ids)))
+    # items of 1-4 rows; with ``near``, each also owns a row just off the
+    # first vector, so the pairs of one distinct row mask different neighbors
+    near, rows, offsets = draw(st.booleans()), [], [0]
+    for i in range(draw(st.integers(1, 6))):
+        ids = draw(st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=4))
+        mine = [vectors[v] for v in ids]
+        if near:
+            own = list(vectors[0])
+            own[0] += draw(st.sampled_from([1e-14, 1e-3, 1.0])) * (i + 1)
+            mine.insert(draw(st.integers(0, len(mine))), own)
+        rows += mine
+        offsets.append(len(rows))
+    matrix, offsets = np.array(rows), np.array(offsets)
     groups = distinct_rows(matrix)
-    dist = pairwise_distances(matrix, groups.rows, draw(st.sampled_from(list(Metric))))
-    rows, cols = (st.integers(0, size - 1) for size in dist.shape)
+    dist = pairwise_distances(groups.rows, groups.rows, draw(st.sampled_from(list(Metric))))
+    cells = st.integers(0, len(dist) - 1)
     for _ in range(draw(st.integers(0, dist.size))):
-        r, c = draw(rows), draw(cols)
+        r, c = draw(cells), draw(cells)
         equal = dist.flat[draw(st.integers(0, dist.size - 1))]
-        dist[r, c] = draw(st.sampled_from([np.inf, np.nan, equal]))
+        twins = [np.nextafter(equal, np.inf), equal + 1e-14]
+        dist[r, c] = draw(st.sampled_from([np.inf, np.nan, 0.0, -0.0, equal, *twins]))
     for value in draw(st.lists(st.sampled_from([np.inf, np.nan]), max_size=2)):  # rectangles
-        r, c = sorted([draw(rows), draw(rows)]), sorted([draw(cols), draw(cols)])
+        r, c = sorted([draw(cells), draw(cells)]), sorted([draw(cells), draw(cells)])
         dist[r[0] : r[1] + 1, c[0] : c[1] + 1] = value
-    spans = [list(map(slice, cuts[:-1], cuts[1:])) for cuts in map(edges, dist.shape)]
-    blocks = draw(st.permutations([(q, c) for q in spans[0] for c in spans[1]]))
-    items = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    dist[sorted(draw(st.sets(cells, max_size=2)))] = np.nan
+    if draw(st.booleans()):  # the queries are the corpus
+        bands = list(map(slice, (cuts := edges(len(dist)))[:-1], cuts[1:]))
+        tiles = [(a, b, a.start < b.start) for a in bands for b in bands if a.start <= b.start]
+    else:
+        spans = [list(map(slice, cuts[:-1], cuts[1:])) for cuts in map(edges, dist.shape)]
+        tiles = [(a, b, False) for a in spans[0] for b in spans[1]]
+    # each row's (distinct row, item) pair, and the pairs of each distinct row
+    n_items = len(offsets) - 1
+    row_item = np.repeat(np.arange(n_items), np.diff(offsets))
+    pairs = np.unique(groups.ids * n_items + row_item)
+    queries = np.searchsorted(pairs, np.arange(len(dist) + 1) * n_items)
     bounds = offsets if draw(st.booleans()) else np.zeros_like(offsets)
     width, budget = draw(st.integers(1, 5)), draw(st.integers(0, 10))
-    args = (groups.copies, groups.starts, items, bounds, width, budget)
-    return args, dist, blocks
+    args = (groups.copies, groups.starts, queries, pairs % n_items, bounds, width, budget)
+    return args, dist, draw(st.permutations(tiles))
 
 
-def same_merges(kernels, dist, blocks):
-    """Feeds each kernel the same blocks, each a copy, and checks that they
-    hold the same buffer after every block and the same neighbors after the
+def same_merges(kernels, dist, tiles):
+    """Feeds each kernel the same tiles, each a copy, and checks that they
+    hold the same buffer after every tile and the same neighbors after the
     last merge."""
-    for queries, columns in blocks:
+    for rows, cols, both in tiles:
         for kernel in kernels:
-            kernel.add(dist[queries, columns].copy(), queries, columns.start)
+            kernel.add(dist[rows, cols].copy(), rows, cols, both)
         ours, theirs = kernels
         assert ours.buffered == theirs.buffered and len(ours.buffer) == len(theirs.buffer)
         for mine, reference in zip(ours.buffer, theirs.buffer):
@@ -545,10 +589,10 @@ class TestKernelProperties:
         groups = distinct_rows(np.array([[0.0], [5.0], [1.0], [0.0]]))
         assert groups.ids.tolist() == [0, 1, 2, 0]
         item, nothing = np.zeros(1, dtype=int), np.zeros(2, dtype=int)
-        nearest = Nearest(groups.copies, groups.starts, item, nothing, 2, 1)
-        nearest.add(np.array([[2.0, 5.0]]), slice(0, 1), 0)
+        nearest = Nearest(groups.copies, groups.starts, np.arange(2), item, nothing, 2, 1)
+        nearest.add(np.array([[2.0, 5.0]]), slice(0, 1), slice(0, 2))
         assert nearest.rows.tolist() == [[0, 0]] and nearest.dist.tolist() == [[np.inf] * 2]
-        nearest.add(np.array([[2.0]]), slice(0, 1), 2)
+        nearest.add(np.array([[2.0]]), slice(0, 1), slice(2, 3))
         assert nearest.rows.tolist() == [[0, 3]] and nearest.dist.tolist() == [[2.0, 2.0]]
         nearest.flush()
         assert nearest.rows.tolist() == [[0, 2]] and nearest.dist.tolist() == [[2.0, 2.0]]
@@ -556,10 +600,13 @@ class TestKernelProperties:
     @settings(max_examples=oracle_examples(300), deadline=None)
     @given(merge_cases())
     def test_add_buffers_like_the_reference(self, case):
-        # filtering a bounded pair by its bound before any selection buffers
-        # exactly the entries that masking and partitioning every entry does
-        args, dist, blocks = case
-        same_merges([Nearest(*args), ReferenceNearest(*args)], dist, blocks)
+        # comparing each distinct row of a tile once, with its pairs' loosest
+        # bound, and filtering a bounded pair by its own bound before any
+        # selection buffers exactly the entries that copying the tile out to
+        # its pairs, masking and partitioning every entry does, across the
+        # tile's columns too
+        args, dist, tiles = case
+        same_merges([Nearest(*args), ReferenceNearest(*args)], dist, tiles)
 
     def test_width_one_nan_and_inf_rows(self):
         # query 0 measures only NaN, query 1 only +inf, and query 2 NaN, then
@@ -569,17 +616,17 @@ class TestKernelProperties:
         groups = distinct_rows(np.arange(5.0)[:, None])
         nan, inf = np.nan, np.inf
         dist = np.array([[nan] * 5, [inf] * 5, [nan, inf, 3.0, 1.0, 2.0]])
-        blocks = [(slice(0, 3), slice(a, b)) for a, b in ((0, 1), (1, 3), (3, 5))]
+        blocks = [(slice(0, 3), slice(a, b), False) for a, b in ((0, 1), (1, 3), (3, 5))]
         # no item excludes rows; and the queries' item owns no row, the one before it all
         for item, bounds in ((np.zeros(3, dtype=int), np.zeros(2, dtype=int)),
                              (np.ones(3, dtype=int), np.array([0, 5, 5]))):
-            kernel = Nearest(groups.copies, groups.starts, item, bounds, 1, 10)
+            kernel = Nearest(groups.copies, groups.starts, np.arange(4), item, bounds, 1, 10)
             buffered = []
-            for queries, columns in blocks:
-                kernel.add(dist[queries, columns].copy(), queries, columns.start)
+            for queries, columns, _ in blocks:
+                kernel.add(dist[queries, columns].copy(), queries, columns)
                 buffered.append([b.tolist() for b in kernel.buffer[-1]])
             assert buffered == [[[], [], []], [[2], [2], [3.0]], [[2], [3], [1.0]]]
-            kernels = [cls(groups.copies, groups.starts, item, bounds, 1, 10)
+            kernels = [cls(groups.copies, groups.starts, np.arange(4), item, bounds, 1, 10)
                        for cls in (Nearest, ReferenceNearest)]
             same_merges(kernels, dist, blocks)
             assert kernels[0].dist.tolist() == [[inf], [inf], [1.0]]
@@ -634,7 +681,7 @@ class TestKernelProperties:
         for k in ks:
             expected = [oracle_decide(row, labels, k) for row in rows]
             assert by_k[k] == expected
-            assert vote(by_k[k], block) == oracle_vote(expected, rows)
+            assert vote_one(by_k[k], block) == oracle_vote(expected, rows)
         assert nearest.tolist() == [min(d for d in row if math.isfinite(d)) for row in rows]
 
     @settings(max_examples=oracle_examples(300), deadline=None)
@@ -652,9 +699,11 @@ class TestKernelProperties:
         owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
         bounds = offsets if held_out else np.zeros_like(offsets)
         block = pairwise_distances(matrix, groups.rows, metric)
-        kernel = Nearest(groups.copies, groups.starts, owner, bounds, 5, budget)
+        each = np.arange(len(matrix) + 1)  # a query a row
+        kernel = Nearest(groups.copies, groups.starts, each, owner, bounds, 5, budget)
         for first in range(0, block.shape[1], columns):  # blocks of `columns` distinct rows
-            kernel.add(block[:, first : first + columns].copy(), slice(0, len(matrix)), first)
+            part = block[:, first : first + columns].copy()
+            kernel.add(part, slice(0, len(matrix)), slice(first, first + part.shape[1]))
         kernel.flush()
         names, by_k = decide(kernel.rows, kernel.dist, labels, ks)
         by_k = {k: [names[c] for c in chosen] for k, chosen in by_k.items()}
@@ -718,4 +767,147 @@ class TestKernelProperties:
         labels = st.sampled_from(classes[: data.draw(st.integers(2, 4))])
         row_labels = data.draw(st.lists(labels, min_size=len(block), max_size=len(block)))
         heads = np.sort(np.where(np.isfinite(block), block, np.inf), axis=1)[:, :width]
-        assert vote(row_labels, lambda: block, heads) == oracle_vote(row_labels, block.tolist())
+        assert vote_one(row_labels, lambda: block, heads) == oracle_vote(row_labels, block.tolist())
+
+
+@st.composite
+def tie_cases(draw):
+    """Items whose rows' predictions, under 1-3 k, tie between 2-10
+    classes, with rows of other classes that have fewer votes; each item's
+    distance block holds small integers (many exact ties), +inf or NaN, and
+    may open every row with a run of zeros, so that the classes' pooled
+    heads are equal and only the block settles them. Each column stands for
+    0-3 corpus rows of its item: the block, and the heads (each row's first
+    1-5 distances), read it expanded."""
+    n_cols, width = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    n_ks = draw(st.integers(1, 3))
+    codes, blocks, weights, offsets = [[] for _ in range(n_ks)], [], [], [0]
+    for _ in range(draw(st.integers(1, 5))):
+        n_tied, top = draw(st.integers(2, 10)), draw(st.integers(1, 3))
+        rows = n_tied * top + draw(st.integers(0, 4))
+        # the tied classes, then classes of fewer votes each (of one vote, they tie too)
+        item = [c for c in range(n_tied) for _ in range(top)]
+        item += [n_tied + e // max(1, top - 1) for e in range(rows - len(item))]
+        for labels in codes:
+            labels += draw(st.permutations(item))
+        values = st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, np.nan]),
+                          min_size=n_cols, max_size=n_cols)
+        block = np.array(draw(st.lists(values, min_size=rows, max_size=rows)))
+        if draw(st.booleans()):
+            block[:, : draw(st.integers(1, n_cols))] = 0.0
+        blocks.append(block)
+        weights.append(draw(st.lists(st.integers(0, 3), min_size=n_cols, max_size=n_cols)))
+        offsets.append(offsets[-1] + rows)
+    return np.array(codes), np.array(offsets), blocks, np.array(weights), width
+
+
+class TestTieSettlement:
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(tie_cases())
+    def test_settles_like_the_per_tie_reference(self, case):
+        # every tie of a batch, settled at once by pooled heads, then by the
+        # count at the least pooled distance, then by the whole block, gets
+        # the class that settling it alone gets from the heads and the
+        # expanded block, and that the pooled-list oracle gets; the block is
+        # read once at most, for rows of tied items only
+        codes, offsets, blocks, weights, width = case
+        expanded = [np.repeat(block, w, axis=1) for block, w in zip(blocks, weights)]
+        heads = np.concatenate([  # +inf past a row's last finite distance
+            np.sort(np.where(np.isfinite(e), e, np.inf), axis=1)[:, :width] for e in
+            (np.pad(e, ((0, 0), (0, width)), constant_values=np.inf) for e in expanded)
+        ])
+        item = np.repeat(np.arange(len(blocks)), np.diff(offsets))
+        reads = []
+
+        def block(rows):
+            reads.append(rows)
+            dist = np.concatenate(blocks)[rows]
+            return dist, weights[item[rows]]
+
+        chosen = vote(codes, offsets, heads, block)
+        assert len(reads) <= 1
+        for k, labels in enumerate(codes.tolist()):
+            for i, (a, b) in enumerate(zip(offsets.tolist(), offsets[1:].tolist())):
+                mine, rows = labels[a:b], expanded[i]
+                assert chosen[k, i] == reference_vote(mine, rows, heads[a:b])
+                assert chosen[k, i] == oracle_vote(mine, rows.tolist())
+
+    def test_ties_of_one_cell_read_one_block(self):
+        # items 0 and 2 tie on equal heads; item 1 has a modal class. One
+        # call reads the rows of both ties: item 0's class 1 pools more
+        # zeros, and item 2's classes pool equal lists, which the class
+        # predicted first breaks
+        codes = np.array([[0, 1, 1, 1, 0, 3, 2, 2, 3]])
+        offsets = np.array([0, 2, 5, 9])
+        heads = np.zeros((9, 1))
+        dist = np.array([[0.0, 1.0], [0.0, 0.0], [4.0, 4.0], [4.0, 4.0], [4.0, 4.0],
+                         [0.0, 5.0], [0.0, 5.0], [5.0, 0.0], [5.0, 0.0]])
+        reads = []
+
+        def block(rows):
+            reads.append(rows.tolist())
+            return dist[rows], np.ones((len(rows), 2), dtype=int)
+
+        assert vote(codes, offsets, heads, block).tolist() == [[1, 1, 3]]
+        assert reads == [[0, 1, 5, 6, 7, 8]]
+
+
+@st.composite
+def twin_corpora(draw):
+    """Streamed corpora in which up to three rows gain a rounding twin of an
+    entry (one ulp or 1e-14 above it), so that distinct rows lie within
+    1e-14 of each other, and, one case in eight, a row of NaN."""
+    matrix, labels, offsets = draw(streamed_corpora())
+    matrix = matrix.copy()
+    for r in draw(st.sets(st.integers(0, len(matrix) - 1), max_size=3)):
+        c = draw(st.integers(0, matrix.shape[1] - 1))
+        matrix[r, c] = draw(st.sampled_from([np.nextafter(matrix[r, c], np.inf),
+                                             matrix[r, c] + 1e-14]))
+    if draw(st.integers(0, 7)) == 0:
+        matrix[draw(st.integers(0, len(matrix) - 1))] = np.nan
+    return matrix, labels, offsets
+
+
+class TestOnePassMerge:
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(
+        twin_corpora(), st.sampled_from(list(Metric)), st.booleans(), st.booleans(),
+        st.integers(1, 40), st.sets(st.integers(1, 5), min_size=1),
+    )
+    def test_classify_matches_the_reference_merge(
+        self, corpus, metric, held_out, apart, tile_entries, ks
+    ):
+        # the decision loop with each tile read once on distinct rows, and
+        # with the reference that copies every tile out to its pairs: the
+        # same final neighbors of every pair and the same traces, or the same
+        # error. Tiles of 1-40 entries make bands of one to six distinct
+        # rows, of unequal effective length, some owned by one item.
+        matrix, labels, offsets = corpus
+        ks = sorted(ks)
+        items = [(f"i{i}", labels[a]) for i, a in enumerate(offsets[:-1])]
+        groups = distinct_rows(matrix)
+        queries = distinct_rows(matrix) if apart else groups
+        results = []
+        for kernel in (Nearest, ReferenceNearest):
+            made = []
+
+            class Recorded(kernel):
+                def __init__(self, *args):
+                    super().__init__(*args)
+                    made.append(self)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(experiments, "_CHUNK_ENTRIES", tile_entries)
+                patch.setattr(experiments, "Nearest", Recorded)
+                try:
+                    out = experiments._classify(
+                        items, queries, offsets, groups, labels, metric, ks, held_out
+                    )
+                except ValueError as exc:
+                    out = str(exc)
+            (final,) = made
+            results.append((out, final.rows, final.dist))
+        (ours, rows, dist), (theirs, reference_rows, reference_dist) = results
+        assert ours == theirs
+        assert np.array_equal(rows, reference_rows)
+        assert np.array_equal(dist, reference_dist)

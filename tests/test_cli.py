@@ -489,6 +489,64 @@ class TestErrors:
         assert capsys.readouterr().err == f"melowave: error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["exp-bach", "exp-folk", "grid"])
+    @pytest.mark.parametrize("output, trace", [
+        ("same.csv", "same.csv"), ("./same.csv", "same.csv"), ("sub/../same.csv", "same.csv"),
+    ])
+    def test_trace_naming_the_output_one_line_error(
+        self, command, output, trace, bach_dir, tmp_path, monkeypatch, capsys
+    ):
+        # the trace would replace the results: an error before anything runs
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        argv = {
+            "exp-bach": ["exp", "bach", "--corpus", str(bach_dir)],
+            "exp-folk": ["exp", "folk", "--synthetic-seed", "0", "--synthetic-families", "2"],
+            "grid": ["grid", "--synthetic-seed", "0", "--synthetic-families", "2", "--scales",
+                     "1", "--thresholds", "0.4", "--ks", "1"],
+        }[command]
+        assert main([*argv, "-o", output, "--trace", trace]) == 2
+        assert capsys.readouterr().err == (
+            f"melowave: error: -o and --trace name the same file: {trace}\n"
+        )
+        assert not (tmp_path / "same.csv").exists()
+
+    def test_trace_and_output_both_on_stdout_one_line_error(self, capsys):
+        argv = ["exp", "folk", "--synthetic-seed", "0", "--synthetic-families", "2"]
+        assert main([*argv, "-o", "-", "--trace", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "melowave: error: -o and --trace both write to stdout\n"
+        assert captured.out == ""
+
+    def test_trace_and_output_may_share_a_character_device(self, capsys):
+        argv = ["exp", "folk", "--synthetic-seed", "0", "--synthetic-families", "2"]
+        assert main([*argv, "-o", os.devnull, "--trace", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_trace_naming_the_file_of_stdout_one_line_error(self, tmp_path, monkeypatch, capsys):
+        # stdout redirected to a file that --trace names, or a --trace that
+        # names the file of -o through a link
+        argv = ["exp", "folk", "--synthetic-seed", "0", "--synthetic-families", "2"]
+        out = tmp_path / "out.csv"
+        (tmp_path / "link.csv").symlink_to(out)
+        with open(out, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main([*argv, "-o", "-", "--trace", str(out)]) == 2
+            assert main([*argv, "-o", str(tmp_path / "link.csv"), "--trace", "-"]) == 2
+        assert capsys.readouterr().err == "melowave: error: -o and --trace both write to stdout\n" * 2
+        assert main([*argv, "-o", str(out), "--trace", str(tmp_path / "link.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"melowave: error: -o and --trace name the same file: {tmp_path / 'link.csv'}\n"
+        )
+        assert out.read_text() == ""
+
+    def test_trace_to_dev_stdout_beside_stdout_into_a_pipe_one_line_error(self):
+        command = [sys.executable, "-m", "melowave.cli", "exp", "folk", "--synthetic-seed", "0",
+                   "--synthetic-families", "2", "-o", "-", "--trace", "/dev/stdout"]
+        proc = subprocess.run(command, capture_output=True, text=True, env=src_env(), timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "melowave: error: -o and --trace both write to stdout\n"
+
     @pytest.mark.parametrize("command, message", [
         (["grid", "--scales", "1", "--thresholds", "", "--ks", "1", "--k", "7"],
          "the grid takes its k values from --ks, not --k"),

@@ -1068,17 +1068,23 @@ class TestTieBlock:
     )
     def test_usable_block_matches_full_block(self, corpus, metric, held_out, apart):
         # each item's tie block, measured on distinct rows and trimmed to the
-        # item's rows, holds in each row the finite distances of the full
-        # block, own rows at +inf, and one column per usable corpus row
+        # item's rows, equals the full block at each distinct corpus row, and
+        # each distinct row stands for its copies outside the item: so each
+        # row pools the finite distances of the full block, own rows at +inf,
+        # and one distance per usable corpus row
         matrix, _, offsets = corpus
         groups = distinct_rows(matrix)
         queries = distinct_rows(matrix) if apart else groups
-        for a, b in zip(offsets.tolist(), offsets[1:].tolist()):
-            distinct = np.unique(queries.ids[a:b])
+        bounds = offsets if held_out else np.zeros_like(offsets)
+        for i, (a, b) in enumerate(zip(offsets.tolist(), offsets[1:].tolist())):
+            ids, items = queries.ids[a:b], np.full(b - a, i)
+            block, weight = experiments._tie_block(queries, ids, items, groups, bounds, metric)
             excluded = slice(a, b) if held_out else slice(0, 0)
-            block = experiments._usable_block(queries, distinct, groups, excluded, metric)
-            full = oracle_item_block(queries, distinct, groups, excluded, metric)
-            assert block.shape == (len(distinct), len(matrix) - (b - a) * held_out)
-            for got, want in zip(block, full):
+            full = oracle_item_block(queries, ids, groups, excluded, metric)
+            assert weight.sum(axis=1).tolist() == [len(matrix) - (b - a) * held_out] * (b - a)
+            whole = oracle_item_block(queries, ids, groups, slice(0, 0), metric)
+            assert np.array_equal(block[:, groups.ids], whole, equal_nan=True)
+            for got, count, want in zip(block, weight, full):
+                got = np.repeat(got, count)
                 got, want = (np.sort(row[np.isfinite(row)]) for row in (got, want))
                 assert got.tobytes() == want.tobytes()
