@@ -242,15 +242,23 @@ def _merge_order(rows: np.ndarray, dists: np.ndarray, cols: np.ndarray, n_cols: 
     return np.argsort((rows * values.size + rank) * n_cols + cols, kind="stable")
 
 
-def decide(nearest: np.ndarray, dist: np.ndarray, labels: Sequence, ks: Sequence[int]) -> tuple:
+def code_labels(labels: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct labels in first-occurrence order, and each label's
+    index among them, so that labels compare as integer arrays."""
+    names: dict = {}
+    codes = np.array([names.setdefault(label, len(names)) for label in labels], dtype=np.intp)
+    return list(names), codes
+
+
+def decide(nearest: np.ndarray, dist: np.ndarray, codes: np.ndarray, ks: Sequence[int]) -> dict:
     """Each query's kNN decision for each k in ks from its first max(ks)
-    neighbors (``Nearest``), a modal tie going to the tied label that comes
-    first: the corpus labels in first-occurrence order, and per k indices."""
+    neighbors (``Nearest``) and the corpus rows' label codes ``codes``
+    (``code_labels``), a modal tie going to the tied label that comes
+    first: per k, each query's label code."""
     valid = np.isfinite(dist)  # a query may have fewer finite neighbors than k
     if not valid[:, 0].all():
         raise ValueError("no finite distances to classify against")
-    codes: dict = {}  # the labels as integers, coded once and compared as arrays below
-    code = np.array([codes.setdefault(label, len(codes)) for label in labels])[nearest]
+    code = codes[nearest]
     # votes[r, k - 1, i]: votes of neighbor i's label among row r's first k
     # finite neighbors. Finite neighbors come first, so the first neighbor
     # whose label has the most votes is one of them, within the first k.
@@ -258,7 +266,7 @@ def decide(nearest: np.ndarray, dist: np.ndarray, labels: Sequence, ks: Sequence
     votes = np.cumsum(same, axis=2).transpose(0, 2, 1)
     winner = np.argmax(votes == votes.max(axis=2, keepdims=True), axis=2)
     chosen = code[np.arange(len(code))[:, None], winner].T
-    return list(codes), {k: chosen[k - 1] for k in ks}
+    return {k: chosen[k - 1] for k in ks}
 
 
 def predict_from_distances(
@@ -276,7 +284,8 @@ def predict_from_distances(
     nearest = Nearest(one[:-1], one, each, item, nothing, max(ks), dist.size)
     nearest.add(dist, slice(0, len(dist)), slice(0, dist.shape[1]))
     nearest.flush()
-    names, by_k = decide(nearest.rows, nearest.dist, labels, ks)
+    names, codes = code_labels(labels)
+    by_k = decide(nearest.rows, nearest.dist, codes, ks)
     return {k: [names[c] for c in v.tolist()] for k, v in by_k.items()}, nearest.dist[:, 0]
 
 

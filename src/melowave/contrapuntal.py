@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NoteSequence
+from .signals import span_means
 
 
 class VariationKind(Enum):
@@ -89,10 +90,6 @@ def transform_sequence(
     ends = np.where(time_flip, mirror - seq.onsets, seq.ends)
     order = np.argsort(onsets, kind="stable")  # reverses each reversed span, which keeps its window
     pitches = seq.pitches[order]
-    if pitch_flip.any():  # each span's own 1-D mean: the spans of one count are one block's rows
-        means, firsts = np.zeros(len(kinds)), np.cumsum(counts) - counts
-        for n in set(counts[counts > 0].tolist()):
-            rows = np.flatnonzero(counts == n)
-            means[rows] = pitches[firsts[rows, None] + np.arange(n)].mean(axis=1)
-        pitches = np.where(pitch_flip, 2 * means[span] - pitches, pitches)
+    if pitch_flip.any():
+        pitches = np.where(pitch_flip, 2 * span_means(pitches, counts)[span] - pitches, pitches)
     return NoteSequence(onsets[order], ends[order], pitches, seq.division, seq.total)

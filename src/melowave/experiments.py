@@ -25,6 +25,7 @@ from .classifier import (
     LabeledCorpus,
     Metric,
     Nearest,
+    code_labels,
     decide,
     distinct_rows,
     pairwise_distances,
@@ -185,18 +186,17 @@ def find_boundaries(
     notes: NoteSequence | None,
     segmentation: Segmentation,
     rate: Fraction,
-    filtered=None,
     joins: Sequence[int] = (),
 ) -> BoundarySet:
     """Boundaries of the spans of a pitch signal at ``rate`` laid end to end
-    in ``values`` and meeting at ``joins``, filtered at support m by
-    ``filtered(m)`` if given; LBDM reads their notes, laid out alike."""
+    in ``values`` and meeting at ``joins``; LBDM reads their notes, laid out
+    alike."""
     length = values.size
     method, param = segmentation.method, segmentation.param
     if method is SegMethod.NONE:
         return BoundarySet.from_interior(joins, length)
     if method in _WS_METHODS:
-        coeffs = (filtered or partial(haar_filter, values))(support_samples(param, rate))
+        coeffs = haar_filter(values, support_samples(param, rate), joins)
         if method is SegMethod.WS_ZERO_CROSS:
             return zero_crossing_boundaries(coeffs, joins)
         return local_maxima_boundaries(coeffs, joins)
@@ -205,14 +205,6 @@ def find_boundaries(
     if notes is None:
         raise ValueError("LBDM segmentation needs the note stream of the span")
     return lbdm_boundaries(notes, param, rate, joins)
-
-
-def _representation(values: np.ndarray, config: ExperimentConfig, filtered=None) -> np.ndarray:
-    """The signal in the config's representation, filtered by ``filtered`` if given."""
-    if config.representation is Representation.WAVELET:
-        support = support_samples(config.wavelet_rep_scale_qn, config.rate)
-        return (filtered or partial(haar_filter, values))(support)
-    return np.asarray(values, dtype=float)
 
 
 def _cut(
@@ -275,16 +267,18 @@ def _classify(
     queries: DistinctRows,
     offsets: np.ndarray,
     corpus: DistinctRows,
-    labels: Sequence,
+    names: Sequence,
+    codes: np.ndarray,
     metric: Metric,
     ks: Sequence[int],
     held_out: bool,
 ) -> dict[int, tuple[TraceRow, ...]]:
     """Traces of the kNN/vote decision of every item, for several k at once.
     Item i is (item id, true label); the kNN decisions of its query rows
-    offsets[i]:offsets[i + 1] vote for its prediction. ``labels`` label the
-    corpus rows. With ``held_out`` the queries are the corpus rows and an
-    item's own rows are no neighbors of its queries (leave-one-out).
+    offsets[i]:offsets[i + 1] vote for its prediction; corpus row r has the
+    label ``names[codes[r]]``. With ``held_out`` the queries are the corpus
+    rows and an item's own rows are no neighbors of its queries
+    (leave-one-out).
 
     Distances run in square tiles of distinct query rows x distinct corpus
     rows, each read up to its rows' longest effective length and merged into
@@ -320,7 +314,7 @@ def _classify(
         tile = pairwise_distances(rows, columns, metric)
         nearest.add(tile, q_band, c_band, symmetric and j > i)
     nearest.flush()
-    names, by_k = decide(nearest.rows, nearest.dist, labels, ks)
+    by_k = decide(nearest.rows, nearest.dist, codes, ks)
 
     def tie_block(rows: np.ndarray) -> tuple:  # the rows of vote ties against the corpus
         ids = distinct_of[row_pair[rows]]
@@ -373,21 +367,25 @@ def _span_segments(
 ) -> tuple[Segments, np.ndarray]:
     """Segments of spans of sampled parts, laid end to end in ``values``,
     and each span's segment count. Span i is (index in ``parts``, window
-    start and stop in quarter notes, variation, length in samples). Each
-    span is Haar-filtered once per support that the representation or the
-    boundaries need; the boundaries and the cut run once for all spans."""
+    start and stop in quarter notes, variation, length in samples). The
+    representation, the boundaries and the cut each run once for all spans,
+    filtering each span on its own. A span too short for a support raises
+    the error that filtering span by span would raise first: at the first
+    such span, the representation support before the segmentation's."""
     edges = np.cumsum([0, *(span[-1] for span in spans)])
-    scales = [config.wavelet_rep_scale_qn] * (config.representation is Representation.WAVELET)
+    joins = edges[1:-1]
+    wavelet = config.representation is Representation.WAVELET
+    scales = [config.wavelet_rep_scale_qn] * wavelet
     scales += [config.segmentation.param] * (config.segmentation.method in _WS_METHODS)
-    supports = dict.fromkeys(support_samples(scale, config.rate) for scale in scales)
-    coeffs = [[haar_filter(values[a:b], m) for m in supports] for a, b in zip(edges, edges[1:])]
-    filtered = dict(zip(supports, map(np.concatenate, zip(*coeffs))))
+    supports = [support_samples(scale, config.rate) for scale in scales]
+    short = np.flatnonzero(2 * np.diff(edges) < max(supports, default=0))
+    if short.size:  # the spans up to the first short one, at each support in turn, fail there
+        for support in supports:
+            haar_filter(values[: edges[short[0] + 1]], support, joins[: short[0]])
+    rep = haar_filter(values, supports[0], joins) if wavelet else values
     lbdm = config.segmentation.method is SegMethod.LBDM  # only LBDM reads a span's notes
     notes = _span_notes(parts, spans, config.rate) if lbdm else None
-    rep = _representation(values, config, filtered.__getitem__)
-    boundaries = find_boundaries(
-        values, notes, config.segmentation, config.rate, filtered.__getitem__, edges[1:-1]
-    )
+    boundaries = find_boundaries(values, notes, config.segmentation, config.rate, joins)
     return _cut(rep, boundaries, edges, config)
 
 
@@ -432,11 +430,12 @@ def _span_notes(parts: Sequence[tuple], spans: Sequence[tuple], rate: Fraction) 
 def classifier_segments(
     works: Sequence[BachWork], parts: Sequence[list], config: ExperimentConfig,
     prefix_qn: int = 16, contrapuntal: bool = False,
-) -> tuple[Segments, list]:
+) -> tuple[Segments, list, np.ndarray]:
     """Segments of the exposition prefixes of every part (``parts[i]`` holds
-    work i's sampled parts) and their labels, with contrapuntal variants
-    added as extra classes when ``contrapuntal`` is set: each prefix
-    followed by its variants, those of one kind varied as one block."""
+    work i's sampled parts), with contrapuntal variants added as extra
+    classes when ``contrapuntal`` is set: each prefix followed by its
+    variants, those of one kind varied as one block. Also the labels in
+    first-occurrence order, and each segment's label as its index there."""
     prefix_samples = math.ceil(prefix_qn * config.rate)
     variations = tuple(VariationKind) if contrapuntal else (VariationKind.PRIME,)
     all_parts = [part for work_parts in parts for part in work_parts]
@@ -444,11 +443,11 @@ def classifier_segments(
     blocks = [prime if v is VariationKind.PRIME else apply_variation(prime, v) for v in variations]
     spans = [(i, 0, prefix_qn, v, prefix_samples) for i in range(len(prime)) for v in variations]
     segments, counts = _span_segments(np.stack(blocks, axis=1).ravel(), all_parts, spans, config)
-    span_labels = [
+    names, codes = code_labels([
         (work.work_id, variation.value) if contrapuntal else work.work_id
         for work, work_parts in zip(works, parts) for _ in work_parts for variation in variations
-    ]
-    return segments, [label for label, n in zip(span_labels, counts.tolist()) for _ in range(n)]
+    ])
+    return segments, names, np.repeat(codes, counts)
 
 
 def _section_segments(
@@ -479,13 +478,13 @@ def run_bach_experiment(
     if prefix_qn not in (4, 8, 16):
         raise ConfigError(f"classifier prefix must be 4, 8 or 16 qn, got {prefix_qn}")
     parts = [_work_signals(work, config) for work in works]
-    cls_segments, cls_labels = classifier_segments(works, parts, config, prefix_qn, contrapuntal)
+    cls_segments, names, codes = classifier_segments(works, parts, config, prefix_qn, contrapuntal)
     test_segments, items, offsets = _section_segments(works, parts, config)
     target = max(cls_segments.longest, test_segments.longest)
-    corpus = _equalize(cls_segments, cls_labels, config.equalization, target)
+    corpus = _equalize(cls_segments, codes, config.equalization, target)
     queries = _equalize(test_segments, [None] * len(test_segments), config.equalization, target)
     queries, corpus = distinct_rows(queries.rows), distinct_rows(corpus.rows)
-    traces = _classify(items, queries, offsets, corpus, cls_labels, config.metric, (1,), False)[1]
+    traces = _classify(items, queries, offsets, corpus, names, codes, config.metric, (1,), False)[1]
     if contrapuntal:  # a (work, variation) class counts for its work
         traces = tuple(t._replace(predicted_label=t.predicted_label[0]) for t in traces)
     # split_section_spans gives every work three sections, in order
@@ -521,19 +520,19 @@ def _signals(corpus: FolkCorpus, sample, *args) -> list[np.ndarray]:
 
 
 def _cut_corpus(
-    corpus: FolkCorpus, signals: list[np.ndarray], config: ExperimentConfig
-) -> tuple[Segments, list, np.ndarray]:
-    """Segments of every song in corpus order, their families, and the row
-    offsets of each song's segments: the songs are the spans of
-    ``_span_segments``, laid end to end. A failure raises the first error
-    in the order: every song's filters in corpus order, representation
-    support first, then the boundaries, then the cut."""
+    corpus: FolkCorpus, signals: list[np.ndarray], families: np.ndarray, config: ExperimentConfig
+) -> tuple[Segments, np.ndarray, np.ndarray]:
+    """Segments of every song in corpus order, each segment's family code
+    (``families`` holds each song's), and the row offsets of each song's
+    segments: the songs are the spans of ``_span_segments``, laid end to
+    end. A failure raises the error of the first song that fails a filter,
+    at the representation support first; then those of the boundaries,
+    then of the cut."""
     parts = list(zip(signals, (song.seq for song in corpus.songs)))
     spans = [(i, 0, seq.total_duration_qn, VariationKind.PRIME, signal.size)
              for i, (signal, seq) in enumerate(parts)]
     segments, counts = _span_segments(np.concatenate(signals), parts, spans, config)
-    labels = [song.family for song, n in zip(corpus.songs, counts.tolist()) for _ in range(n)]
-    return segments, labels, np.concatenate(([0], np.cumsum(counts)))
+    return segments, np.repeat(families, counts), np.concatenate(([0], np.cumsum(counts)))
 
 
 def _segmentation_group(args) -> list:
@@ -549,6 +548,7 @@ def _segmentation_group(args) -> list:
     """
     corpus, signals, configs, ks, record_traces = args
     items = [(song.song_id, song.family) for song in corpus.songs]
+    names, families = code_labels([family for _, family in items])
     memo: dict = {}
     results = []
     for config in configs:
@@ -556,12 +556,16 @@ def _segmentation_group(args) -> list:
         try:
             if len(corpus) < 2:
                 raise ValueError("leave-one-out needs at least two songs")
-            segments, labels, offsets = _cached(memo, rep, _cut_corpus, corpus, signals, config)
+            segments, codes, offsets = _cached(
+                memo, rep, _cut_corpus, corpus, signals, families, config
+            )
             matrix = _cached(  # only the equalized matrix's distinct rows are kept
                 memo, (rep, config.equalization),
-                lambda: distinct_rows(_equalize(segments, labels, config.equalization).rows),
+                lambda: distinct_rows(_equalize(segments, codes, config.equalization).rows),
             )
-            traces = _classify(items, matrix, offsets, matrix, labels, config.metric, ks, True)
+            traces = _classify(
+                items, matrix, offsets, matrix, names, codes, config.metric, ks, True
+            )
             results.append(
                 {k: (_accuracy(t), t if record_traces else ()) for k, t in traces.items()}
             )

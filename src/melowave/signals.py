@@ -84,6 +84,17 @@ def mean_normalize(values: np.ndarray) -> np.ndarray:
     return values - values.mean(axis=-1, keepdims=True)
 
 
+def span_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The mean of each span of ``values`` laid end to end, span i holding
+    ``counts[i]`` values (0.0 for an empty span). The spans of one count
+    are the rows of one block, so each is its 1-D mean bit for bit."""
+    means, firsts = np.zeros(counts.size), np.cumsum(counts) - counts
+    for n in set(counts[counts > 0].tolist()):
+        rows = np.flatnonzero(counts == n)
+        means[rows] = values[firsts[rows, None] + np.arange(n)].mean(axis=1)
+    return means
+
+
 def mean_normalize_nonrest(values: np.ndarray) -> np.ndarray:
     """Alternative rest handling: normalize over non-zero samples only and
     re-zero the rests afterwards. Off by default in all experiments."""

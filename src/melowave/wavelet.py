@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
+
+from .signals import span_means
 
 
 def support_samples(scale_qn: int | float | Fraction, rate: int | Fraction) -> int:
@@ -31,41 +34,46 @@ def support_samples(scale_qn: int | float | Fraction, rate: int | Fraction) -> i
     return int(support)
 
 
-def haar_filter(values: np.ndarray, support: int) -> np.ndarray:
+def haar_filter(values: np.ndarray, support: int, joins: Sequence[int] = ()) -> np.ndarray:
     """Haar coefficients of a raw vector at one scale given in samples.
 
-    Mirror padding of min(L, m) samples (reflection excluding the edge
-    sample) is applied at both ends and removed again after the
-    convolution, so the output has the input length.
+    Given ``joins``, where spans laid end to end meet, each span is filtered
+    on its own, as the whole vector would be: centered on its own mean,
+    mirror-padded by min(L, m) samples at both ends (reflection excluding
+    the edge sample, as often as the padding needs) and cut back to its
+    length L after the convolution, so the output has the input length.
     """
     values = np.asarray(values, dtype=float)
-    length = values.size
-    if length < 1:
+    if values.size < 1:
         raise ValueError("cannot filter an empty signal")
     if support < 2 or support % 2:
         raise ValueError(f"wavelet support must be an even integer >= 2, got {support}")
-    amplitude = 1.0 / math.sqrt(support)
-    psi = np.full(support, amplitude)
-    psi[support // 2 :] = -amplitude
-    if support > 2 * length:
+    edges = np.array([0, *joins, values.size])
+    lengths = np.diff(edges)
+    short = lengths[2 * lengths < support]
+    if short.size:  # the first span that fails, as span by span
         raise ValueError(
             f"signal too short for the scale: support {support} exceeds "
-            f"twice the signal length {length}"
+            f"twice the signal length {short[0]}"
         )
-    pad = min(length, support)
+    psi = np.repeat([1.0, -1.0], support // 2) / math.sqrt(support)
     # the wavelet annihilates constants, so centering changes nothing
     # mathematically but keeps float error flat across scales
-    centered = values - values.mean()
-    if pad < length:  # one reflection per side, excluding the edge sample
-        padded = np.concatenate((centered[pad:0:-1], centered, centered[-2 : -pad - 2 : -1]))
-    else:  # np.pad reflects more than once when the padding is the whole signal
-        padded = np.pad(centered, pad, mode="reflect") if length > 1 else np.zeros(1 + 2 * pad)
+    centered = values - np.repeat(span_means(values, lengths), lengths)
+    pads = np.minimum(lengths, support)
+    sizes = lengths + 2 * pads  # the padded spans, laid end to end
+    starts = np.cumsum(sizes) - sizes
+    span = np.repeat(np.arange(lengths.size), sizes)
+    # each padded sample's place in its span, reflected with period 2(L - 1)
+    period = np.maximum(2 * lengths - 2, 1)[span]
+    at = (np.arange(sizes.sum()) - (starts + pads)[span]) % period
+    padded = centered[edges[span] + np.minimum(at, period - at)]
     full = np.convolve(padded, psi[::-1], mode="valid")
     # window of coefficient u starts at source sample u whenever the right
     # padding can support it; for support > L+1 the windows are clamped so
     # the last one ends at the padded edge
-    offset = min(pad, 2 * pad - support + 1)
-    return full[offset : offset + length]
+    first = starts + np.minimum(pads, 2 * pads - support + 1)
+    return full[np.arange(values.size) + np.repeat(first - edges[:-1], lengths)]
 
 
 def scalogram(values: np.ndarray, supports: list[int]) -> np.ndarray:

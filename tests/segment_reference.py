@@ -14,16 +14,23 @@ import numpy as np
 from melowave import experiments
 from melowave.classifier import LabeledCorpus
 from melowave.contrapuntal import VariationKind, apply_variation, transform_sequence
+from melowave.wavelet import support_samples
+
+import wavelet_reference
 
 
 def part_span(values, span_seq, variation, config):
     """One span of a part under a contrapuntal variation, represented per
-    the config, and its boundaries, found with the span as the only one."""
+    the config by the one-signal Haar filter, and its boundaries, found with
+    the span as the only one."""
     if variation is not VariationKind.PRIME:
         values = apply_variation(values, variation)
         if span_seq is not None and len(span_seq):
             span_seq = transform_sequence(span_seq, variation)
-    rep = experiments._representation(values, config)
+    rep = np.asarray(values, dtype=float)
+    if config.representation is experiments.Representation.WAVELET:
+        support = support_samples(config.wavelet_rep_scale_qn, config.rate)
+        rep = wavelet_reference.haar_filter(values, support)
     return rep, experiments.find_boundaries(values, span_seq, config.segmentation, config.rate)
 
 

@@ -14,6 +14,7 @@ from melowave.classifier import (
     LabeledCorpus,
     Metric,
     Nearest,
+    code_labels,
     decide,
     distinct_rows,
     pairwise_distances,
@@ -651,7 +652,8 @@ class TestKernelProperties:
         for held_out in (False, True):
             with pytest.raises(ValueError, match="cannot vote over zero predictions"):
                 experiments._classify(
-                    items, groups, offsets, groups, "xxy", Metric.CITYBLOCK, (1,), held_out
+                    items, groups, offsets, groups, *code_labels("xxy"), Metric.CITYBLOCK, (1,),
+                    held_out,
                 )
 
     @settings(max_examples=oracle_examples(300), deadline=None)
@@ -705,7 +707,8 @@ class TestKernelProperties:
             part = block[:, first : first + columns].copy()
             kernel.add(part, slice(0, len(matrix)), slice(first, first + part.shape[1]))
         kernel.flush()
-        names, by_k = decide(kernel.rows, kernel.dist, labels, ks)
+        names, codes = code_labels(labels)
+        by_k = decide(kernel.rows, kernel.dist, codes, ks)
         by_k = {k: [names[c] for c in chosen] for k, chosen in by_k.items()}
         nearest = kernel.dist[:, 0]
         expanded = np.concatenate(expanded_blocks(matrix, offsets, metric, held_out))
@@ -739,10 +742,12 @@ class TestKernelProperties:
             patch.setattr(experiments, "_CHUNK_ENTRIES", tile_entries)
             if any(not np.isfinite(row).any() for block in blocks for row in block):
                 with pytest.raises(ValueError, match="no finite distances to classify against"):
-                    experiments._classify(items, queries, offsets, groups, labels, metric, ks, held_out)
+                    experiments._classify(
+                        items, queries, offsets, groups, *code_labels(labels), metric, ks, held_out
+                    )
                 return
             traces = experiments._classify(
-                items, queries, offsets, groups, labels, metric, ks, held_out
+                items, queries, offsets, groups, *code_labels(labels), metric, ks, held_out
             )
         for k in ks:
             expected = []
@@ -901,7 +906,8 @@ class TestOnePassMerge:
                 patch.setattr(experiments, "Nearest", Recorded)
                 try:
                     out = experiments._classify(
-                        items, queries, offsets, groups, labels, metric, ks, held_out
+                        items, queries, offsets, groups, *code_labels(labels), metric, ks,
+                        held_out,
                     )
                 except ValueError as exc:
                     out = str(exc)

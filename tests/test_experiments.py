@@ -182,9 +182,8 @@ def works():
 
 
 def classifier_matrix(works, config, **protocol):
-    return equalize_zero_pad(
-        *classifier_segments(works, work_parts(works, config), config, **protocol)
-    )
+    segments, _, codes = classifier_segments(works, work_parts(works, config), config, **protocol)
+    return equalize_zero_pad(segments, codes)
 
 
 class TestBachClassifier:
@@ -428,6 +427,25 @@ class TestSpansMatchReference:
         # so the boundaries are the same, span by span
         edges = np.cumsum([0, *(s.size for s in segments)])
         assert edges.tobytes() == np.cumsum([0, *(s.size for s in expected)]).tobytes()
+
+    @pytest.mark.parametrize("lengths, error", [
+        ((20, 6, 3), "support 16 exceeds twice the signal length 6"),
+        ((20, 3, 6), "support 8 exceeds twice the signal length 3"),
+    ], ids=["boundaries-of-earlier", "representation-of-earlier"])
+    def test_first_failing_span_raises_its_first_filter_error(self, lengths, error):
+        # wr at 1 qn (support 8), ws-zc at 2 qn (support 16), 8 samples per
+        # qn: the 6-sample span fails only at its boundaries, the 3-sample
+        # span at both supports, its representation first; spans fail in order
+        config = ExperimentConfig(
+            wavelet_rep_scale_qn=Fraction(1),
+            segmentation=Segmentation(SegMethod.WS_ZERO_CROSS, Fraction(2)),
+        )
+        signal = np.arange(20.0)
+        parts = [(signal, make_sequence([(0, Fraction(5, 2), 60)]))]
+        spans = [(0, 0, Fraction(n, 8), VariationKind.PRIME, n) for n in lengths]
+        values = np.concatenate([signal[:n] for n in lengths])
+        with pytest.raises(ValueError, match=f"^signal too short for the scale: {error}$"):
+            experiments._span_segments(values, parts, spans, config)
 
 
 def trace_tuples(traces):

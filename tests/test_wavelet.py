@@ -1,15 +1,21 @@
-"""Haar filtering against a naive per-shift inner-product oracle."""
+"""Haar filtering against a naive per-shift inner-product oracle, and
+spans laid end to end against the one-signal filter of
+``wavelet_reference``, span by span."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from melowave.contrapuntal import invert
 from melowave.signals import RestPolicy, sample_pitch_signal
 from melowave.wavelet import haar_filter, scalogram, support_samples
 
-from conftest import make_sequence, mirror_extended
+import wavelet_reference
+from conftest import make_sequence, mirror_extended, oracle_examples
 
 
 def oracle_haar(values, support):
@@ -126,9 +132,9 @@ class TestHaarFilter:
             assert np.abs(got - np.array(expected)).max() <= 1e-9
 
     def test_slice_padding_equals_np_pad(self, rng):
-        # the filter pads by slicing where the padding is shorter than the
-        # signal; np.pad's reflect mode gives the same padded signal, so the
-        # coefficients match bit for bit
+        # the filter pads through one reflection index; np.pad's reflect
+        # mode gives the same padded signal, so the coefficients match bit
+        # for bit
         for _ in range(200):
             length = int(rng.integers(2, 300))
             values = rng.normal(size=length) * 10.0 ** int(rng.integers(-3, 4))
@@ -181,6 +187,69 @@ class TestHaarFilter:
         for support in (8, 16):
             w = haar_filter(values, support)
             assert int(np.argmax(w)) == 32 - support // 2
+
+
+@st.composite
+def joined_spans(draw):
+    """Spans for the span filter and a support: integer pitches, their
+    inversions about the span's mean (2 mean - x) or floats of 1e-5 to 1e5;
+    lengths from 1, often one length for all spans; supports from 2 to
+    twice the shortest span, where the padding reflects more than once."""
+    kind = draw(st.sampled_from(["integer", "inverted", "float"]))
+    count = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        lengths = [draw(st.integers(1, 30))] * count
+    else:
+        lengths = draw(st.lists(st.integers(1, 30), min_size=count, max_size=count))
+    spans = []
+    for length in lengths:
+        if kind == "float":
+            span = np.array(draw(st.lists(st.floats(1e-5, 1e5), min_size=length, max_size=length)))
+        else:
+            pitches = st.lists(st.integers(0, 127), min_size=length, max_size=length)
+            span = np.array(draw(pitches), dtype=float)
+            span = invert(span) if kind == "inverted" else span
+        spans.append(span)
+    return spans, 2 * draw(st.integers(1, min(lengths)))
+
+
+def laid_end_to_end(spans):
+    """The spans as one vector, and the joins where they meet."""
+    return np.concatenate(spans), np.cumsum([span.size for span in spans])[:-1]
+
+
+class TestSpanFilter:
+    """Given spans laid end to end, the filter filters each span as the
+    one-signal reference filters it alone."""
+
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(joined_spans())
+    def test_joined_spans_match_each_span(self, case):
+        spans, support = case
+        values, joins = laid_end_to_end(spans)
+        expected = np.concatenate([wavelet_reference.haar_filter(s, support) for s in spans])
+        assert haar_filter(values, support, joins).tobytes() == expected.tobytes()
+        if len(spans) == 1:  # no joins at all
+            assert haar_filter(values, support).tobytes() == expected.tobytes()
+
+    @settings(max_examples=oracle_examples(100), deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6), st.integers(-2, 17))
+    def test_first_failing_span_raises_its_error(self, lengths, support):
+        # odd supports, and spans shorter than half the support
+        spans = [np.arange(float(n)) for n in lengths]
+        values, joins = laid_end_to_end(spans)
+        errors = []
+        for span in spans:
+            try:
+                wavelet_reference.haar_filter(span, support)
+            except ValueError as exc:
+                errors.append(str(exc))
+        if not errors:
+            assert haar_filter(values, support, joins).size == values.size
+            return
+        with pytest.raises(ValueError) as raised:
+            haar_filter(values, support, joins)
+        assert str(raised.value) == errors[0]
 
 
 class TestCoefficientSignal:
