@@ -104,8 +104,9 @@ class Nearest:
         # the items whose rows hold the first and the last copy of each distinct row
         ends = copies[starts[:-1]], copies[starts[1:] - 1]
         self.head, self.tail = (np.searchsorted(bounds, end, "right") - 1 for end in ends)
-        # the item whose rows hold every copy of a distinct row, or -1; None if no item has rows
-        self.owner = np.where(self.head == self.tail, self.head, -1) if bounds.any() else None
+        # the item whose rows hold every copy of a distinct row, or -1; with
+        # all-zero bounds, bounds.size - 1, an item past the last that owns no query
+        self.owner = np.where(self.head == self.tail, self.head, -1)
         # copies as (distinct row, corpus row) keys, one integer each, ascending
         self.key = np.repeat(np.arange(starts.size - 1), np.diff(starts)) * copies.size + copies
         shape = items.size, width
@@ -140,14 +141,14 @@ class Nearest:
         a, b = self.queries[rows.start], self.queries[rows.stop]
         bound, top, merged = self.bound[a:b], self.top[a:b], self.dist[a:b, -1]  # views
         items, row = self.items[a:b], self.distinct[a:b] - rows.start
-        owner = None if self.owner is None else self.owner[cols]
+        owner = self.owner[cols]
         fresh = np.flatnonzero(bound == _CAP)  # no bound yet, so no merged neighbor either
         if fresh.size:
             block = tile.T[row[fresh]] if across else tile[row[fresh]]
-            if owner is not None:  # the columns of each one's item, found by their owner
-                by = np.argsort(owner, kind="stable")
-                lo, hi = (np.searchsorted(owner[by], items[fresh], s) for s in ("left", "right"))
-                block[np.repeat(np.arange(fresh.size), hi - lo), by[_ranges(lo, hi - lo)]] = np.inf
+            # the columns of each one's item, found by their owner
+            by = np.argsort(owner, kind="stable")
+            lo, hi = (np.searchsorted(owner[by], items[fresh], s) for s in ("left", "right"))
+            block[np.repeat(np.arange(fresh.size), hi - lo), by[_ranges(lo, hi - lo)]] = np.inf
             block.partition(min(width, n) - 1, axis=1)
             least = np.concatenate((top[fresh], block[:, :width]), axis=1)
             top[fresh] = np.partition(least, width - 1, axis=1)[:, :width]
@@ -168,9 +169,7 @@ class Nearest:
             per_row = np.bincount(r, minlength=rows.stop - rows.start)
             e = _ranges((np.cumsum(per_row) - per_row)[row], per_row[row])
             q, j, d = np.repeat(np.arange(b - a), per_row[row]), j[e], d[e]
-        keep = d <= bound[q]
-        if owner is not None:
-            keep &= items[q] != owner[j]
+        keep = (d <= bound[q]) & (items[q] != owner[j])
         q, j, d = q[keep], j[keep], d[keep]
         known = slice(None)
         if fresh.size:  # their top holds their entries already

@@ -14,7 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, product
 from typing import Hashable, NamedTuple, Sequence
 
@@ -211,17 +210,12 @@ def _cut(
     rep: np.ndarray, boundaries: BoundarySet, edges: np.ndarray, config: ExperimentConfig
 ) -> tuple[Segments, np.ndarray]:
     """Cut represented spans, laid end to end in ``rep`` between ``edges``,
-    at ``boundaries``, which hold every edge, in one call, so the segments
-    of one length form one block; and count each span's segments.
-    Pitch-signal segments are mean-normalized after the cut, a block at a
-    time; wavelet segments are transposition-invariant already."""
-    segments = cut_segments(rep, boundaries)
+    at ``boundaries``, which hold every edge, in one call; and count each
+    span's segments. Pitch signals are mean-normalized segment by segment
+    before the cut; wavelet segments are transposition-invariant already."""
     if config.representation is Representation.PITCH:
-        norm = _normalizer(config)  # mean_normalize reads a block row by row
-        segments = segments.map(
-            norm if norm is mean_normalize else partial(np.apply_along_axis, norm, 1)
-        )
-    return segments, np.diff(np.searchsorted(boundaries.indices, edges))
+        rep = _normalizer(config)(rep, boundaries.indices[1:-1])
+    return cut_segments(rep, boundaries), np.diff(np.searchsorted(boundaries.indices, edges))
 
 
 def _equalize(

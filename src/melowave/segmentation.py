@@ -168,87 +168,60 @@ def lbdm_boundaries(
 
 @dataclass(frozen=True, eq=False)
 class Segments:
-    """Segments in cut order, grouped by length: ``blocks[j]`` holds, as the
-    rows of one C-contiguous array, the segments of one length, which sit at
-    positions ``at[j]`` (ascending) of the order. Iteration yields the
-    segments in order as 1-D rows."""
+    """Segments in cut order, laid end to end: segment i is
+    ``values[edges[i]:edges[i + 1]]``, and the edges run from 0 to the end
+    of ``values``. Iteration yields the segments in order as views."""
 
-    blocks: tuple[np.ndarray, ...]
-    at: tuple[np.ndarray, ...]
+    values: np.ndarray
+    edges: np.ndarray
 
     def __len__(self) -> int:
-        return sum(at.size for at in self.at)
+        return self.edges.size - 1
 
     def __iter__(self):
-        order = [None] * len(self)
-        for block, at in zip(self.blocks, self.at):
-            for i, row in zip(at.tolist(), block):
-                order[i] = row
-        return iter(order)
+        edges = self.edges.tolist()
+        return (self.values[a:b] for a, b in zip(edges, edges[1:]))
 
     @property
     def longest(self) -> int:
-        return max(block.shape[1] for block in self.blocks)
-
-    def map(self, func) -> Segments:
-        """``func`` applied to every block."""
-        return Segments(tuple(func(block) for block in self.blocks), self.at)
-
-
-def _grouped(values: np.ndarray, edges: np.ndarray) -> Segments:
-    """The segments ``values[edges[i]:edges[i + 1]]`` grouped by length; the
-    edges run from 0 to the end of ``values``. One gather copies every
-    sample, segment by segment in order of length, so each length's block is
-    a reshaped slice of one array."""
-    lengths = np.diff(edges)
-    order = np.argsort(lengths, kind="stable")
-    sizes = lengths[order]
-    ends = np.cumsum(sizes)
-    samples = values[np.arange(values.size) + np.repeat(edges[:-1][order] - ends + sizes, sizes)]
-    # the first sorted segment of each length, then the segment count
-    firsts = np.flatnonzero(np.diff(sizes, prepend=-1, append=-1)).tolist()
-    offsets, sizes = (ends - sizes).tolist(), sizes.tolist()
-    blocks, at = [], []
-    for a, b in zip(firsts, firsts[1:]):
-        start = offsets[a]
-        blocks.append(samples[start : start + (b - a) * sizes[a]].reshape(b - a, sizes[a]))
-        at.append(order[a:b])
-    return Segments(tuple(blocks), tuple(at))
+        return int(np.diff(self.edges).max())
 
 
 def cut_segments(values: np.ndarray, boundaries: BoundarySet) -> Segments:
-    """Cut a vector at the boundaries; concatenation reconstructs it exactly.
-    The segments of one length are copied out as one block."""
+    """Cut a vector at the boundaries, copying nothing; concatenation
+    reconstructs it exactly."""
     values = np.asarray(values, dtype=float)
     if values.size != boundaries.length:
         raise ValueError(
             f"boundaries are for length {boundaries.length}, vector has {values.size}"
         )
-    return _grouped(values, np.array(boundaries.indices))
+    return Segments(values, np.array(boundaries.indices))
 
 
-def _equalize_input(segments, target_len: int | None) -> tuple[Segments, int]:
-    """The segments grouped by length, and the target length: the longest
-    segment's unless given."""
+def _equalize_input(segments, target_len: int | None) -> tuple[Segments, np.ndarray, int]:
+    """The segments laid end to end, their lengths, and the target length:
+    the longest segment's unless given."""
     if not isinstance(segments, Segments):
         segments = [np.asarray(s, dtype=float) for s in segments]
         edges = np.cumsum([0] + [s.size for s in segments])
-        segments = _grouped(np.concatenate(segments) if segments else np.zeros(0), edges)
+        segments = Segments(np.concatenate(segments) if segments else np.zeros(0), edges)
     if not len(segments):
         raise ValueError("no segments to equalize")
-    return segments, segments.longest if target_len is None else int(target_len)
+    lengths = np.diff(segments.edges)
+    return segments, lengths, int(lengths.max() if target_len is None else target_len)
 
 
 def equalize_zero_pad(
     segments: Segments | Sequence[np.ndarray], labels: Sequence, target_len: int | None = None
 ) -> LabeledCorpus:
     """Pad shorter segments with trailing zeros up to the target length."""
-    segments, target = _equalize_input(segments, target_len)
-    if segments.longest > target:
-        raise ValueError(f"segment of length {segments.longest} exceeds target length {target}")
-    rows = np.zeros((len(segments), target))
-    for block, at in zip(segments.blocks, segments.at):
-        rows[at, : block.shape[1]] = block
+    segments, lengths, target = _equalize_input(segments, target_len)
+    if lengths.max() > target:
+        raise ValueError(f"segment of length {lengths.max()} exceeds target length {target}")
+    rows = np.zeros((lengths.size, target))
+    # each sample's place in the rows: its segment's row, less the segment's start
+    shift = np.arange(lengths.size) * target - segments.edges[:-1]
+    rows.ravel()[np.arange(segments.values.size) + np.repeat(shift, lengths)] = segments.values
     return LabeledCorpus(rows, labels)
 
 
@@ -258,12 +231,13 @@ def equalize_interpolate(
     """Resize every segment to the target length by nearest-neighbor
     interpolation of its index grid: output sample j reads input sample
     floor((j + 0.5) * length / target)."""
-    segments, target = _equalize_input(segments, target_len)
+    segments, lengths, target = _equalize_input(segments, target_len)
     if target < 1:
         raise ValueError("target length must be at least 1")
-    rows = np.empty((len(segments), target))
-    for block, at in zip(segments.blocks, segments.at):
-        length = block.shape[1]
-        idx = np.floor((np.arange(target) + 0.5) * length / target).astype(int)
-        rows[at] = block[:, np.minimum(idx, length - 1)]
-    return LabeledCorpus(rows, labels)
+    if not lengths.all():
+        raise ValueError("cannot resize an empty segment")
+    distinct, which = np.unique(lengths, return_inverse=True)
+    grid = np.arange(target) + 0.5
+    idx = np.stack([np.minimum(np.floor(grid * n / target).astype(int), n - 1)
+                    for n in distinct.tolist()])
+    return LabeledCorpus(segments.values[segments.edges[:-1, None] + idx[which]], labels)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -70,20 +71,6 @@ def resample_to_length(seq: NoteSequence, n: int, rest_policy: RestPolicy) -> np
     return _sample(seq, Fraction(n * seq.division, seq.total), n, rest_policy)
 
 
-def mean_normalize(values: np.ndarray) -> np.ndarray:
-    """Subtract the mean, making the vector transposition-invariant; a 2-D
-    block of same-length segments is normalized row by row. A row's mean is
-    the 1-D mean bit for bit: both sum the row's contiguous samples in the
-    same pairwise order.
-
-    Applied to segments only after segmentation.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("cannot normalize an empty vector")
-    return values - values.mean(axis=-1, keepdims=True)
-
-
 def span_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The mean of each span of ``values`` laid end to end, span i holding
     ``counts[i]`` values (0.0 for an empty span). The spans of one count
@@ -95,15 +82,32 @@ def span_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return means
 
 
-def mean_normalize_nonrest(values: np.ndarray) -> np.ndarray:
-    """Alternative rest handling: normalize over non-zero samples only and
-    re-zero the rests afterwards. Off by default in all experiments."""
+def _spans(values: np.ndarray, joins: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The vector as floats and the edges of its spans, which meet at ``joins``."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot normalize an empty vector")
+    return values, np.array([0, *joins, values.size])
+
+
+def mean_normalize(values: np.ndarray, joins: Sequence[int] = ()) -> np.ndarray:
+    """Subtract the mean, making the vector transposition-invariant; given
+    ``joins``, where spans laid end to end meet, each span its own mean.
+
+    Applied to segments only after segmentation.
+    """
+    values, edges = _spans(values, joins)
+    lengths = np.diff(edges)
+    return values - np.repeat(span_means(values, lengths), lengths)
+
+
+def mean_normalize_nonrest(values: np.ndarray, joins: Sequence[int] = ()) -> np.ndarray:
+    """Alternative rest handling: normalize each span over its non-zero
+    samples only and re-zero the rests afterwards; a span of rests comes out
+    all zero. Off by default in all experiments."""
+    values, edges = _spans(values, joins)
     sounding = values != 0
-    if not sounding.any():
-        return np.zeros_like(values)
-    out = values - values[sounding].mean()
+    counts = np.diff(np.searchsorted(np.flatnonzero(sounding), edges))
+    out = values - np.repeat(span_means(values[sounding], counts), np.diff(edges))
     out[~sounding] = 0.0
     return out

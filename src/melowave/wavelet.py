@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signals import span_means
+from .signals import mean_normalize
 
 
 def support_samples(scale_qn: int | float | Fraction, rate: int | Fraction) -> int:
@@ -59,7 +59,7 @@ def haar_filter(values: np.ndarray, support: int, joins: Sequence[int] = ()) -> 
     psi = np.repeat([1.0, -1.0], support // 2) / math.sqrt(support)
     # the wavelet annihilates constants, so centering changes nothing
     # mathematically but keeps float error flat across scales
-    centered = values - np.repeat(span_means(values, lengths), lengths)
+    centered = mean_normalize(values, joins)
     pads = np.minimum(lengths, support)
     sizes = lengths + 2 * pads  # the padded spans, laid end to end
     starts = np.cumsum(sizes) - sizes

@@ -1,12 +1,12 @@
-"""The span-by-span and segment-by-segment references for the block
+"""The span-by-span and segment-by-segment references for the span
 stages of the invention path: variation, representation, boundaries, cut,
-normalizer and equalizers.
+normalizers and equalizers.
 
-This is how melowave handled spans and segments before they became
-blocks: each span of a part varied, represented and segmented on its own
+This is how melowave handled spans and segments before they were laid end
+to end: each span of a part varied, represented and segmented on its own
 (``part_span``), and its segments a list of 1-D slices, each
 mean-normalized on its own, then padded or resized one segment at a time.
-The tests compare the block code with it bit for bit.
+The tests compare the span code with it bit for bit.
 """
 
 import numpy as np
@@ -48,6 +48,18 @@ def mean_normalize(values) -> np.ndarray:
     if values.size == 0:
         raise ValueError("cannot normalize an empty vector")
     return values - values.mean()
+
+
+def mean_normalize_nonrest(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("cannot normalize an empty vector")
+    sounding = values != 0
+    if not sounding.any():
+        return np.zeros_like(values)
+    out = values - values[sounding].mean()
+    out[~sounding] = 0.0
+    return out
 
 
 def equalize_zero_pad(segments, labels, target_len=None) -> LabeledCorpus:

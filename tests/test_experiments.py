@@ -80,10 +80,15 @@ def reference_segments(values, span_seq, variation, config):
     rep, boundaries = seg_ref.part_span(values, span_seq, variation, config)
     segments = seg_ref.cut_segments(rep, boundaries)
     if config.representation is Representation.PITCH:
-        norm = _normalizer(config)
-        segments = [(seg_ref.mean_normalize if norm is mean_normalize else norm)(s)
-                    for s in segments]
+        segments = list(map(reference_normalizer(config), segments))
     return segments
+
+
+def reference_normalizer(config):
+    """The segment-by-segment normalizer of ``config``."""
+    if _normalizer(config) is mean_normalize:
+        return seg_ref.mean_normalize
+    return seg_ref.mean_normalize_nonrest
 
 
 def reference_equalize(segments, labels, equalization, target=None):
@@ -406,9 +411,7 @@ class TestSpansMatchReference:
                 )
                 cut = seg_ref.cut_segments(rep, boundaries)
                 if config.representation is Representation.PITCH:
-                    norm = _normalizer(config)
-                    cut = [(seg_ref.mean_normalize if norm is mean_normalize else norm)(s)
-                           for s in cut]
+                    cut = list(map(reference_normalizer(config), cut))
                 expected += cut
                 counts.append(len(cut))
         except ValueError as exc:  # a span too short for a support

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import segment_reference as ref
 from melowave.signals import (
     RestPolicy,
     mean_normalize,
@@ -14,7 +17,7 @@ from melowave.signals import (
     sample_pitch_signal,
 )
 
-from conftest import make_sequence, random_sequence
+from conftest import make_sequence, oracle_examples, random_sequence
 
 
 def oracle_samples(seq, rate, policy):
@@ -184,3 +187,39 @@ class TestMeanNormalize:
 
     def test_nonrest_all_zero(self):
         assert list(mean_normalize_nonrest(np.zeros(4))) == [0, 0, 0, 0]
+
+
+@st.composite
+def laid_spans(draw):
+    """1-12 spans laid end to end, and the joins where they meet; 1-sample
+    spans are common. A span is all silent (0.0 and -0.0), integer pitches,
+    or floats at one drawn magnitude from 1e-8 to 1e8, and may hold rests
+    of either sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spans = []
+    for _ in range(draw(st.integers(1, 12))):
+        length = draw(st.just(1) | st.integers(1, 40))
+        kind = draw(st.sampled_from(["silent", "pitch", "float"]))
+        if kind == "silent":
+            span = rng.choice([0.0, -0.0], length)
+        elif kind == "pitch":
+            span = rng.integers(1, 128, length).astype(float)
+        else:
+            span = rng.uniform(-1, 1, length) * draw(st.floats(1e-8, 1e8))
+        rests = rng.random(length) < draw(st.sampled_from([0.0, 0.3, 0.8]))
+        spans.append(np.where(rests, rng.choice([0.0, -0.0], length), span))
+    return spans, np.cumsum([span.size for span in spans])[:-1].tolist()
+
+
+class TestSpanNormalizers:
+    """Both normalizers given spans laid end to end against each span
+    normalized on its own by ``segment_reference``."""
+
+    @settings(max_examples=oracle_examples(300), deadline=None)
+    @given(laid_spans())
+    def test_each_span_normalized_on_its_own(self, laid):
+        spans, joins = laid
+        for normalize, expected in ((mean_normalize, ref.mean_normalize),
+                                    (mean_normalize_nonrest, ref.mean_normalize_nonrest)):
+            got = normalize(np.concatenate(spans), joins)
+            assert got.tobytes() == np.concatenate([expected(s) for s in spans]).tobytes()
