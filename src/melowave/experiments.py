@@ -180,22 +180,35 @@ def _normalizer(config: ExperimentConfig):
     return mean_normalize
 
 
+def _cached(memo: dict, key: Hashable, func, *args):
+    """``func(*args)``, computed at the first call with ``key`` and kept for
+    later calls. An error is raised and not kept: a later call computes
+    the stage again and raises it again."""
+    if key not in memo:
+        memo[key] = func(*args)
+    return memo[key]
+
+
 def find_boundaries(
     values: np.ndarray,
     notes: NoteSequence | None,
     segmentation: Segmentation,
     rate: Fraction,
     joins: Sequence[int] = (),
+    memo: dict | None = None,
 ) -> BoundarySet:
     """Boundaries of the spans of a pitch signal at ``rate`` laid end to end
     in ``values`` and meeting at ``joins``; LBDM reads their notes, laid out
-    alike."""
+    alike. ws-zc and ws-max filter the spans once per ``memo`` (see
+    ``_span_segments``) and support."""
     length = values.size
     method, param = segmentation.method, segmentation.param
     if method is SegMethod.NONE:
         return BoundarySet.from_interior(joins, length)
     if method in _WS_METHODS:
-        coeffs = haar_filter(values, support_samples(param, rate), joins)
+        support = support_samples(param, rate)
+        memo = {} if memo is None else memo
+        coeffs = _cached(memo, ("filter", support), haar_filter, values, support, joins)
         if method is SegMethod.WS_ZERO_CROSS:
             return zero_crossing_boundaries(coeffs, joins)
         return local_maxima_boundaries(coeffs, joins)
@@ -204,18 +217,6 @@ def find_boundaries(
     if notes is None:
         raise ValueError("LBDM segmentation needs the note stream of the span")
     return lbdm_boundaries(notes, param, rate, joins)
-
-
-def _cut(
-    rep: np.ndarray, boundaries: BoundarySet, edges: np.ndarray, config: ExperimentConfig
-) -> tuple[Segments, np.ndarray]:
-    """Cut represented spans, laid end to end in ``rep`` between ``edges``,
-    at ``boundaries``, which hold every edge, in one call; and count each
-    span's segments. Pitch signals are mean-normalized segment by segment
-    before the cut; wavelet segments are transposition-invariant already."""
-    if config.representation is Representation.PITCH:
-        rep = _normalizer(config)(rep, boundaries.indices[1:-1])
-    return cut_segments(rep, boundaries), np.diff(np.searchsorted(boundaries.indices, edges))
 
 
 def _equalize(
@@ -357,30 +358,43 @@ def _work_signals(work: BachWork, config: ExperimentConfig):
 
 
 def _span_segments(
-    values: np.ndarray, parts: Sequence[tuple], spans: Sequence[tuple], config: ExperimentConfig
+    values: np.ndarray, parts: Sequence[tuple], spans: Sequence[tuple], config: ExperimentConfig,
+    memo: dict,
 ) -> tuple[Segments, np.ndarray]:
     """Segments of spans of sampled parts, laid end to end in ``values``,
     and each span's segment count. Span i is (index in ``parts``, window
     start and stop in quarter notes, variation, length in samples). The
     representation, the boundaries and the cut each run once for all spans,
-    filtering each span on its own. A span too short for a support raises
-    the error that filtering span by span would raise first: at the first
-    such span, the representation support before the segmentation's."""
+    filtering each span on its own. ``memo`` is shared by the calls on one
+    layout at one rate: it keeps each support's Haar coefficients and each
+    segmentation's boundaries. Pitch signals are mean-normalized segment by
+    segment before the cut; wavelet segments are transposition-invariant
+    already. A span too short for a support raises the error that filtering
+    span by span would raise first: at the first such span, the
+    representation support before the segmentation's."""
     edges = np.cumsum([0, *(span[-1] for span in spans)])
     joins = edges[1:-1]
+    segmentation, rate = config.segmentation, config.rate
     wavelet = config.representation is Representation.WAVELET
     scales = [config.wavelet_rep_scale_qn] * wavelet
-    scales += [config.segmentation.param] * (config.segmentation.method in _WS_METHODS)
-    supports = [support_samples(scale, config.rate) for scale in scales]
+    scales += [segmentation.param] * (segmentation.method in _WS_METHODS)
+    supports = [support_samples(scale, rate) for scale in scales]
     short = np.flatnonzero(2 * np.diff(edges) < max(supports, default=0))
     if short.size:  # the spans up to the first short one, at each support in turn, fail there
         for support in supports:
             haar_filter(values[: edges[short[0] + 1]], support, joins[: short[0]])
-    rep = haar_filter(values, supports[0], joins) if wavelet else values
-    lbdm = config.segmentation.method is SegMethod.LBDM  # only LBDM reads a span's notes
-    notes = _span_notes(parts, spans, config.rate) if lbdm else None
-    boundaries = find_boundaries(values, notes, config.segmentation, config.rate, joins)
-    return _cut(rep, boundaries, edges, config)
+    rep = values
+    if wavelet:
+        rep = _cached(memo, ("filter", supports[0]), haar_filter, values, supports[0], joins)
+
+    def find() -> BoundarySet:  # only LBDM reads a span's notes
+        notes = _span_notes(parts, spans, rate) if segmentation.method is SegMethod.LBDM else None
+        return find_boundaries(values, notes, segmentation, rate, joins, memo)
+
+    boundaries = _cached(memo, ("boundaries", segmentation), find)
+    if not wavelet:
+        rep = _normalizer(config)(rep, boundaries.indices[1:-1])
+    return cut_segments(rep, boundaries), np.diff(np.searchsorted(boundaries.indices, edges))
 
 
 def _span_notes(parts: Sequence[tuple], spans: Sequence[tuple], rate: Fraction) -> NoteSequence:
@@ -436,7 +450,8 @@ def classifier_segments(
     prime = np.stack([signal[:prefix_samples] for signal, _ in all_parts])
     blocks = [prime if v is VariationKind.PRIME else apply_variation(prime, v) for v in variations]
     spans = [(i, 0, prefix_qn, v, prefix_samples) for i in range(len(prime)) for v in variations]
-    segments, counts = _span_segments(np.stack(blocks, axis=1).ravel(), all_parts, spans, config)
+    values = np.stack(blocks, axis=1).ravel()
+    segments, counts = _span_segments(values, all_parts, spans, config, {})
     names, codes = code_labels([
         (work.work_id, variation.value) if contrapuntal else work.work_id
         for work, work_parts in zip(works, parts) for _ in work_parts for variation in variations
@@ -457,7 +472,7 @@ def _section_segments(
                 spans.append((i, a / config.rate, b / config.rate, VariationKind.PRIME, b - a))
             items.append((f"{work.work_id}/s{j}", work.work_id))
         all_parts += work_parts
-    segments, counts = _span_segments(np.concatenate(slices), all_parts, spans, config)
+    segments, counts = _span_segments(np.concatenate(slices), all_parts, spans, config, {})
     per_item = np.reshape(counts, (len(items), -1)).sum(axis=1)  # the spans of both parts
     return segments, items, np.concatenate(([0], np.cumsum(per_item)))
 
@@ -499,34 +514,9 @@ def run_bach_experiment(
 _CELL_ERRORS = (ValueError, ArithmeticError)
 
 
-def _cached(memo: dict, key: Hashable, func, *args):
-    """``func(*args)``, computed at the first call with ``key`` and kept for
-    later calls. An error is raised and not kept: a later call computes
-    the stage again and raises it again."""
-    if key not in memo:
-        memo[key] = func(*args)
-    return memo[key]
-
-
 def _signals(corpus: FolkCorpus, sample, *args) -> list[np.ndarray]:
     """Every song's ``sample(song.seq, *args)``."""
     return [sample(song.seq, *args) for song in corpus.songs]
-
-
-def _cut_corpus(
-    corpus: FolkCorpus, signals: list[np.ndarray], families: np.ndarray, config: ExperimentConfig
-) -> tuple[Segments, np.ndarray, np.ndarray]:
-    """Segments of every song in corpus order, each segment's family code
-    (``families`` holds each song's), and the row offsets of each song's
-    segments: the songs are the spans of ``_span_segments``, laid end to
-    end. A failure raises the error of the first song that fails a filter,
-    at the representation support first; then those of the boundaries,
-    then of the cut."""
-    parts = list(zip(signals, (song.seq for song in corpus.songs)))
-    spans = [(i, 0, seq.total_duration_qn, VariationKind.PRIME, signal.size)
-             for i, (signal, seq) in enumerate(parts)]
-    segments, counts = _span_segments(np.concatenate(signals), parts, spans, config)
-    return segments, np.repeat(families, counts), np.concatenate(([0], np.cumsum(counts)))
 
 
 def _segmentation_group(args) -> list:
@@ -534,27 +524,33 @@ def _segmentation_group(args) -> list:
     the songs' signals: per cell, in order, the k -> (accuracy, traces)
     results or the cell's error.
 
-    Each stage runs once for every cell that shares its inputs: filters,
-    boundaries and cut per representation, for all songs at once, and
-    equalization per representation and equalization (shared by the
-    metrics, which read only its distinct rows). A stage that fails runs
-    again, and fails again, in each cell that needs it.
+    The songs are the spans of one ``_span_segments`` layout, and each stage
+    runs once for every cell that shares its inputs, for all songs at once:
+    Haar coefficients per support, boundaries once, the cut per
+    representation, and equalization per representation and equalization
+    (shared by the metrics, which read only its distinct rows). A stage that
+    fails runs again, and fails again, in each cell that needs it.
     """
     corpus, signals, configs, ks, record_traces = args
+    if len(corpus) < 2:
+        return [ValueError("leave-one-out needs at least two songs") for _ in configs]
     items = [(song.song_id, song.family) for song in corpus.songs]
     names, families = code_labels([family for _, family in items])
+    parts = list(zip(signals, (song.seq for song in corpus.songs)))
+    spans = [(i, 0, seq.total_duration_qn, VariationKind.PRIME, signal.size)
+             for i, (signal, seq) in enumerate(parts)]
+    values = np.concatenate(signals)
     memo: dict = {}
     results = []
     for config in configs:
         rep = (config.representation, config.wavelet_rep_scale_qn, _normalizer(config))
         try:
-            if len(corpus) < 2:
-                raise ValueError("leave-one-out needs at least two songs")
-            segments, codes, offsets = _cached(
-                memo, rep, _cut_corpus, corpus, signals, families, config
+            segments, counts = _cached(
+                memo, ("cut", rep), _span_segments, values, parts, spans, config, memo
             )
+            codes, offsets = np.repeat(families, counts), np.concatenate(([0], np.cumsum(counts)))
             matrix = _cached(  # only the equalized matrix's distinct rows are kept
-                memo, (rep, config.equalization),
+                memo, ("rows", rep, config.equalization),
                 lambda: distinct_rows(_equalize(segments, codes, config.equalization).rows),
             )
             traces = _classify(

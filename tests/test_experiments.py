@@ -51,6 +51,7 @@ from melowave.signals import (
     resample_to_length,
     sample_pitch_signal,
 )
+from melowave.wavelet import haar_filter
 
 import segment_reference as seg_ref
 from conftest import make_sequence, oracle_examples, smf, track_chunk
@@ -299,6 +300,22 @@ class TestBachExperiment:
             run_bach_experiment(works[:4], ExperimentConfig(equalization=equalization))
             assert calls == [name, name]  # the classifier rows, then every section's rows
 
+    def test_equal_supports_share_one_filter_per_layout(self, works, monkeypatch):
+        # wr at 1 qn, ws-zc at 1 qn: the representation's coefficients are
+        # the boundaries' too, filtered once for the classifier prefixes'
+        # layout and once for the sections'
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return haar_filter(*args)
+
+        monkeypatch.setattr(experiments, "haar_filter", counting)
+        config = ExperimentConfig()
+        assert config.wavelet_rep_scale_qn == config.segmentation.param
+        run_bach_experiment(works[:4], config)
+        assert calls == [8, 8]
+
     @pytest.mark.parametrize("config, contrapuntal", [
         (ExperimentConfig(), False),
         (ExperimentConfig(equalization=Equalization.INTERPOLATE), True),
@@ -379,6 +396,26 @@ def span_samples(parts, span, rate):
     return parts[i][0][start : start + length]
 
 
+def draw_span_config(draw, method, rate):
+    """A config of ``method`` at ``rate`` whose supports are 2 or 4 samples."""
+    support, rep_support = draw(st.sampled_from([2, 4])), draw(st.sampled_from([2, 4]))
+    param = {SegMethod.NONE: None, SegMethod.LBDM: draw(st.sampled_from([0.0, 0.2, 0.5]))}
+    return ExperimentConfig(
+        representation=draw(st.sampled_from(list(Representation))),
+        wavelet_rep_scale_qn=rep_support / rate,
+        segmentation=Segmentation(method, param.get(method, support / rate)), rate=rate,
+        zero_rest_renormalize=draw(st.booleans()),
+    )
+
+
+def span_segments_or_error(values, parts, spans, config, memo):
+    """``experiments._span_segments``, or the message of its ValueError."""
+    try:
+        return experiments._span_segments(values, parts, spans, config, memo)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestSpansMatchReference:
     """The block stages of the invention path (every span varied, filtered,
     segmented and cut at once, LBDM on the spans' notes laid out like their
@@ -392,14 +429,8 @@ class TestSpansMatchReference:
         rate = draw(st.sampled_from([Fraction(8), Fraction(5, 2), Fraction(2)]))
         parts = note_parts(draw, rate)
         spans = draw_spans(draw, parts, rate, list(VariationKind))
-        support, rep_support = draw(st.sampled_from([2, 4])), draw(st.sampled_from([2, 4]))
-        param = {SegMethod.NONE: None, SegMethod.LBDM: draw(st.sampled_from([0.0, 0.2, 0.5]))}
-        segmentation = Segmentation(method, param.get(method, support / rate))
-        config = ExperimentConfig(
-            representation=draw(st.sampled_from(list(Representation))),
-            wavelet_rep_scale_qn=rep_support / rate, segmentation=segmentation, rate=rate,
-            zero_rest_renormalize=draw(st.booleans()),
-        )
+        config = draw_span_config(draw, method, rate)
+        segmentation = config.segmentation
         lbdm = segmentation.method is SegMethod.LBDM
         expected, counts, error = [], [], None
         try:
@@ -419,17 +450,29 @@ class TestSpansMatchReference:
         values = np.concatenate([
             apply_variation(span_samples(parts, span, rate), span[3]) for span in spans
         ])
+        memo = {}
         if error is not None:
             with pytest.raises(ValueError) as raised:
-                experiments._span_segments(values, parts, spans, config)
+                experiments._span_segments(values, parts, spans, config, memo)
             assert str(raised.value) == error
+        else:
+            segments, got_counts = experiments._span_segments(values, parts, spans, config, memo)
+            assert got_counts.tolist() == counts
+            assert [s.tobytes() for s in segments] == [s.tobytes() for s in expected]
+            # so the boundaries are the same, span by span
+            edges = np.cumsum([0, *(s.size for s in segments)])
+            assert edges.tobytes() == np.cumsum([0, *(s.size for s in expected)]).tobytes()
+        # a second config on the layout reads what the first left in the
+        # memo only where their stages share every input
+        other = draw_span_config(draw, draw(st.sampled_from(list(SegMethod))), rate)
+        fresh = span_segments_or_error(values, parts, spans, other, {})
+        shared = span_segments_or_error(values, parts, spans, other, memo)
+        if isinstance(fresh, str):
+            assert shared == fresh
             return
-        segments, got_counts = experiments._span_segments(values, parts, spans, config)
-        assert got_counts.tolist() == counts
-        assert [s.tobytes() for s in segments] == [s.tobytes() for s in expected]
-        # so the boundaries are the same, span by span
-        edges = np.cumsum([0, *(s.size for s in segments)])
-        assert edges.tobytes() == np.cumsum([0, *(s.size for s in expected)]).tobytes()
+        assert shared[1].tobytes() == fresh[1].tobytes()
+        assert shared[0].values.tobytes() == fresh[0].values.tobytes()
+        assert shared[0].edges.tobytes() == fresh[0].edges.tobytes()
 
     @pytest.mark.parametrize("lengths, error", [
         ((20, 6, 3), "support 16 exceeds twice the signal length 6"),
@@ -448,7 +491,7 @@ class TestSpansMatchReference:
         spans = [(0, 0, Fraction(n, 8), VariationKind.PRIME, n) for n in lengths]
         values = np.concatenate([signal[:n] for n in lengths])
         with pytest.raises(ValueError, match=f"^signal too short for the scale: {error}$"):
-            experiments._span_segments(values, parts, spans, config)
+            experiments._span_segments(values, parts, spans, config, {})
 
 
 def trace_tuples(traces):
@@ -893,7 +936,7 @@ class TestGridSearch:
 
             monkeypatch.setattr(experiments, name, wrapper)
 
-        for name in ("sample_pitch_signal", "zero_crossing_boundaries",
+        for name in ("sample_pitch_signal", "haar_filter", "zero_crossing_boundaries",
                      "local_maxima_boundaries", "constant_boundaries", "lbdm_boundaries"):
             counting(name)
         base = ExperimentConfig(rest_policy=RestPolicy.REMOVE)
@@ -901,9 +944,11 @@ class TestGridSearch:
                               record_traces=True)
         seqs = [song.seq for song in corpus.songs]
         assert [args[0] for args in calls["sample_pitch_signal"]] == seqs
-        # one call per representation (wr, vr) of each group, for all songs at once
-        assert len(calls["local_maxima_boundaries"]) == 4  # scales 1 and 2
-        assert [args[1] for args in calls["lbdm_boundaries"]] == [0.4, 0.4]
+        # one filter per support of each group (the ws-max groups' wr and vr
+        # cells share theirs) and one boundary call per group, for all songs
+        assert [args[1] for args in calls["haar_filter"]] == [8, 16, 8]
+        assert len(calls["local_maxima_boundaries"]) == 2  # scales 1 and 2
+        assert [args[1] for args in calls["lbdm_boundaries"]] == [0.4]
         for notes, *_ in calls["lbdm_boundaries"]:  # every song's notes, laid end to end
             assert notes.pitches.tolist() == [p for seq in seqs for p in seq.pitches.tolist()]
         assert "zero_crossing_boundaries" not in calls and "constant_boundaries" not in calls
