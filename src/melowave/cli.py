@@ -28,6 +28,7 @@ from .signals import RestPolicy, resample_to_length, sample_pitch_signal
 from .wavelet import haar_filter, scalogram, support_samples
 
 _BOOLEAN_KEYS = {"scalogram", "unsegmented", "grid", "zero-rest-renormalize"}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")  # their config values
 _parser: argparse.ArgumentParser | None = None  # built by the first main call, then reused
 
 # segmentation method -> the destination of its parameter flag, and the flag;
@@ -509,9 +510,21 @@ def _add_folk_flags(p: argparse.ArgumentParser) -> None:
     _add_output(p)
 
 
-def _expand_config_file(argv: list[str]) -> list[str]:
-    """Insert flags from a --config file before the user's flags so the
-    command line overrides the file."""
+def _command(parser: argparse.ArgumentParser, argv: list[str]):
+    """The parser of the command that the leading words of ``argv`` name,
+    or None when they name no whole command, and how many words name it."""
+    head = 0
+    while subs := [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]:
+        if head == len(argv) or argv[head] not in subs[0].choices:
+            return None, head
+        parser, head = subs[0].choices[argv[head]], head + 1
+    return parser, head
+
+
+def _expand_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Insert flags from a --config file after the command's words and
+    before the user's flags, so the command line overrides the file. A
+    line that is no ``key = value`` of the command is a one-line error."""
     at = [i for i, arg in enumerate(argv) if arg == "--config" or arg.startswith("--config=")]
     if not at:
         return argv
@@ -524,27 +537,30 @@ def _expand_config_file(argv: list[str]) -> list[str]:
         path, argv = argv[i + 1], argv[:i] + argv[i + 2 :]
     else:
         path, argv = argv[i].split("=", 1)[1], argv[:i] + argv[i + 1 :]
+    command, head = _command(parser, argv)
+    if command is None:  # argparse names the missing or unknown command
+        return argv
     flags: list[str] = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        key = key.strip().replace("_", "-")
-        value = value.strip()
+        key, equals, value = (part.strip() for part in line.partition("="))
+        key = key.replace("_", "-")
+        where = f"{path}, line {number}"
         if key == "config":  # argparse would take it, and nothing would read it
             raise ValueError(f"{path}: a config file cannot name another")
+        if not equals:
+            raise ValueError(f"{where}: expected key = value, got {line!r}")
+        if f"--{key}" not in command._option_string_actions:
+            raise ValueError(f"{where}: {command.prog} takes no --{key}")
         if key in _BOOLEAN_KEYS:
-            if value.lower() in ("1", "true", "yes", "on"):
+            if value.lower() not in _TRUE + _FALSE:
+                raise ValueError(f"{where}: --{key} is true or false, got {value!r}")
+            if value.lower() in _TRUE:
                 flags.append(f"--{key}")
             continue
         flags.extend((f"--{key}", value))
-    # keep the subcommand tokens first, then file flags, then CLI flags
-    head = 0
-    while head < len(argv) and not argv[head].startswith("-"):
-        head += 1
-        if head >= 2:
-            break
     return argv[:head] + flags + argv[head:]
 
 
@@ -553,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _parser = _parser or build_parser()
     try:
-        argv = _expand_config_file(argv)
+        argv = _expand_config_file(argv, parser)
         args = parser.parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit

@@ -219,15 +219,10 @@ def find_boundaries(
     return lbdm_boundaries(notes, param, rate, joins)
 
 
-def _equalize(
-    segments: Segments,
-    labels: Sequence,
-    equalization: Equalization,
-    target_len: int | None = None,
-) -> LabeledCorpus:
+def _equalize(segments: Segments, labels: Sequence, equalization: Equalization) -> LabeledCorpus:
     if equalization is Equalization.ZERO_PAD:
-        return equalize_zero_pad(segments, labels, target_len)
-    return equalize_interpolate(segments, labels, target_len)
+        return equalize_zero_pad(segments, labels)
+    return equalize_interpolate(segments, labels)
 
 
 # distance entries (distinct query rows x distinct corpus rows) that one tile
@@ -435,64 +430,41 @@ def _span_notes(parts: Sequence[tuple], spans: Sequence[tuple], rate: Fraction) 
     return transform_sequence(laid, kinds, (first, first + stop - start))
 
 
-def classifier_segments(
-    works: Sequence[BachWork], parts: Sequence[list], config: ExperimentConfig,
-    prefix_qn: int = 16, contrapuntal: bool = False,
-) -> tuple[Segments, list, np.ndarray]:
-    """Segments of the exposition prefixes of every part (``parts[i]`` holds
-    work i's sampled parts), with contrapuntal variants added as extra
-    classes when ``contrapuntal`` is set: each prefix followed by its
-    variants, those of one kind varied as one block. Also the labels in
-    first-occurrence order, and each segment's label as its index there."""
-    prefix_samples = math.ceil(prefix_qn * config.rate)
-    variations = tuple(VariationKind) if contrapuntal else (VariationKind.PRIME,)
-    all_parts = [part for work_parts in parts for part in work_parts]
-    prime = np.stack([signal[:prefix_samples] for signal, _ in all_parts])
-    blocks = [prime if v is VariationKind.PRIME else apply_variation(prime, v) for v in variations]
-    spans = [(i, 0, prefix_qn, v, prefix_samples) for i in range(len(prime)) for v in variations]
-    values = np.stack(blocks, axis=1).ravel()
-    segments, counts = _span_segments(values, all_parts, spans, config, {})
-    names, codes = code_labels([
-        (work.work_id, variation.value) if contrapuntal else work.work_id
-        for work, work_parts in zip(works, parts) for _ in work_parts for variation in variations
-    ])
-    return segments, names, np.repeat(codes, counts)
-
-
-def _section_segments(
-    works: Sequence[BachWork], parts: Sequence[list], config: ExperimentConfig
-) -> tuple[Segments, list[tuple[str, str]], np.ndarray]:
-    """Segments of both parts of every section, the sections as (item id,
-    work id) items, and the row offsets of each section's segments."""
-    all_parts, slices, spans, items = [], [], [], []
-    for work, work_parts in zip(works, parts):
-        for j, (a, b) in enumerate(split_section_spans(work_parts[0][0].size, config.rate)):
-            for i, (signal, _) in enumerate(work_parts, len(all_parts)):
-                slices.append(signal[a:b])
-                spans.append((i, a / config.rate, b / config.rate, VariationKind.PRIME, b - a))
-            items.append((f"{work.work_id}/s{j}", work.work_id))
-        all_parts += work_parts
-    segments, counts = _span_segments(np.concatenate(slices), all_parts, spans, config, {})
-    per_item = np.reshape(counts, (len(items), -1)).sum(axis=1)  # the spans of both parts
-    return segments, items, np.concatenate(([0], np.cumsum(per_item)))
-
-
 def run_bach_experiment(
     works: Sequence[BachWork], config: ExperimentConfig, prefix_qn: int = 16,
     contrapuntal: bool = False,
 ) -> BachReport:
     """Classify every section of every work by 1-NN against the corpus of
     the first ``prefix_qn`` quarter notes of every part, and report
-    per-section-index accuracies. Each part is sampled once."""
+    per-section-index accuracies. Each part is sampled once. The prefixes
+    and the sections are the spans of one layout: each prefix followed by
+    its contrapuntal variants when ``contrapuntal`` is set (extra classes,
+    those of one kind varied as one block), then both parts of every
+    section; all their segments are equalized at once."""
     if prefix_qn not in (4, 8, 16):
         raise ConfigError(f"classifier prefix must be 4, 8 or 16 qn, got {prefix_qn}")
-    parts = [_work_signals(work, config) for work in works]
-    cls_segments, names, codes = classifier_segments(works, parts, config, prefix_qn, contrapuntal)
-    test_segments, items, offsets = _section_segments(works, parts, config)
-    target = max(cls_segments.longest, test_segments.longest)
-    corpus = _equalize(cls_segments, codes, config.equalization, target)
-    queries = _equalize(test_segments, [None] * len(test_segments), config.equalization, target)
-    queries, corpus = distinct_rows(queries.rows), distinct_rows(corpus.rows)
+    parts = [part for work in works for part in _work_signals(work, config)]
+    variations = tuple(VariationKind) if contrapuntal else (VariationKind.PRIME,)
+    prefix, rate = math.ceil(prefix_qn * config.rate), config.rate
+    prime = np.stack([signal[:prefix] for signal, _ in parts])
+    blocks = [prime if v is VariationKind.PRIME else apply_variation(prime, v) for v in variations]
+    spans = [(i, 0, prefix_qn, v, prefix) for i in range(len(parts)) for v in variations]
+    labels = [(work.work_id, v.value) if contrapuntal else work.work_id
+              for work in works for _ in range(2) for v in variations]  # two parts per work
+    slices, items = [np.stack(blocks, axis=1).ravel()], []
+    for w, work in enumerate(works):
+        for j, (a, b) in enumerate(split_section_spans(parts[2 * w][0].size, rate)):
+            for i in (2 * w, 2 * w + 1):
+                slices.append(parts[i][0][a:b])
+                spans.append((i, a / rate, b / rate, VariationKind.PRIME, b - a))
+            items.append((f"{work.work_id}/s{j}", work.work_id))
+    segments, counts = _span_segments(np.concatenate(slices), parts, spans, config, {})
+    names, codes = code_labels(labels)
+    codes = np.repeat(codes, counts[: len(labels)])
+    per_item = np.reshape(counts[len(labels) :], (len(items), -1)).sum(axis=1)  # both parts
+    rows = _equalize(segments, [None] * len(segments), config.equalization).rows
+    corpus, queries = distinct_rows(rows[: codes.size]), distinct_rows(rows[codes.size :])
+    offsets = np.concatenate(([0], np.cumsum(per_item)))
     traces = _classify(items, queries, offsets, corpus, names, codes, config.metric, (1,), False)[1]
     if contrapuntal:  # a (work, variation) class counts for its work
         traces = tuple(t._replace(predicted_label=t.predicted_label[0]) for t in traces)

@@ -182,10 +182,6 @@ class Segments:
         edges = self.edges.tolist()
         return (self.values[a:b] for a, b in zip(edges, edges[1:]))
 
-    @property
-    def longest(self) -> int:
-        return int(np.diff(self.edges).max())
-
 
 def cut_segments(values: np.ndarray, boundaries: BoundarySet) -> Segments:
     """Cut a vector at the boundaries, copying nothing; concatenation
@@ -198,26 +194,17 @@ def cut_segments(values: np.ndarray, boundaries: BoundarySet) -> Segments:
     return Segments(values, np.array(boundaries.indices))
 
 
-def _equalize_input(segments, target_len: int | None) -> tuple[Segments, np.ndarray, int]:
-    """The segments laid end to end, their lengths, and the target length:
-    the longest segment's unless given."""
-    if not isinstance(segments, Segments):
-        segments = [np.asarray(s, dtype=float) for s in segments]
-        edges = np.cumsum([0] + [s.size for s in segments])
-        segments = Segments(np.concatenate(segments) if segments else np.zeros(0), edges)
+def _lengths(segments: Segments) -> tuple[np.ndarray, int]:
+    """Each segment's length, and the longest."""
     if not len(segments):
         raise ValueError("no segments to equalize")
     lengths = np.diff(segments.edges)
-    return segments, lengths, int(lengths.max() if target_len is None else target_len)
+    return lengths, int(lengths.max())
 
 
-def equalize_zero_pad(
-    segments: Segments | Sequence[np.ndarray], labels: Sequence, target_len: int | None = None
-) -> LabeledCorpus:
-    """Pad shorter segments with trailing zeros up to the target length."""
-    segments, lengths, target = _equalize_input(segments, target_len)
-    if lengths.max() > target:
-        raise ValueError(f"segment of length {lengths.max()} exceeds target length {target}")
+def equalize_zero_pad(segments: Segments, labels: Sequence) -> LabeledCorpus:
+    """Pad every segment with trailing zeros up to the longest one."""
+    lengths, target = _lengths(segments)
     rows = np.zeros((lengths.size, target))
     # each sample's place in the rows: its segment's row, less the segment's start
     shift = np.arange(lengths.size) * target - segments.edges[:-1]
@@ -225,15 +212,11 @@ def equalize_zero_pad(
     return LabeledCorpus(rows, labels)
 
 
-def equalize_interpolate(
-    segments: Segments | Sequence[np.ndarray], labels: Sequence, target_len: int | None = None
-) -> LabeledCorpus:
-    """Resize every segment to the target length by nearest-neighbor
+def equalize_interpolate(segments: Segments, labels: Sequence) -> LabeledCorpus:
+    """Resize every segment to the longest one's length by nearest-neighbor
     interpolation of its index grid: output sample j reads input sample
     floor((j + 0.5) * length / target)."""
-    segments, lengths, target = _equalize_input(segments, target_len)
-    if target < 1:
-        raise ValueError("target length must be at least 1")
+    lengths, target = _lengths(segments)
     if not lengths.all():
         raise ValueError("cannot resize an empty segment")
     distinct, which = np.unique(lengths, return_inverse=True)

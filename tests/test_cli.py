@@ -642,6 +642,30 @@ class TestErrors:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("rep", "expected key = value, got 'rep'"),
+        ("prefix-qn = 8", "melowave exp folk takes no --prefix-qn"),
+        ("unsegmented = maybe", "--unsegmented is true or false, got 'maybe'"),
+    ], ids=["no-equals", "foreign-key", "boolean-value"])
+    def test_bad_config_line_one_line_error(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment, then a blank line\n\n{line}\n")
+        out = tmp_path / "out.csv"
+        assert main(["exp", "folk", "--synthetic-seed", "0", "--synthetic-families", "2",
+                     "--config", str(cfg), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"melowave: error: {cfg}, line 3: {message}\n"
+        assert not out.exists()
+
+    def test_config_file_of_a_command_with_an_input(self, melody_mid, tmp_path):
+        # the file's flags go after the command's words, before its input
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = ws-zc\nscale_qn = 1\nrests = remove\n")
+        outs = [tmp_path / "config.csv", tmp_path / "flags.csv"]
+        assert main(["segment", str(melody_mid), "--config", str(cfg), "-o", str(outs[0])]) == 0
+        assert main(["segment", str(melody_mid), "--method", "ws-zc", "--scale-qn", "1",
+                     "--rests", "remove", "-o", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_grid_jobs_below_one_one_line_error(self, jobs, tmp_path, capsys):
         out = tmp_path / "grid.csv"

@@ -34,9 +34,7 @@ from melowave.experiments import (
     Segmentation,
     _grid_configs,
     _normalizer,
-    _section_segments,
     _work_signals,
-    classifier_segments,
     grid_search,
     run_bach_experiment,
     run_folk_segmented,
@@ -44,7 +42,6 @@ from melowave.experiments import (
     split_section_spans,
 )
 from melowave.ingest import MidiError, NoteSequence, write_standard_midi
-from melowave.segmentation import equalize_zero_pad
 from melowave.signals import (
     RestPolicy,
     mean_normalize,
@@ -68,10 +65,6 @@ def ws_config(scale, **kwargs):
         rest_policy=RestPolicy.REMOVE,
         **kwargs,
     )
-
-
-def work_parts(works, config):
-    return [_work_signals(work, config) for work in works]
 
 
 def reference_segments(values, span_seq, variation, config):
@@ -165,10 +158,21 @@ class TestSectionSplit:
     def test_exactly_exposition_length_rejected(self):
         work = BachWork("w", make_sequence([(0, 16, 60)]), make_sequence([(0, 16, 55)]))
         config = ExperimentConfig(segmentation=NO_SEGMENTATION)
-        with pytest.raises(ValueError, match="exposition"):
-            _section_segments([work], work_parts([work], config), config)
+        with pytest.raises(ValueError, match="^work must extend beyond the 16 qn exposition"):
+            run_bach_experiment([work], config)
 
-    def test_work_level(self):
+    def test_split_precedes_every_stage(self):
+        # the layout holds the sections' spans before any stage runs: a
+        # 4 qn prefix (32 samples) is too short for a support of 128
+        # samples, but the work's split into sections fails first
+        work = BachWork("w", make_sequence([(0, 16, 60)]), make_sequence([(0, 16, 55)]))
+        config = ExperimentConfig(wavelet_rep_scale_qn=Fraction(16))
+        with pytest.raises(ValueError, match="^work must extend beyond the 16 qn exposition"):
+            run_bach_experiment([work], config, prefix_qn=4)
+        with pytest.raises(ValueError, match="^signal too short for the scale"):
+            run_bach_experiment(synthetic_inventions(0, 2), config, prefix_qn=4)
+
+    def test_work_level(self, monkeypatch):
         # both parts share the longer part's sampled length: 40 qn at rate 8
         work = BachWork(
             "w", make_sequence([(0, 40, 60)]), make_sequence([(0, 38, 55)])
@@ -176,10 +180,11 @@ class TestSectionSplit:
         config = ExperimentConfig(
             representation=Representation.PITCH, segmentation=NO_SEGMENTATION
         )
-        segments, items, offsets = _section_segments([work], work_parts([work], config), config)
-        assert items == [("w/s0", "w"), ("w/s1", "w"), ("w/s2", "w")]
-        assert offsets.tolist() == [0, 2, 4, 6]  # each section holds one segment per part
-        assert [s.size for s in segments] == [64] * 6
+        run = layout_of(monkeypatch, [work], config)
+        assert [t.item_id for t in run["report"].traces] == ["w/s0", "w/s1", "w/s2"]
+        assert run["offsets"].tolist() == [0, 2, 4, 6]  # one segment per part and section
+        # each part's 16 qn prefix, then both parts of each section
+        assert [s.size for s in run["segments"]] == [128] * 2 + [64] * 6
 
 
 @pytest.fixture(scope="module")
@@ -187,23 +192,38 @@ def works():
     return synthetic_inventions(0)
 
 
-def classifier_matrix(works, config, **protocol):
-    segments, _, codes = classifier_segments(works, work_parts(works, config), config, **protocol)
-    return equalize_zero_pad(segments, codes)
+def layout_of(monkeypatch, works, config, **protocol):
+    """One invention run's report, the segments of its one layout, and the
+    classes, corpus row codes and section row offsets that it decides on."""
+    run, span_segments, decide = {}, experiments._span_segments, experiments._classify
+
+    def segments(*args):
+        run["segments"], counts = span_segments(*args)
+        return run["segments"], counts
+
+    def classify(items, queries, offsets, corpus, names, codes, *rest):
+        run.update(offsets=offsets, names=names, codes=codes)
+        return decide(items, queries, offsets, corpus, names, codes, *rest)
+
+    monkeypatch.setattr(experiments, "_span_segments", segments)
+    monkeypatch.setattr(experiments, "_classify", classify)
+    run["report"] = run_bach_experiment(works, config, **protocol)
+    return run
 
 
 class TestBachClassifier:
-    def test_nc_has_one_class_per_work(self, works):
-        matrix = classifier_matrix(works, ExperimentConfig())
-        assert len(set(matrix.labels)) == 15
+    def test_nc_has_one_class_per_work(self, works, monkeypatch):
+        run = layout_of(monkeypatch, works, ExperimentConfig())
+        assert len(run["names"]) == len(set(run["codes"].tolist())) == 15
 
-    def test_cp_has_four_times_the_classes(self, works):
-        matrix = classifier_matrix(works, ExperimentConfig(), contrapuntal=True)
-        assert len(set(matrix.labels)) == 60
+    def test_cp_has_four_times_the_classes(self, works, monkeypatch):
+        run = layout_of(monkeypatch, works, ExperimentConfig(), contrapuntal=True)
+        assert len(run["names"]) == len(set(run["codes"].tolist())) == 60
 
-    def test_no_segmentation_one_row_per_part(self, works):
-        matrix = classifier_matrix(works, ExperimentConfig(segmentation=NO_SEGMENTATION))
-        assert matrix.rows.shape[0] == 30
+    def test_no_segmentation_one_row_per_part(self, works, monkeypatch):
+        run = layout_of(monkeypatch, works, ExperimentConfig(segmentation=NO_SEGMENTATION))
+        assert run["codes"].size == 30
+        assert len(run["segments"]) == 30 + 2 * 3 * 15  # then one row per part and section
 
     def test_short_work_rejected(self):
         works = [BachWork("w", make_sequence([(0, 10, 60)]), make_sequence([(0, 10, 55)]))]
@@ -281,7 +301,7 @@ class TestBachExperiment:
             run_bach_experiment(few, config, contrapuntal=contrapuntal)
             assert len(calls) == 2 * len(few)
 
-    def test_two_equalizer_calls_per_run(self, works, monkeypatch):
+    def test_one_equalizer_call_per_run(self, works, monkeypatch):
         calls = []
 
         def counting(equalize):
@@ -298,12 +318,12 @@ class TestBachExperiment:
         ):
             calls.clear()
             run_bach_experiment(works[:4], ExperimentConfig(equalization=equalization))
-            assert calls == [name, name]  # the classifier rows, then every section's rows
+            assert calls == [name]  # the classifier rows and every section's rows
 
     def test_equal_supports_share_one_filter_per_layout(self, works, monkeypatch):
         # wr at 1 qn, ws-zc at 1 qn: the representation's coefficients are
-        # the boundaries' too, filtered once for the classifier prefixes'
-        # layout and once for the sections'
+        # the boundaries' too, filtered once for the one layout of the
+        # classifier prefixes and the sections
         calls = []
 
         def counting(*args):
@@ -314,7 +334,7 @@ class TestBachExperiment:
         config = ExperimentConfig()
         assert config.wavelet_rep_scale_qn == config.segmentation.param
         run_bach_experiment(works[:4], config)
-        assert calls == [8, 8]
+        assert calls == [8]
 
     @pytest.mark.parametrize("config, contrapuntal", [
         (ExperimentConfig(), False),
@@ -325,8 +345,7 @@ class TestBachExperiment:
     ], ids=["nc-pad", "cp-interp", "vr-lbdm"])
     def test_matches_naive_per_section_route(self, works, config, contrapuntal):
         few = works[:5]
-        report = run_bach_experiment(few, config, contrapuntal=contrapuntal)
-        assert trace_tuples(report.traces) == bach_reference(few, config, contrapuntal)
+        assert_bach_matches_reference(few, config, contrapuntal)
 
     @settings(max_examples=oracle_examples(6), deadline=None)
     @given(
@@ -349,8 +368,7 @@ class TestBachExperiment:
             representation=Representation(rep), metric=metric, rate=rate,
             wavelet_rep_scale_qn=scale, segmentation=segmentation,
         )
-        report = run_bach_experiment(few, config, contrapuntal=contrapuntal)
-        assert trace_tuples(report.traces) == bach_reference(few, config, contrapuntal)
+        assert_bach_matches_reference(few, config, contrapuntal)
 
 
 def note_parts(draw, rate):
@@ -498,11 +516,34 @@ def trace_tuples(traces):
     return [(t.item_id, t.true_label, t.predicted_label, t.nearest_distance) for t in traces]
 
 
+def assert_bach_matches_reference(works, config, contrapuntal):
+    """The traces of an invention run, and the rows of its one layout (the
+    classifier rows, then every section's), equal those of the oracles.
+    Most sections hold a segment equal to some classifier segment, so
+    their traces read 0 as the nearest distance whatever the boundaries:
+    the rows are what show a boundary rule."""
+    equalized, equalize = [], experiments._equalize
+
+    def recording(*args):
+        corpus = equalize(*args)
+        equalized.append(corpus.rows)
+        return corpus
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_equalize", recording)
+        report = run_bach_experiment(works, config, contrapuntal=contrapuntal)
+    traces, rows = bach_reference(works, config, contrapuntal)
+    assert trace_tuples(report.traces) == traces
+    (got,) = equalized
+    assert got.shape == rows.shape and got.tobytes() == rows.tobytes()
+
+
 def bach_reference(works, config, contrapuntal):
-    """Per-section traces of the invention protocol by the oracles: each
-    section equalized on its own at the run's target length, then decided
-    row by row and voted on."""
-    parts = work_parts(works, config)
+    """Per-section traces of the invention protocol by the oracles, and the
+    classifier rows followed by every section's: each section equalized on
+    its own at the run's target length, then decided row by row and voted
+    on."""
+    parts = [_work_signals(work, config) for work in works]
     variations = list(VariationKind) if contrapuntal else [VariationKind.PRIME]
     prefix = math.ceil(16 * config.rate)  # the default classifier prefix of 16 qn, in samples
     cls_segments, cls_labels = [], []
@@ -522,16 +563,17 @@ def bach_reference(works, config, contrapuntal):
             sections.append((f"{work.work_id}/s{j}", work.work_id, segments))
     target = max(len(s) for s in cls_segments + [s for *_, segs in sections for s in segs])
     corpus = reference_equalize(cls_segments, cls_labels, config.equalization, target)
-    expected = []
+    expected, laid = [], [corpus.rows]
     for item_id, work_id, segments in sections:
         rows = reference_equalize(segments, [work_id] * len(segments), config.equalization, target)
+        laid.append(rows.rows)
         distances = pairwise_distances(rows.rows, corpus.rows, config.metric).tolist()
         predictions = [oracle_decide(row, corpus.labels, 1) for row in distances]
         predicted = oracle_vote(predictions, distances)
         if contrapuntal:
             predicted = predicted[0]
         expected.append((item_id, work_id, predicted, min(map(min, distances))))
-    return expected
+    return expected, np.vstack(laid)
 
 
 def uniform_family_corpus():
